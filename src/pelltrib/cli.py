@@ -16,6 +16,7 @@ kind, so callers never have to scrape tracebacks.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import hashlib
 import json
@@ -57,15 +58,15 @@ FORMULA_SET_VERSION = _formula_fingerprint()
 # scalar parsing
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-_DECIMAL_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+)([eE][+-]?\d+)?$")
-_REAL_PART = r"[+-]?(\d+(\.\d*)?|\.\d+)"
+_REAL_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 
 
 def parse_scalar(text: str, precision_bits: int = _DEFAULT_BITS):
-    """Parse the r grammar: [-]int[/int], decimal literal, or a+bi.
+    """Parse the r grammar: [-]int[/int], real literal, or a+bi.
 
-    Rational input stays exact (Fraction); decimals are promoted to an
-    mpf at the requested precision; a+bi yields a double complex.
+    Rational input stays exact (Fraction); other real literals are
+    promoted to an mpf at the requested precision; a+bi yields a double
+    complex.
     """
     s = text.strip().replace(" ", "")
     if not s:
@@ -75,7 +76,7 @@ def parse_scalar(text: str, precision_bits: int = _DEFAULT_BITS):
             return Fraction(s)
         except ZeroDivisionError as exc:
             raise ScalarParseError(f"zero denominator in {text!r}") from exc
-    if _DECIMAL_RE.match(s):
+    if _REAL_RE.fullmatch(s):
         with mp.workprec(precision_bits):
             return mp.mpf(s)
     if s.endswith("i"):
@@ -96,9 +97,12 @@ def _parse_complex(s: str, original: str) -> complex:
         imag_text = "1"
     elif imag_text == "-":
         imag_text = "-1"
-    if not re.fullmatch(_REAL_PART, real_text) or not re.fullmatch(_REAL_PART, imag_text):
+    if not _REAL_RE.fullmatch(real_text) or not _REAL_RE.fullmatch(imag_text):
         raise ScalarParseError(f"cannot parse scalar {original!r}")
-    return complex(float(real_text), float(imag_text))
+    value = complex(float(real_text), float(imag_text))
+    if not cmath.isfinite(value):
+        raise ScalarParseError(f"complex scalar {original!r} overflows a double")
+    return value
 
 
 def _require_nonzero(value):
@@ -230,7 +234,7 @@ def _cmd_eig(config: CliConfig) -> Report:
     bits = config.precision_bits
     r = _require_nonzero(parse_scalar(config.r, bits))
     spectrum = spectral.eigenvalues_closed(k, n, r, bits)
-    with mp.workprec(bits + 32):
+    with mp.workprec(bits + sequence._GUARD):
         entries = [
             {"m": m, "branch": spectrum.branches[m], "value": str(spectrum.lambdas[m])}
             for m in range(n)
@@ -445,6 +449,10 @@ def parse_args(argv=None) -> CliConfig:
     ns = build_parser().parse_args(argv)
     options: dict = {}
     if ns.command == "scan":
+        if ns.kmin > ns.kmax:
+            raise ValueError(f"--kmin {ns.kmin} exceeds --kmax {ns.kmax}")
+        if ns.nmin > ns.nmax:
+            raise ValueError(f"--nmin {ns.nmin} exceeds --nmax {ns.nmax}")
         options = {"kmin": ns.kmin, "kmax": ns.kmax,
                    "nmin": ns.nmin, "nmax": ns.nmax, "sign": ns.sign}
     elif ns.command == "bench":

@@ -23,9 +23,5 @@ class PrecisionExhausted(ArithmeticError):
     """The requested residual target is unreachable at the working precision."""
 
 
-class NoConvergence(ArithmeticError):
-    """An iteration hit its cap before meeting the convergence test."""
-
-
 class DegenerateCase(ArithmeticError):
     """A closed-form expression is singular at the given parameters."""

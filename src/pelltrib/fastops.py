@@ -39,70 +39,20 @@ def dft_naive(x) -> np.ndarray:
     return matrix @ x
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    levels = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.intp)
-    rev = np.zeros_like(idx)
-    for b in range(levels):
-        rev = (rev << 1) | ((idx >> b) & 1)
-    return rev
-
-
-def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    n = x.size
-    a = x[_bit_reverse_indices(n)].astype(np.complex128)
-    size = 2
-    while size <= n:
-        half = size // 2
-        twiddle = np.exp(FORWARD_SIGN * 2j * np.pi * np.arange(half) / size)
-        blocks = a.reshape(-1, size)
-        even = blocks[:, :half].copy()
-        odd = blocks[:, half:] * twiddle
-        blocks[:, :half] = even + odd
-        blocks[:, half:] = even - odd
-        size *= 2
-    return a
-
-
-def _chirp(n: int) -> np.ndarray:
-    # w^(j^2/2) with the square reduced mod 2n in exact integers first,
-    # so the phase argument never loses digits for large j
-    j = np.arange(n, dtype=object)
-    reduced = np.array([(v * v) % (2 * n) for v in j], dtype=np.float64)
-    return np.exp(FORWARD_SIGN * 1j * np.pi * reduced / n)
-
-
-def _bluestein(x: np.ndarray) -> np.ndarray:
-    n = x.size
-    chirp = _chirp(n)
-    length = 1 << (2 * n - 1).bit_length()
-    a = np.zeros(length, dtype=np.complex128)
-    a[:n] = x * chirp
-    b = np.zeros(length, dtype=np.complex128)
-    b[:n] = np.conj(chirp)
-    b[length - n + 1:] = np.conj(chirp[1:][::-1])
-    conv = _fft_pow2(np.conj(_fft_pow2(a) * _fft_pow2(b)))
-    conv = np.conj(conv) / length
-    return chirp * conv[:n]
-
-
 def fft(x) -> np.ndarray:
-    """Forward DFT with the project-wide positive-exponent convention.
-
-    Radix-2 for powers of two, Bluestein chirp-z for everything else.
-    """
+    """Forward DFT with the project-wide positive-exponent convention:
+    numpy's inverse transform carries the positive exponent, so this is
+    n * np.fft.ifft."""
     x = np.asarray(x, dtype=np.complex128)
     n = x.size
     if n == 0:
         raise DimensionMismatch("empty input")
-    if n & (n - 1) == 0:
-        return _fft_pow2(x)
-    return _bluestein(x)
+    return n * np.fft.ifft(x)
 
 
 def ifft(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
-    return np.conj(fft(np.conj(x))) / x.size
+    return np.fft.fft(x) / x.size
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp, mpf, mpc
+from mpmath import mp, mpf
 
 from .circulant import is_exact
 from .errors import PrecisionExhausted, ZeroR
-from .sequence import char_roots, check_bits, check_k, term
-from .spectral import eigen_grid, eigenvalues_direct, _r_to_mp
-
-_GUARD = 32
+from .sequence import _GUARD, char_roots, check_bits, check_k, term
+from .spectral import eigenvalues_direct, _check_order, _quadratic_roots
 
 GUARANTEED_INVERTIBLE = "guaranteed_invertible"
 EXCLUDED_PARAMETER = "excluded_parameter"
@@ -109,8 +107,7 @@ def sufficient_condition(k: int, n: int, r, precision_bits: int = 256) -> Invert
     bands of relative width 2^(-precision_bits/2)."""
     check_k(k)
     check_bits(precision_bits)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"matrix order n must be an integer >= 2, got {n!r}")
+    _check_order(n)
     if isinstance(r, complex) or (hasattr(r, "imag") and r.imag != 0):
         raise ValueError("sufficient_condition covers real r only")
     if r == 0:
@@ -177,17 +174,10 @@ class ScanCell:
 
 
 def _scan_cell(k: int, n: int, sign: int, precision_bits: int) -> ScanCell:
-    pn, pn1, pn2 = term(k, n), term(k, n - 1), term(k, n - 2)
     with mp.workprec(precision_bits + _GUARD):
         tol = mpf(2) ** (-precision_bits // 2)
         r_star = sign * _critical_magnitude(k, n)
-        # quadratic whose roots r1, r2 are the only grid points that can
-        # zero an eigenvalue: x^2 - Sx + Q
-        s = (1 - r_star * (k * pn1 + pn2)) / (r_star * pn1)
-        q = mpf(pn) / pn1
-        disc = mpmath.sqrt(mpc(s * s - 4 * q))
-        r1 = (s + disc) / 2
-        r2 = (s - disc) / 2
+        r1, r2 = _quadratic_roots(k, n, r_star)
         closed_res = min(abs(r1**n - r_star), abs(r2**n - r_star)) / abs(r_star)
         closed_singular = bool(closed_res <= tol)
         mags = []

@@ -118,12 +118,17 @@ class CardanoWork:
     roots: tuple[mpc, mpc, mpc]
 
 
+def _depressed_cubic(k: int) -> tuple[Fraction, Fraction, Fraction]:
+    # p, q and discriminant of the depressed cubic t^3 + p t + q, x = t + 2k/3
+    p = Fraction(-(4 * k * k + 3 * k), 3)
+    q = Fraction(-(16 * k**3 + 18 * k * k + 27), 27)
+    return p, q, (q / 2) ** 2 + (p / 3) ** 3
+
+
 def cardano_delta(k: int) -> Fraction:
     """Exact discriminant (q/2)^2 + (p/3)^3 of the depressed cubic."""
     check_k(k)
-    p = Fraction(-(4 * k * k + 3 * k), 3)
-    q = Fraction(-(16 * k**3 + 18 * k * k + 27), 27)
-    return (q / 2) ** 2 + (p / 3) ** 3
+    return _depressed_cubic(k)[2]
 
 
 def cardano(k: int, precision_bits: int = 256) -> CardanoWork:
@@ -135,9 +140,7 @@ def cardano(k: int, precision_bits: int = 256) -> CardanoWork:
     """
     check_k(k)
     check_bits(precision_bits)
-    p = Fraction(-(4 * k * k + 3 * k), 3)
-    q = Fraction(-(16 * k**3 + 18 * k * k + 27), 27)
-    delta = (q / 2) ** 2 + (p / 3) ** 3
+    p, q, delta = _depressed_cubic(k)
     with mp.workprec(precision_bits + _GUARD):
         sqrt_delta = mpmath.sqrt(mpc(mpmath.mpmathify(delta)))
         half_q = mpmath.mpmathify(q) / 2

@@ -30,24 +30,15 @@ import mpmath
 from mpmath import mp, mpf, mpc
 
 from .circulant import DenseMatrix, abs_sq, build_pell, is_exact, to_complex_list
-from .errors import DegenerateCase, NoConvergence, ZeroR
-from .sequence import char_roots, check_bits, check_k, recip_poly, term, terms_upto
+from .errors import DegenerateCase, ZeroR
+from .sequence import _GUARD, char_roots, check_bits, check_k, recip_poly, term, terms_upto
 from . import sums
-
-_GUARD = 32
 
 
 def _check_order(n, lo=2) -> int:
     if not isinstance(n, int) or isinstance(n, bool) or n < lo:
         raise ValueError(f"matrix order n must be an integer >= {lo}, got {n!r}")
     return n
-
-
-def _abs_r(r):
-    """|r|, exact for exact real r."""
-    if is_exact(r):
-        return abs(r)
-    return abs(r)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +59,7 @@ def l1_closed(k: int, n: int, r):
     """Entrywise 1-norm; exact for exact rational r."""
     check_k(k)
     _check_order(n)
-    return n * sums.s1_closed(k, n - 1) + (_abs_r(r) - 1) * sums.w1_closed(k, n - 1)
+    return n * sums.s1_closed(k, n - 1) + (abs(r) - 1) * sums.w1_closed(k, n - 1)
 
 
 def spectral_bounds(k: int, n: int, r) -> tuple[float, float]:
@@ -79,33 +70,19 @@ def spectral_bounds(k: int, n: int, r) -> tuple[float, float]:
         if is_exact(r) else \
         sums.s2_closed(k, n - 1) + (abs_sq(r) - 1) / n * sums.w2_closed(k, n - 1)
     lower = math.sqrt(inner)
-    upper = float(max(_abs_r(r), 1) * sums.s1_closed(k, n - 1))
+    upper = float(max(abs(r), 1) * sums.s1_closed(k, n - 1))
     return lower, upper
 
 
 # ---------------------------------------------------------------------------
 # numeric reference norms
 
-def spectral_numeric(m: DenseMatrix, tol: float = 1e-10, max_iter: int = 100_000) -> float:
-    """Largest singular value by power iteration on the normal-equations
-    operator, deterministic all-ones start.  Raises NoConvergence at the
-    iteration cap."""
+def spectral_numeric(m: DenseMatrix) -> float:
+    """Largest singular value from LAPACK; OverflowError if an entry exceeds a double."""
     a = np.array(to_complex_list(m), dtype=np.complex128)
-    normal = a.conj().T @ a
-    n = m.n
-    x = np.ones(n, dtype=np.complex128) / math.sqrt(n)
-    nu_prev = None
-    for _ in range(max_iter):
-        y = normal @ x
-        nu = float((x.conj() @ y).real)
-        norm_y = float(np.linalg.norm(y))
-        if norm_y == 0.0:
-            return 0.0
-        x = y / norm_y
-        if nu_prev is not None and abs(nu - nu_prev) <= tol * max(abs(nu), 1e-300):
-            return math.sqrt(max(nu, 0.0))
-        nu_prev = nu
-    raise NoConvergence(f"power iteration did not settle in {max_iter} steps")
+    if not np.isfinite(a).all():
+        raise OverflowError("matrix entries overflow a double")
+    return float(np.linalg.norm(a, 2))
 
 
 def row_col_length_norms(m: DenseMatrix) -> tuple[float, float]:
@@ -132,7 +109,7 @@ class NormReport:
     col_length_norm: float
 
 
-def norm_report(k: int, n: int, r, tol: float = 1e-10) -> NormReport:
+def norm_report(k: int, n: int, r) -> NormReport:
     lower, upper = spectral_bounds(k, n, r)
     m = build_pell(k, n, r)
     r1, c1 = row_col_length_norms(m)
@@ -142,7 +119,7 @@ def norm_report(k: int, n: int, r, tol: float = 1e-10) -> NormReport:
         l1=float(l1_closed(k, n, r)),
         spectral_lower=lower,
         spectral_upper=upper,
-        sigma=spectral_numeric(m, tol=tol),
+        sigma=spectral_numeric(m),
         row_length_norm=r1,
         col_length_norm=c1,
     )
@@ -312,6 +289,16 @@ class DetReport:
     used_generic_formula: bool
 
 
+def _quadratic_roots(k: int, n: int, r_mp) -> tuple[mpc, mpc]:
+    """Roots r1, r2 of x^2 - Sx + Q, the only grid points that can zero an
+    eigenvalue; evaluated at the caller's working precision."""
+    pn, pn1, pn2 = term(k, n), term(k, n - 1), term(k, n - 2)
+    s = (1 - r_mp * (k * pn1 + pn2)) / (r_mp * pn1)
+    q = mpf(pn) / pn1
+    disc = mpmath.sqrt(mpc(s * s - 4 * q))
+    return (s + disc) / 2, (s - disc) / 2
+
+
 def determinant_closed(k: int, n: int, r, precision_bits: int = 256) -> DetReport:
     """Determinant via the quadratic-root product formula, with the direct
     eigenvalue product as the attached oracle.
@@ -322,7 +309,7 @@ def determinant_closed(k: int, n: int, r, precision_bits: int = 256) -> DetRepor
     check_k(k)
     grid = eigen_grid(n, r, precision_bits)
     roots = char_roots(k, precision_bits)
-    pn, pn1, pn2 = term(k, n), term(k, n - 1), term(k, n - 2)
+    pn1 = term(k, n - 1)
     tol = mpf(2) ** (-precision_bits // 2)
     with mp.workprec(precision_bits + _GUARD):
         for rho in grid.rhos:
@@ -332,11 +319,7 @@ def determinant_closed(k: int, n: int, r, precision_bits: int = 256) -> DetRepor
                     f" n={n}, r={r!r}"
                 )
         r_mp = _r_to_mp(r)
-        s = (1 - r_mp * (k * pn1 + pn2)) / (r_mp * pn1)
-        q = mpf(pn) / pn1
-        disc = mpmath.sqrt(mpc(s * s - 4 * q))
-        r1 = (s + disc) / 2
-        r2 = (s - disc) / 2
+        r1, r2 = _quadratic_roots(k, n, r_mp)
         alpha, beta, gamma = mpc(roots.alpha), roots.beta, roots.gamma
         denom = (alpha**-n - r_mp) * (beta**-n - r_mp) * (gamma**-n - r_mp)
         det = (
@@ -397,7 +380,7 @@ class Table1Row:
     flags: tuple
 
 
-def table1_report(tol: float = 1e-10) -> list[Table1Row]:
+def table1_report() -> list[Table1Row]:
     """Recompute the published k=1 bounds table and flag disagreements.
 
     The published lower-bound column for r != 1 does not match the stated
@@ -409,7 +392,7 @@ def table1_report(tol: float = 1e-10) -> list[Table1Row]:
     for n, r_str, lower_p, sigma_p, upper_p in PUBLISHED_TABLE:
         r = Fraction(r_str)
         lower, upper = spectral_bounds(1, n, r)
-        sigma = spectral_numeric(build_pell(1, n, r), tol=tol)
+        sigma = spectral_numeric(build_pell(1, n, r))
         lower_published, sigma_published, upper_published = (
             float(lower_p), float(sigma_p), float(upper_p))
         flags = []

@@ -103,7 +103,7 @@ def test_criterion_04_sandwich_bounds(capsys):
         for n in range(2, 65):
             for r in r_values:
                 m = circ.build_pell(k, n, r)
-                sigma = sp.spectral_numeric(m, tol=1e-10)
+                sigma = sp.spectral_numeric(m)
                 lower, upper = sp.spectral_bounds(k, n, r)
                 fro = sp.frobenius_closed(k, n, r)
                 for low, high in ((lower, sigma), (sigma, upper),

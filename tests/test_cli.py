@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 from pelltrib import cli
-from pelltrib.errors import NoConvergence, ScalarParseError
+from pelltrib.errors import PrecisionExhausted, ScalarParseError
 
 
 SCHEMA = json.loads((files("pelltrib") / "schema" / "report.schema.json").read_text())
@@ -40,7 +40,15 @@ def test_parse_complex_forms():
     assert cli.parse_scalar("-2-i") == complex(-2, -1)
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1/0", "1//2", "2+3", "1.2.3", "i2", "++i"])
+def test_parse_exponent_forms():
+    assert cli.parse_scalar("1e-3") == cli.parse_scalar("1.0e-3")
+    assert cli.parse_scalar("1E5") == 100000
+    assert cli.parse_scalar("1e400") > 10 ** 399
+    assert cli.parse_scalar("2e0+1e-1i") == 2 + 0.1j
+
+
+@pytest.mark.parametrize("bad", ["", "x", "1/0", "1//2", "2+3", "1.2.3", "i2", "++i",
+                                 "1e", "1e400+1i"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ScalarParseError):
         cli.parse_scalar(bad)
@@ -76,10 +84,21 @@ def test_unknown_flag_exits_2(capsys):
 
 def test_numeric_failure_exits_3(monkeypatch, capsys):
     def explode(*args, **kwargs):
-        raise NoConvergence("power iteration stalled")
+        raise PrecisionExhausted("residual target unreachable")
     monkeypatch.setattr(cli.spectral, "eigenvalues_closed", explode)
     assert cli.main(["eig", "--k", "1", "--n", "3", "--r", "1"]) == 3
-    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "NoConvergence"
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "PrecisionExhausted"
+
+
+@pytest.mark.parametrize("bounds", [
+    ["--kmin", "5", "--kmax", "2", "--nmax", "10"],
+    ["--kmax", "2", "--nmin", "8", "--nmax", "3"],
+])
+def test_scan_reversed_range_exits_2(bounds, capsys):
+    assert cli.main(["scan", *bounds]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["kind"] == "ValueError"
 
 
 def test_env_override(monkeypatch, capsys):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from pelltrib import circulant as circ
 from pelltrib import spectral as sp
 from pelltrib.sequence import char_roots
-from pelltrib.errors import DegenerateCase, NoConvergence, ZeroR
+from pelltrib.errors import DegenerateCase, ZeroR
 
 
 def test_closed_norms_frozen():
@@ -66,7 +66,7 @@ def test_power_iteration_matches_svd():
         for n in (2, 5, 9):
             for r in (1, -1, 2, 0.5, 1j):
                 m = circ.build_pell(k, n, r)
-                ours = sp.spectral_numeric(m, tol=1e-12)
+                ours = sp.spectral_numeric(m)
                 ref = float(np.linalg.svd(
                     np.array(circ.to_complex_list(m)), compute_uv=False)[0])
                 assert ours == pytest.approx(ref, rel=1e-8)
@@ -77,9 +77,20 @@ def test_power_iteration_zero_matrix():
     assert sp.spectral_numeric(z) == 0.0
 
 
-def test_power_iteration_cap_raises():
-    with pytest.raises(NoConvergence):
-        sp.spectral_numeric(circ.build_pell(1, 8, 2), tol=1e-10, max_iter=2)
+def test_spectral_numeric_rejects_overflowing_entries():
+    with pytest.raises(OverflowError):
+        sp.spectral_numeric(circ.build_pell(1, 3, mpf("1e400")))
+
+
+@pytest.mark.parametrize("k,n,r", [(5, 64, 1j), (5, 64, -1), (2, 64, 1j), (3, 9, 1)])
+def test_sigma_equals_peak_eigenvalue_for_unit_r(k, n, r):
+    # |r| = 1 makes diag(rho^j) unitary, so Circ_r is normal and its largest
+    # singular value is the largest eigenvalue modulus
+    sigma = sp.spectral_numeric(circ.build_pell(k, n, r))
+    spectrum = sp.eigenvalues_direct(k, n, r, 128)
+    with mp.workprec(160):
+        peak = float(max(abs(lam) for lam in spectrum.lambdas))
+    assert sigma == pytest.approx(peak, rel=1e-12)
 
 
 def test_sandwich_bounds_small_grid():
