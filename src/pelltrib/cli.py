@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -255,14 +256,15 @@ def _cmd_det(config: CliConfig) -> Report:
     det_exact = None
     if isinstance(r, (int, Fraction)):
         det_exact = circulant.det_exact(circulant.build_pell(k, n, r))
-    result = {
-        "det_closed": str(rep.det_closed),
-        "det_product_of_eigenvalues": str(rep.det_oracle),
-        "det_exact": _fmt(det_exact),
-        "quadratic_r1": str(rep.r1),
-        "quadratic_r2": str(rep.r2),
-        "used_generic_formula": rep.used_generic_formula,
-    }
+    with mp.workprec(bits + sequence._GUARD):
+        result = {
+            "det_closed": str(rep.det_closed),
+            "det_product_of_eigenvalues": str(rep.det_oracle),
+            "det_exact": _fmt(det_exact),
+            "quadratic_r1": str(rep.r1),
+            "quadratic_r2": str(rep.r2),
+            "used_generic_formula": rep.used_generic_formula,
+        }
     plain = [f"{name} = {value}" for name, value in result.items()]
     header = "k,n,r," + ",".join(result)
     row = f"{k},{n},{config.r}," + ",".join(_csv_cell(v) for v in result.values())
@@ -404,7 +406,9 @@ def _default_bits() -> int:
         raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from exc
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument tree, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="pelltrib", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -28,6 +28,7 @@ from fractions import Fraction
 import numpy as np
 import mpmath
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import to_fixed
 
 from .circulant import DenseMatrix, abs_sq, build_pell, is_exact, to_complex_list
 from .errors import DegenerateCase, ZeroR
@@ -51,8 +52,15 @@ def frobenius_sq_closed(k: int, n: int, r):
     return n * sums.s2_closed(k, n - 1) + (abs_sq(r) - 1) * sums.w2_closed(k, n - 1)
 
 
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise OverflowError(f"{what} overflows a double")
+    return value
+
+
 def frobenius_closed(k: int, n: int, r) -> float:
-    return math.sqrt(frobenius_sq_closed(k, n, r))
+    """Frobenius norm as a double; OverflowError when it does not fit one."""
+    return _finite(math.sqrt(frobenius_sq_closed(k, n, r)), "Frobenius norm")
 
 
 def l1_closed(k: int, n: int, r):
@@ -63,14 +71,15 @@ def l1_closed(k: int, n: int, r):
 
 
 def spectral_bounds(k: int, n: int, r) -> tuple[float, float]:
-    """(lower, upper) enclosure of the largest singular value."""
+    """(lower, upper) enclosure of the largest singular value, as doubles;
+    OverflowError when either does not fit one."""
     check_k(k)
     _check_order(n)
     inner = sums.s2_closed(k, n - 1) + Fraction(1, n) * (abs_sq(r) - 1) * sums.w2_closed(k, n - 1) \
         if is_exact(r) else \
         sums.s2_closed(k, n - 1) + (abs_sq(r) - 1) / n * sums.w2_closed(k, n - 1)
-    lower = math.sqrt(inner)
-    upper = float(max(abs(r), 1) * sums.s1_closed(k, n - 1))
+    lower = _finite(math.sqrt(inner), "spectral lower bound")
+    upper = _finite(float(max(abs(r), 1) * sums.s1_closed(k, n - 1)), "spectral upper bound")
     return lower, upper
 
 
@@ -233,43 +242,72 @@ def eigenvalues_closed(k: int, n: int, r, precision_bits: int = 256) -> EigenSpe
     return EigenSpectrum(k=k, grid=grid, lambdas=tuple(lams), branches=tuple(branches))
 
 
+def _to_fixed(z, frac_bits: int) -> tuple[int, int]:
+    """(re, im) of an mpc as integers scaled by 2^frac_bits, each rounded down."""
+    return to_fixed(z.real._mpf_, frac_bits), to_fixed(z.imag._mpf_, frac_bits)
+
+
 def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum | None = None,
                         precision_bits: int = 256) -> list:
-    """Relative residuals ||M v_m - lambda_m v_m|| / (||M||_F ||v_m||).
+    """Relative residuals ||M v_m - lambda_m v_m|| / (||M||_F ||v_m||), v_m = (rho_m^i).
 
-    The matvec exploits the circulant row structure (prefix/suffix sums of
-    a_l rho^l), which is an exact regrouping of the literal row dot products.
+    With a_l the generator row, T = sum_l a_l rho^l and
+    tail_i = sum_{l >= n-i} a_l rho^l, row i of M v - lambda v is exactly
+
+        rho^i * ((T - lambda) + (r / rho^n - 1) * tail_i),
+
+    so |rho|^(2i) weighs each row in both ||M v - lambda v||^2 and ||v||^2.
+    Powers, T, the tails and the rows run on Gaussian integers scaled by
+    2^F', F' = F + max(0, 3 - mag(r)) with F = bits + _GUARD + 8; the extra
+    bits for small |r| keep every power's relative error at most
+    2^(1.5-F) i.  mpmath does the one division r / rho^n per rho and the
+    final square root and quotient.
+
+    Error bound: for the given rho_m and lambda_m (|r / rho_m^n - 1| <= 1,
+    which every grid from eigen_grid meets), A = sum_l a_l and res_m the
+    exact residual,
+
+        |returned_m - res_m| <= 2^(4-F) * n * (max(1, |r|) * A / ||M||_F + res_m).
+
+    The first term is the kernel's absolute error in ||M v - lambda v||
+    relative to ||M||_F ||v||; the second is the relative error of the
+    weights |rho|^(2i).
     """
     if spectrum is None:
         spectrum = eigenvalues_direct(k, n, r, precision_bits)
     bits = spectrum.grid.precision_bits
     terms = terms_upto(k, n - 1)
-    with mp.workprec(bits + _GUARD):
+    with mp.workprec(bits + _GUARD + 16):
         r_mp = _r_to_mp(r)
-        coeffs = [mpmath.mpmathify(t) for t in terms]
+        frac = bits + _GUARD + 8 + max(0, 3 - mpmath.mag(r_mp))
         fro = mpmath.sqrt(mpmath.mpmathify(frobenius_sq_closed(k, n, abs(r_mp))))
         out = []
         for rho, lam in zip(spectrum.grid.rhos, spectrum.lambdas):
-            powers = [mpc(1)]
-            for _ in range(n - 1):
-                powers.append(powers[-1] * rho)
-            rho_n = powers[-1] * rho
-            prefix = []
-            acc = mpc(0)
-            for c, p in zip(coeffs, powers):
-                acc += c * p
-                prefix.append(acc)
-            total = prefix[-1]
-            err_sq = mpf(0)
-            v_sq = mpf(0)
-            for i in range(n):
-                head = prefix[n - 1 - i]
-                tail = total - head
-                mv = powers[i] * head + r_mp * (powers[i] / rho_n) * tail
-                diff = mv - lam * powers[i]
-                err_sq += abs_sq(diff)
-                v_sq += abs_sq(powers[i])
-            out.append(mpmath.sqrt(err_sq) / (fro * mpmath.sqrt(v_sq)))
+            x, y = _to_fixed(rho, frac)
+            powers = []
+            px, py, tx, ty = 1 << frac, 0, 0, 0
+            for a in terms:
+                powers.append((px, py))
+                tx += a * px
+                ty += a * py
+                px, py = (px * x - py * y) >> frac, (px * y + py * x) >> frac
+            # (px, py) is now rho^n, (tx, ty) is T; c = r / rho^n - 1, d = T - lambda
+            cx, cy = _to_fixed(r_mp / mpc(mpf((px, -frac)), mpf((py, -frac))) - 1, frac)
+            lx, ly = _to_fixed(lam, frac)
+            dx, dy = tx - lx, ty - ly
+            err_sq = v_sq = ux = uy = 0  # (ux, uy) is tail_i
+            for i, (vx, vy) in enumerate(powers):
+                if i:
+                    a = terms[n - i]
+                    qx, qy = powers[n - i]
+                    ux += a * qx
+                    uy += a * qy
+                ex = dx + ((cx * ux - cy * uy) >> frac)
+                ey = dy + ((cx * uy + cy * ux) >> frac)
+                weight = vx * vx + vy * vy
+                v_sq += weight
+                err_sq += weight * (ex * ex + ey * ey)
+            out.append(mpmath.sqrt(mpf((err_sq, -2 * frac)) / v_sq) / fro)
     return out
 
 

@@ -1,6 +1,11 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -223,3 +228,47 @@ def test_invert_complex_r_not_covered(capsys):
     envelope = json.loads(out)
     assert envelope["result"]["status"] == "not_covered"
     assert envelope["result"]["gcd_invertible"] is None
+
+
+_MPC_RE = re.compile(r"^\((\S+) ([+-]) (\S+)j\)$")
+
+
+def _printed_complex(text):
+    """(re, im) of an mpc as a report prints it, as exact decimals."""
+    re_text, sign, im_text = _MPC_RE.match(text).groups()
+    im = Fraction(im_text)
+    return Fraction(re_text), -im if sign == "-" else im
+
+
+@pytest.mark.parametrize("k,n,r", [(1, 5, "3/7"), (2, 9, "-3/2"), (3, 16, "2")])
+def test_det_json_carries_criterion_07_agreement(k, n, r, capsys):
+    out = _capture(["det", "--k", str(k), "--n", str(n), f"--r={r}", "--bits", "256",
+                    "--format", "json"], capsys)
+    result = json.loads(out)["result"]
+    exact = Fraction(result["det_exact"])
+    scale = max(abs(exact), 1)
+    for name in ("det_closed", "det_product_of_eigenvalues"):
+        re_part, im_part = _printed_complex(result[name])
+        assert abs(re_part - exact) <= Fraction(1, 10**20) * scale, name
+        assert abs(im_part) <= Fraction(1, 10**20) * scale, name
+
+
+@pytest.mark.parametrize("command", ["norms", "bounds"])
+@pytest.mark.parametrize("r", ["1e400", "1e200"])
+def test_non_finite_norms_exit_3(command, r, capsys):
+    assert cli.main([command, "--k", "1", "--n", "3", "--r", r]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["kind"] == "OverflowError"
+
+
+def test_parser_reuse_after_error_matches_fresh_process(capsys):
+    argv = ["norms", "--k", "2", "--n", "6", "--r", "3/7", "--format", "csv"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    fresh = subprocess.run([sys.executable, "-m", "pelltrib.cli", *argv],
+                           capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert cli.main(["seq", "--k", "1", "--n", "4", "--wat"]) == 2
+    capsys.readouterr()
+    assert _capture(argv, capsys) == fresh.stdout

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pelltrib import circulant as circ
 from pelltrib import spectral as sp
-from pelltrib.sequence import char_roots
+from pelltrib.sequence import _GUARD, char_roots, terms_upto
 from pelltrib.errors import DegenerateCase, ZeroR
 
 
@@ -222,6 +223,77 @@ def test_eigenpair_residuals_sample():
         res = sp.eigenpair_residuals(k, n, r, precision_bits=256)
         assert len(res) == n
         assert max(res) <= bound
+
+
+def _residuals_oracle(k, n, r, spectrum, extra_bits=0):
+    """The residual as mpc prefix and suffix sums of a_l rho^l, with the
+    wrapped part divided by rho^n row by row, at bits + _GUARD + extra_bits."""
+    bits = spectrum.grid.precision_bits
+    with mp.workprec(bits + _GUARD + extra_bits):
+        r_mp = sp._r_to_mp(r)
+        coeffs = [mpmath.mpmathify(t) for t in terms_upto(k, n - 1)]
+        fro = mpmath.sqrt(mpmath.mpmathify(sp.frobenius_sq_closed(k, n, abs(r_mp))))
+        out = []
+        for rho, lam in zip(spectrum.grid.rhos, spectrum.lambdas):
+            powers = [mpc(1)]
+            for _ in range(n - 1):
+                powers.append(powers[-1] * rho)
+            rho_n = powers[-1] * rho
+            prefix = []
+            acc = mpc(0)
+            for c, p in zip(coeffs, powers):
+                acc += c * p
+                prefix.append(acc)
+            total = prefix[-1]
+            err_sq = mpf(0)
+            v_sq = mpf(0)
+            for i in range(n):
+                head = prefix[n - 1 - i]
+                tail = total - head
+                mv = powers[i] * head + r_mp * (powers[i] / rho_n) * tail
+                diff = mv - lam * powers[i]
+                err_sq += circ.abs_sq(diff)
+                v_sq += circ.abs_sq(powers[i])
+            out.append(mpmath.sqrt(err_sq) / (fro * mpmath.sqrt(v_sq)))
+    return out
+
+
+RESIDUAL_R = (1, -1, 2, Fraction(-3, 2), Fraction(3, 7), 1j)
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_eigenpair_residuals_within_stated_bound_of_oracle(bits):
+    # 2^(4-F) n (max(1,|r|) A / ||M||_F + res), F = bits + _GUARD + 8; the
+    # oracle runs 64 bits higher so its own rounding stays far below the bound
+    with mp.workprec(bits + _GUARD + 64):
+        unit = mpf(2) ** (4 - (bits + _GUARD + 8))
+    for k in (1, 2, 3):
+        for n in (3, 5, 8, 13, 21):
+            for r in RESIDUAL_R:
+                spectrum = sp.eigenvalues_direct(k, n, r, bits)
+                got = sp.eigenpair_residuals(k, n, r, spectrum)
+                want = _residuals_oracle(k, n, r, spectrum, extra_bits=64)
+                with mp.workprec(bits + _GUARD + 64):
+                    fro = mpmath.sqrt(mpmath.mpmathify(sp.frobenius_sq_closed(k, n, abs(r))))
+                    scale = max(1, abs(sp._r_to_mp(r))) * sum(terms_upto(k, n - 1)) / fro
+                    for g, w in zip(got, want):
+                        assert abs(g - w) <= unit * n * (scale + w), (k, n, r, g, w)
+
+
+def test_eigenpair_residuals_see_a_perturbed_lambda():
+    # a kernel that loses lambda below its own noise would read ~1e-87 here
+    delta = mpf("1e-30")
+    for k, n, r in ((1, 5, 2), (2, 13, Fraction(3, 7)), (3, 21, 1j), (2, 8, Fraction(-3, 2))):
+        spectrum = sp.eigenvalues_direct(k, n, r, 256)
+        with mp.workprec(256 + _GUARD):
+            lambdas = tuple(lam + delta * (1 + abs(lam)) * mpc(0, 1) ** m
+                            for m, lam in enumerate(spectrum.lambdas))
+        perturbed = dataclasses.replace(spectrum, lambdas=lambdas)
+        got = sp.eigenpair_residuals(k, n, r, perturbed)
+        want = _residuals_oracle(k, n, r, perturbed)
+        for g, w in zip(got, want):
+            assert w > mpf("1e-40")
+            assert abs(g - w) <= w / 100, (k, n, r, g, w)
 
 
 def test_root_product_identity():
