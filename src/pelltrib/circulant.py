@@ -11,7 +11,13 @@ circulant, r = 0 an upper-triangular band.
 
 Entries may be exact (int, Fraction) or inexact (float, complex, mpmath
 scalars).  The exact routines (determinant, shift-identity check) refuse
-inexact entries instead of quietly degrading.
+inexact r instead of quietly degrading.
+
+The exact determinant of the sequence matrix never builds the matrix: it is
+the resultant Res(x^n - r, f) of the generator polynomial f, which the
+telescoping identity psi f = T mod (x^n - r) splits into two resultants with
+a quadratic and a cubic, each an integer expression in O(log n) big-integer
+products (see _resultants).
 """
 
 from __future__ import annotations
@@ -86,9 +92,6 @@ class DenseMatrix:
         i, j = ij
         return self.rows[i][j]
 
-    def entries_exact(self) -> bool:
-        return all(is_exact(e) for row in self.rows for e in row)
-
 
 def build(spec: CirculantSpec) -> DenseMatrix:
     """Materialise the dense r-circulant for a generator spec."""
@@ -100,11 +103,16 @@ def build(spec: CirculantSpec) -> DenseMatrix:
     return DenseMatrix(n=n, rows=tuple(rows))
 
 
+def _check_pell_order(n) -> int:
+    if not isinstance(n, int) or n < 2:
+        raise ValueError(f"matrix order n must be an integer >= 2, got {n!r}")
+    return n
+
+
 def build_pell(k: int, n: int, r) -> DenseMatrix:
     """Dense r-circulant generated by the first n sequence terms."""
     check_k(k)
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"matrix order n must be an integer >= 2, got {n!r}")
+    _check_pell_order(n)
     return build(CirculantSpec(n=n, r=r, entries=tuple(terms_upto(k, n - 1))))
 
 
@@ -146,44 +154,99 @@ def l1_direct(m: DenseMatrix):
 
 
 # ---------------------------------------------------------------------------
-# exact determinant
+# exact determinant from two resultants
 
-def _bareiss_int(a: list[list[int]]) -> int:
-    # Fraction-free elimination with row pivoting; every // division is exact.
-    n = len(a)
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        pivot_row = next((i for i in range(col, n) if a[i][col]), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            sign = -sign
-        pivot = a[col][col]
-        for i in range(col + 1, n):
-            for j in range(col + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][col] * a[col][j]) // prev
-            a[i][col] = 0
-        prev = pivot
-    return sign * a[-1][-1]
+def _matmul_int(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
-def det_exact(m: DenseMatrix) -> Fraction:
-    """Exact determinant by fraction-free elimination.
+def _matpow(m, e: int):
+    """m^e for a square integer matrix given as a sequence of rows, e >= 0."""
+    size = len(m)
+    out = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+    while e:
+        if e & 1:
+            out = _matmul_int(out, m)
+        e >>= 1
+        if e:
+            m = _matmul_int(m, m)
+    return out
 
-    Requires exact rational entries; denominators are cleared per row so the
-    core loop runs on plain integers.
+
+def _trace(m) -> int:
+    return sum(m[i][i] for i in range(len(m)))
+
+
+def _lucas_v(a1: int, b: int, n: int) -> int:
+    """X^n + Y^n for the roots X, Y of y^2 + a1 y + b, by index doubling."""
+    u, u_next, b_pow = 2, -a1, 1  # U_m, U_{m+1}, b^m at m = 0
+    for bit in bin(n)[2:]:
+        # U_2m = U_m^2 - 2 b^m,  U_2m+1 = U_m U_m+1 + a1 b^m
+        odd = u * u_next + a1 * b_pow
+        if bit == "1":
+            u, u_next, b_pow = odd, u_next * u_next - 2 * b_pow * b, b_pow * b_pow * b
+        else:
+            u, u_next, b_pow = u * u - 2 * b_pow, odd, b_pow * b_pow
+    return u
+
+
+def _resultants(k: int, n: int, r) -> tuple[int, int, int]:
+    """(q^(n+2) Res(x^n - r, T), q^3 Res(x^n - r, psi), q) for r = p/q in lowest terms.
+
+    psi = 1 - 2k x - k x^2 - x^3 and T = x - r P(n) - r (k P(n-1) + P(n-2)) x
+    - r P(n-1) x^2.  psi times the generator polynomial f telescopes to
+    T mod (x^n - r) (see psi_times_Psi), so det Circ_r = Res(x^n - r, f)
+    = Res(x^n - r, T) / Res(x^n - r, psi).
+
+    With q T = a0 + a1 x + a2 x^2 and U_n = X^n + Y^n for the roots X, Y of
+    y^2 + a1 y + a0 a2, the first value is q^2 a0^n - p q U_n + p^2 a2^n.
+    With s_n and t_n the n-th power sums of the roots of x^3 - 2k x^2 - k x - 1
+    and of x^3 + k x^2 + 2k x - 1 (the traces of the n-th powers of their
+    companion matrices), the second is q^3 - p q^2 s_n + p^2 q t_n - p^3.
+    All integer; O(log n) big-integer products.
+
+    The second value is never 0.  Res(x^n - r, psi) is the product of
+    (alpha_j^-n - r) over the roots alpha, beta, gamma of x^3 - 2k x^2 - k x - 1.
+    That cubic has no rational root (+-1 are not roots), so it is irreducible
+    over Q, and if alpha_j^n = 1/r for one root, every Galois conjugate
+    satisfies it too, giving |alpha|^n = |beta|^n.  But alpha > 2k >= 2, and
+    beta + gamma = 2k - alpha in (-1, 0), beta gamma = 1/alpha in (0, 1/2) put
+    |beta| and |gamma| below 1.  A zero value is raised as ArithmeticError
+    rather than divided by.
     """
-    if not m.entries_exact():
-        raise ValueError("det_exact requires int or Fraction entries")
-    scale = Fraction(1)
-    int_rows = []
-    for row in m.rows:
-        lcm = math.lcm(*(Fraction(e).denominator for e in row))
-        scale *= lcm
-        int_rows.append([int(e * lcm) for e in row])
-    return Fraction(_bareiss_int(int_rows)) / scale
+    check_k(k)
+    _check_pell_order(n)
+    if not is_exact(r):
+        raise ValueError(f"exact resultants need int or Fraction r, got {r!r}")
+    r = Fraction(r)
+    p, q = r.numerator, r.denominator
+    # column 3 of C^n is (P(n), P(n-1), P(n-2)) for C the companion matrix
+    # of x^3 - 2k x^2 - k x - 1
+    cn = _matpow(((2 * k, k, 1), (1, 0, 0), (0, 1, 0)), n)
+    pn, pn1, pn2 = (row[2] for row in cn)
+    a0, a1, a2 = -p * pn, q - p * (k * pn1 + pn2), -p * pn1
+    res_t = q * q * a0**n - p * q * _lucas_v(a1, a0 * a2, n) + p * p * a2**n
+    s_n = _trace(cn)
+    t_n = _trace(_matpow(((-k, -2 * k, 1), (1, 0, 0), (0, 1, 0)), n))
+    res_psi = q**3 - p * q * q * s_n + p * p * q * t_n - p**3
+    if res_psi == 0:
+        raise ArithmeticError(f"Res(x^n - r, psi) = 0 at k={k}, n={n}, r={r}")
+    return res_t, res_psi, q
+
+
+def det_exact(k: int, n: int, r) -> Fraction:
+    """Exact determinant of the order-n r-circulant of the first n sequence
+    terms, for int or Fraction r, from the two resultants of _resultants.
+
+    Multiplying rows 1..n-1 by q clears every denominator, so
+    det * q^(n-1) = (q^(n+2) Res_T) / (q^3 Res_psi) is an integer.
+    """
+    res_t, res_psi, q = _resultants(k, n, r)
+    scaled, rem = divmod(res_t, res_psi)
+    if rem:
+        raise ArithmeticError(f"resultant quotient is not integral at k={k}, n={n}, r={r}")
+    return Fraction(scaled, q ** (n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +328,6 @@ def _as_int_matrix(m: DenseMatrix) -> tuple[list[list[int]], Fraction]:
     lcm = math.lcm(*(Fraction(e).denominator for row in m.rows for e in row))
     rows = [[int(e * lcm) for e in row] for row in m.rows]
     return rows, Fraction(lcm)
-
-
-def _matmul_int(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def shift_identity_check(k: int, n: int, r) -> bool:

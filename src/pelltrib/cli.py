@@ -255,7 +255,7 @@ def _cmd_det(config: CliConfig) -> Report:
     rep = spectral.determinant_closed(k, n, r, bits)
     det_exact = None
     if isinstance(r, (int, Fraction)):
-        det_exact = circulant.det_exact(circulant.build_pell(k, n, r))
+        det_exact = circulant.det_exact(k, n, r)
     with mp.workprec(bits + sequence._GUARD):
         result = {
             "det_closed": str(rep.det_closed),
@@ -275,14 +275,12 @@ def _cmd_invert(config: CliConfig) -> Report:
     k, n = config.k, config.n
     bits = config.precision_bits
     r = _require_nonzero(parse_scalar(config.r, bits))
-    gcd_ok = None
-    if isinstance(r, (int, Fraction)):
-        gcd_ok = invertibility.gcd_criterion(tuple(sequence.terms_upto(k, n - 1)), r)
     if isinstance(r, complex):
         verdict = invertibility.InvertibilityVerdict(
             status="not_covered", reason="sufficient condition applies to real r only")
     else:
         verdict = invertibility.sufficient_condition(k, n, r, bits)
+    gcd_ok = verdict.exact_invertible
     result = {
         "status": verdict.status,
         "reason": verdict.reason,
@@ -378,12 +376,22 @@ _HANDLERS = {
 
 
 def run(config: CliConfig) -> tuple[int, str]:
-    """Execute one command; returns (exit code, serialized report)."""
+    """Execute one command; returns (exit code, serialized report).
+
+    Exact results can have far more than CPython's default 4300 digits, so
+    the int-to-str limit is lifted while the command runs and renders, and
+    restored afterwards; argument parsing keeps the default.
+    """
     sequence.check_bits(config.precision_bits)
     if config.output not in ("json", "csv", "plain"):
         raise ValueError(f"unknown output format {config.output!r}")
-    report = _HANDLERS[config.command](config)
-    return 0, report.render(config)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        report = _HANDLERS[config.command](config)
+        return 0, report.render(config)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,14 @@
 
 Three layers, strongest first:
 
-* gcd_criterion: exact if-and-only-if test.  Circ_r(a) is invertible exactly
-  when the generator polynomial is coprime to x^n - r (the eigenvalues are
-  the generator polynomial's values on the n-th roots of r).
+* invertible_exact: exact if-and-only-if test for the sequence matrices and
+  rational r.  det Circ_r = Res(x^n - r, T) / Res(x^n - r, psi) with a
+  denominator that never vanishes (circulant._resultants), so the matrix is
+  invertible exactly when the integer q^(n+2) Res(x^n - r, T) is nonzero.
+  gcd_criterion is the same decision for any exact generator: Circ_r(a) is
+  invertible exactly when the generator polynomial is coprime to x^n - r
+  (the eigenvalues are the generator polynomial's values on the n-th roots
+  of r); its Fraction Euclid costs O(n^2) and no report uses it.
 * sufficient_condition: the real-r sufficient theorem.  For r > 0 the
   guarantee excludes the reciprocal dominant root and the critical magnitude
   (P(n)/P(n-1))^(n/2); for r < 0 it excludes minus the critical magnitude.
@@ -12,7 +17,10 @@ Three layers, strongest first:
   an excluded verdict instead of a guarantee.  The band around the
   reciprocal root is widened to cover alpha^(-n) as well: that is where the
   eigenvalue grid actually collides with the reciprocal root, so refusing to
-  certify there is the conservative reading.
+  certify there is the conservative reading.  The theorem misses singular
+  matrices: at k=1, n=3, r=-1/8 the quadratic root -1/2 of T has
+  (-1/2)^3 = r, so det = r (1 + 8r) = 0.  For int and Fraction r the exact
+  decision overrides the guarantee; for float and mpf r the gap stays.
 * counterexample_scan: probes the uncertified critical values r* cell by
   cell at high precision, deciding singularity twice over (quadratic-root
   phase alignment vs. smallest eigenvalue magnitude) and reporting
@@ -21,13 +29,14 @@ Three layers, strongest first:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpf
 
-from .circulant import is_exact
+from .circulant import _resultants, is_exact
 from .errors import PrecisionExhausted, ZeroR
 from .sequence import _GUARD, char_roots, check_bits, check_k, term
 from .spectral import eigenvalues_direct, _check_order, _quadratic_roots
@@ -41,10 +50,17 @@ class InvertibilityVerdict:
     status: str
     reason: str
     witness: object = None
+    exact_invertible: bool | None = None  # invertible_exact; None unless r is int or Fraction
 
 
 # ---------------------------------------------------------------------------
-# exact coprimality criterion
+# exact criteria
+
+def invertible_exact(k: int, n: int, r) -> bool:
+    """True iff the order-n r-circulant of the first n sequence terms is
+    invertible; exact for int or Fraction r, O(log n) big-integer products."""
+    return _resultants(k, n, r)[0] != 0
+
 
 def _strip(coeffs: list[Fraction]) -> list[Fraction]:
     while coeffs and coeffs[-1] == 0:
@@ -104,7 +120,14 @@ def _within_band(r_abs: mpf, value: mpf, tol: mpf) -> bool:
 
 def sufficient_condition(k: int, n: int, r, precision_bits: int = 256) -> InvertibilityVerdict:
     """Real-r sufficient invertibility theorem with conservative exclusion
-    bands of relative width 2^(-precision_bits/2)."""
+    bands of relative width 2^(-precision_bits/2).
+
+    The theorem alone would certify some singular matrices (k=1, n=3,
+    r=-1/8 is one).  For int and Fraction r the verdict carries the exact
+    decision of invertible_exact, and a guarantee the exact decision
+    contradicts becomes excluded_parameter with a reason naming exact
+    singularity.  Float and mpf r get the theorem's verdict unchecked.
+    """
     check_k(k)
     check_bits(precision_bits)
     _check_order(n)
@@ -112,6 +135,19 @@ def sufficient_condition(k: int, n: int, r, precision_bits: int = 256) -> Invert
         raise ValueError("sufficient_condition covers real r only")
     if r == 0:
         raise ZeroR("r must be nonzero")
+    verdict = _theorem_verdict(k, n, r, precision_bits)
+    if not is_exact(r):
+        return verdict
+    invertible = invertible_exact(k, n, r)
+    if verdict.status == GUARANTEED_INVERTIBLE and not invertible:
+        verdict = InvertibilityVerdict(
+            status=EXCLUDED_PARAMETER,
+            reason="exactly singular: Res(x^n - r, T) = 0 although the theorem certifies r",
+        )
+    return dataclasses.replace(verdict, exact_invertible=invertible)
+
+
+def _theorem_verdict(k: int, n: int, r, precision_bits: int) -> InvertibilityVerdict:
     with mp.workprec(precision_bits + _GUARD):
         r_mp = mpmath.mpmathify(Fraction(r) if is_exact(r) else r)
         tol = mpf(2) ** (-precision_bits // 2)

@@ -344,13 +344,12 @@ def determinant_closed(k: int, n: int, r, precision_bits: int = 256) -> DetRepor
     Raises DegenerateCase when some rho_m collides with a reciprocal
     characteristic root (the rational closed form degenerates there).
     """
-    check_k(k)
-    grid = eigen_grid(n, r, precision_bits)
+    spectrum = eigenvalues_direct(k, n, r, precision_bits)
     roots = char_roots(k, precision_bits)
     pn1 = term(k, n - 1)
     tol = mpf(2) ** (-precision_bits // 2)
     with mp.workprec(precision_bits + _GUARD):
-        for rho in grid.rhos:
+        for rho in spectrum.grid.rhos:
             if abs(recip_poly(k, rho)) < tol * (1 + abs(rho)) ** 3:
                 raise DegenerateCase(
                     f"rho grid hits a reciprocal characteristic root at k={k},"
@@ -369,7 +368,7 @@ def determinant_closed(k: int, n: int, r, precision_bits: int = 256) -> DetRepor
             / denom
         )
         oracle = mpc(1)
-        for lam in eigenvalues_direct(k, n, r, precision_bits).lambdas:
+        for lam in spectrum.lambdas:
             oracle *= lam
         det_closed, r1, r2 = mpc(det), mpc(r1), mpc(r2)
     return DetReport(

@@ -19,6 +19,8 @@ from pelltrib import spectral as sp
 from pelltrib import sums
 from pelltrib.sequence import char_roots, term, terms_upto
 
+from det_oracle import det_dense
+
 
 def _report(capsys, num: int, name: str, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
@@ -172,15 +174,16 @@ def test_criterion_06_degenerate_branches(capsys):
 def test_criterion_07_determinant(capsys):
     bits = 256
     tol = mpf("1e-20")
-    anchor = circ.det_exact(circ.build_pell(1, 3, 1))
-    assert anchor == 9
+    anchor = det_dense(circ.build_pell(1, 3, 1))
+    assert anchor == 9 == circ.det_exact(1, 3, 1)
     checked = 0
     with mp.workprec(bits + 32):
         for k in range(1, 4):
             for n in range(3, 17):
                 for r in (1, -1, 2, Fraction(-3, 2), Fraction(3, 7)):
                     rep = sp.determinant_closed(k, n, r, bits)
-                    exact = circ.det_exact(circ.build_pell(k, n, r))
+                    exact = det_dense(circ.build_pell(k, n, r))
+                    assert circ.det_exact(k, n, r) == exact, (k, n, r)
                     exact_mp = mp.mpmathify(exact)
                     scale = max(abs(exact_mp), mpf(1))
                     assert abs(rep.det_closed - exact_mp) / scale <= tol, (k, n, r)
@@ -216,8 +219,9 @@ def test_criterion_09_invertibility(capsys):
         for n in range(2, 11):
             for r in (1, -1, 2, Fraction(-3, 2), Fraction(3, 7)):
                 entries = tuple(terms_upto(k, n - 1))
-                m = circ.build_pell(k, n, r)
-                assert inv.gcd_criterion(entries, r) == (circ.det_exact(m) != 0), (k, n, r)
+                invertible = det_dense(circ.build_pell(k, n, r)) != 0
+                assert inv.gcd_criterion(entries, r) == invertible, (k, n, r)
+                assert inv.invertible_exact(k, n, r) == invertible, (k, n, r)
     for k in range(1, 11):
         for n in range(2, 31):
             for r in (1, -1):

@@ -5,6 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from pelltrib import circulant as circ
 from pelltrib.errors import DimensionMismatch
+from pelltrib.sequence import term
+
+from det_oracle import det_dense
 
 
 def C(entries, r):
@@ -76,24 +79,82 @@ def test_norms_exact_types():
     (3, 4, Fraction(3, 7), Fraction(-62543568, 343)),
 ])
 def test_det_exact_frozen(k, n, r, expect):
-    assert circ.det_exact(circ.build_pell(k, n, r)) == expect
+    assert circ.det_exact(k, n, r) == expect
+    assert det_dense(circ.build_pell(k, n, r)) == expect
 
 
 def test_det_two_by_two_anchor():
     for r in (1, -1, 2, Fraction(3, 7), Fraction(-5, 2)):
         m = C([0, 1], r)
-        assert circ.det_exact(m) == -r
+        assert det_dense(m) == -r
+        # the order-2 sequence generator is (P(0), P(1)) = (0, 1) for every k
+        assert circ.det_exact(3, 2, r) == -r
 
 
 def test_det_singular_and_pivoting():
-    assert circ.det_exact(C([1, 1], 1)) == 0
+    assert det_dense(C([1, 1], 1)) == 0
     # leading zeros on the diagonal force row swaps
-    assert circ.det_exact(C([0, 0, 5], 1)) == 125
+    assert det_dense(C([0, 0, 5], 1)) == 125
 
 
 def test_det_rejects_inexact():
     with pytest.raises(ValueError):
-        circ.det_exact(C([0.5, 1.0], 1.0))
+        det_dense(C([0.5, 1.0], 1.0))
+    for r in (0.5, 1.0, 1j):
+        with pytest.raises(ValueError):
+            circ.det_exact(1, 4, r)
+
+
+DET_R = (1, -1, 2, Fraction(-3, 2), Fraction(3, 7), Fraction(169, 25), Fraction(-1, 8))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 10])
+def test_det_exact_matches_bareiss(k):
+    for n in range(2, 25):
+        for r in DET_R:
+            assert circ.det_exact(k, n, r) == det_dense(circ.build_pell(k, n, r)), (k, n, r)
+
+
+def test_det_exact_singular_cell():
+    # det Circ_r(0, 1, 2) = r (1 + 8 r): (-1/2)^3 = r zeroes the eigenvalue at rho = -1/2
+    assert circ.det_exact(1, 3, Fraction(-1, 8)) == 0
+    assert circ.det_exact(1, 3, Fraction(1, 8)) == Fraction(1, 4)
+
+
+def test_det_exact_rejects_small_order():
+    for n in (1, 0, -3, 2.0):
+        with pytest.raises(ValueError):
+            circ.det_exact(1, n, 2)
+        with pytest.raises(ValueError):
+            circ.build_pell(1, n, 2)
+
+
+def test_det_exact_refuses_zero_psi_resultant(monkeypatch):
+    # at r = 1, q^3 Res(x^n - r, psi) = t_n - s_n; equal traces would make it 0
+    monkeypatch.setattr(circ, "_trace", lambda m: 7)
+    with pytest.raises(ArithmeticError):
+        circ.det_exact(1, 5, 1)
+
+
+@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(0, 70))
+def test_lucas_doubling_matches_recurrence(a1, b, n):
+    u = [2, -a1]
+    while len(u) <= n:
+        u.append(-a1 * u[-1] - b * u[-2])
+    assert circ._lucas_v(a1, b, n) == u[n]
+
+
+def test_companion_power_gives_terms_and_power_sums():
+    k, n = 3, 11
+    cn = circ._matpow(((2 * k, k, 1), (1, 0, 0), (0, 1, 0)), n)
+    assert [row[2] for row in cn] == [term(k, n), term(k, n - 1), term(k, n - 2)]
+    s = [3, 2 * k, 4 * k * k + 2 * k]
+    t = [3, -k, k * k - 4 * k]
+    while len(s) <= n:
+        s.append(2 * k * s[-1] + k * s[-2] + s[-3])
+        t.append(-k * t[-1] - 2 * k * t[-2] + t[-3])
+    assert circ._trace(cn) == s[n]
+    assert circ._trace(circ._matpow(((-k, -2 * k, 1), (1, 0, 0), (0, 1, 0)), n)) == t[n]
 
 
 @settings(max_examples=40)
@@ -106,7 +167,7 @@ def test_det_matches_sympy(n, rnum):
 
     r = Fraction(rnum, 3)
     gen = [((i * 7 + 3) % 11) - 5 for i in range(n)]
-    ours = circ.det_exact(C(gen, r))
+    ours = det_dense(C(gen, r))
     m = sp.Matrix(n, n, lambda i, j: gen[j - i] if j >= i else sp.Rational(rnum, 3) * gen[n + j - i])
     assert sp.Rational(ours.numerator, ours.denominator) == m.det()
 

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import re
@@ -13,6 +14,7 @@ from mpmath import mp
 
 from pelltrib import cli
 from pelltrib.errors import PrecisionExhausted, ScalarParseError
+from pelltrib.sequence import term
 
 
 SCHEMA = json.loads((files("pelltrib") / "schema" / "report.schema.json").read_text())
@@ -272,3 +274,40 @@ def test_parser_reuse_after_error_matches_fresh_process(capsys):
     assert cli.main(["seq", "--k", "1", "--n", "4", "--wat"]) == 2
     capsys.readouterr()
     assert _capture(argv, capsys) == fresh.stdout
+
+
+@contextlib.contextmanager
+def _no_int_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_seq_renders_terms_past_the_int_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    plain = _capture(["seq", "--k", "1", "--n", "20000"], capsys)
+    doc = _capture(["seq", "--k", "1", "--n", "20000", "--format", "json"], capsys)
+    assert sys.get_int_max_str_digits() == limit
+    with _no_int_digit_limit():
+        want = term(1, 20000)
+        assert len(str(want)) > 4300
+        assert plain == f"{want}\n"
+        assert json.loads(doc)["result"]["term"] == want
+
+
+def test_parse_keeps_the_int_digit_limit(capsys):
+    assert cli.main(["seq", "--k", "1", "--n", "1" * 5000]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "ValueError"
+
+
+def test_det_large_order_agrees_with_closed_form(capsys):
+    out = _capture(["det", "--k", "1", "--n", "200", "--r", "3/7", "--format", "json"], capsys)
+    with _no_int_digit_limit():
+        result = json.loads(out)["result"]
+        exact = Fraction(result["det_exact"])
+    re_part, im_part = _printed_complex(result["det_closed"])
+    assert abs(re_part - exact) <= Fraction(1, 10**20) * abs(exact)
+    assert abs(im_part) <= Fraction(1, 10**20) * abs(exact)

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from pelltrib import circulant as circ
 from pelltrib import invertibility as inv
-from pelltrib.sequence import char_roots
+from pelltrib.sequence import char_roots, terms_upto
 from pelltrib.errors import ZeroR
+
+from det_oracle import det_dense
 
 
 def test_gcd_identity_generator_always_invertible():
@@ -39,7 +41,7 @@ def test_gcd_rejects_bad_inputs():
 def test_gcd_agrees_with_exact_determinant(entries, r):
     entries = tuple(entries)
     m = circ.build(circ.CirculantSpec(n=len(entries), r=r, entries=entries))
-    assert inv.gcd_criterion(entries, r) == (circ.det_exact(m) != 0)
+    assert inv.gcd_criterion(entries, r) == (det_dense(m) != 0)
 
 
 def test_gcd_agrees_with_det_on_pell_matrices():
@@ -48,7 +50,57 @@ def test_gcd_agrees_with_det_on_pell_matrices():
             for r in (1, -1, 2, Fraction(-3, 2), Fraction(3, 7)):
                 m = circ.build_pell(k, n, r)
                 entries = m.rows[0]
-                assert inv.gcd_criterion(entries, r) == (circ.det_exact(m) != 0)
+                assert inv.gcd_criterion(entries, r) == (det_dense(m) != 0)
+
+
+def test_invertible_exact_matches_gcd_and_bareiss():
+    # acceptance criterion 09's exact grid plus the singular cell (1, 3, -1/8)
+    for k in range(1, 4):
+        for n in range(2, 11):
+            for r in (1, -1, 2, Fraction(-3, 2), Fraction(3, 7), Fraction(-1, 8)):
+                want = det_dense(circ.build_pell(k, n, r)) != 0
+                assert inv.invertible_exact(k, n, r) == want, (k, n, r)
+                assert inv.gcd_criterion(tuple(terms_upto(k, n - 1)), r) == want, (k, n, r)
+    assert not inv.invertible_exact(1, 3, Fraction(-1, 8))
+
+
+def test_invertible_exact_validation():
+    with pytest.raises(ValueError):
+        inv.invertible_exact(1, 1, 2)
+    with pytest.raises(ValueError):
+        inv.invertible_exact(1, 4, 0.5)
+    with pytest.raises(ValueError):
+        inv.invertible_exact(0, 4, 2)
+
+
+def test_singular_cells_are_never_guaranteed():
+    # every exactly singular cell of a small rational grid gets no guarantee
+    singular = []
+    for k in (1, 2, 3):
+        for n in range(2, 8):
+            for q in range(1, 9):
+                for p in range(-16, 17):
+                    r = Fraction(p, q)
+                    if p and r.denominator == q and not inv.invertible_exact(k, n, r):
+                        assert det_dense(circ.build_pell(k, n, r)) == 0
+                        singular.append((k, n, r))
+                        verdict = inv.sufficient_condition(k, n, r)
+                        assert verdict.status == inv.EXCLUDED_PARAMETER
+    assert (1, 3, Fraction(-1, 8)) in singular
+
+
+def test_exactly_singular_cell_is_excluded_for_rational_r_only():
+    verdict = inv.sufficient_condition(1, 3, Fraction(-1, 8))
+    assert verdict.status == inv.EXCLUDED_PARAMETER
+    assert "exactly singular" in verdict.reason
+    assert verdict.witness is None
+    assert verdict.exact_invertible is False
+    assert inv.sufficient_condition(1, 3, Fraction(1, 8)).exact_invertible is True
+    # float and mpf r keep the theorem's verdict: the gap the docstring names
+    for r in (-0.125, mpf(-1) / 8):
+        verdict = inv.sufficient_condition(1, 3, r)
+        assert verdict.status == inv.GUARANTEED_INVERTIBLE
+        assert verdict.exact_invertible is None
 
 
 def test_sufficient_condition_unit_r():
@@ -101,7 +153,8 @@ def test_excluded_critical_magnitude_exact_even_n():
 def test_excluded_value_need_not_be_singular():
     # the uncertified point is usually still invertible in truth
     assert inv.gcd_criterion((0, 1, 2, 5), Fraction(169, 25))
-    assert circ.det_exact(circ.build_pell(1, 4, Fraction(169, 25))) != 0
+    assert inv.invertible_exact(1, 4, Fraction(169, 25))
+    assert circ.det_exact(1, 4, Fraction(169, 25)) != 0
 
 
 def test_sufficient_condition_validation():
