@@ -42,13 +42,6 @@ def is_exact(x) -> bool:
     return isinstance(x, EXACT_TYPES)
 
 
-def conj(x):
-    """Complex conjugate; identity on real scalar types."""
-    if isinstance(x, (complex, *_MP_TYPES)):
-        return x.conjugate()
-    return x
-
-
 def abs_sq(x):
     """|x|^2, exact for exact input (avoids the sqrt round-trip of abs)."""
     if is_exact(x):
@@ -114,43 +107,6 @@ def build_pell(k: int, n: int, r) -> DenseMatrix:
     check_k(k)
     _check_pell_order(n)
     return build(CirculantSpec(n=n, r=r, entries=tuple(terms_upto(k, n - 1))))
-
-
-def matvec_dense(m: DenseMatrix, x) -> list:
-    """Literal row-by-row matrix-vector product."""
-    if len(x) != m.n:
-        raise DimensionMismatch(f"vector length {len(x)} vs order {m.n}")
-    return [sum(e * v for e, v in zip(row, x)) for row in m.rows]
-
-
-def hadamard(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    if a.n != b.n:
-        raise DimensionMismatch(f"orders differ: {a.n} vs {b.n}")
-    rows = tuple(
-        tuple(e * f for e, f in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows)
-    )
-    return DenseMatrix(n=a.n, rows=rows)
-
-
-def conj_transpose(m: DenseMatrix) -> DenseMatrix:
-    rows = tuple(
-        tuple(conj(m.rows[j][i]) for j in range(m.n)) for i in range(m.n)
-    )
-    return DenseMatrix(n=m.n, rows=rows)
-
-
-def frobenius_sq_direct(m: DenseMatrix):
-    """Sum of squared entry magnitudes; exact when the entries are exact."""
-    return sum(abs_sq(e) for row in m.rows for e in row)
-
-
-def frobenius_direct(m: DenseMatrix) -> float:
-    return math.sqrt(frobenius_sq_direct(m))
-
-
-def l1_direct(m: DenseMatrix):
-    """Sum of entry magnitudes; exact for exact real entries."""
-    return sum(abs(e) for row in m.rows for e in row)
 
 
 # ---------------------------------------------------------------------------

