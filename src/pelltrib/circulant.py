@@ -26,14 +26,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch
-from .sequence import check_k, term, terms_upto
+from mpmath import mpc
 
-try:  # scalar helpers must recognise mpmath types without requiring them
-    from mpmath import mpc as _mpc, mpf as _mpf
-    _MP_TYPES = (_mpf, _mpc)
-except ImportError:  # pragma: no cover
-    _MP_TYPES = ()
+from .errors import DimensionMismatch
+from .sequence import check_int, check_k, term, terms_upto
 
 EXACT_TYPES = (int, Fraction)
 
@@ -44,11 +40,7 @@ def is_exact(x) -> bool:
 
 def abs_sq(x):
     """|x|^2, exact for exact input (avoids the sqrt round-trip of abs)."""
-    if is_exact(x):
-        return x * x
-    if isinstance(x, complex):
-        return x.real * x.real + x.imag * x.imag
-    if _MP_TYPES and isinstance(x, _MP_TYPES[1]):
+    if isinstance(x, (complex, mpc)):
         return x.real * x.real + x.imag * x.imag
     return x * x
 
@@ -62,8 +54,7 @@ class CirculantSpec:
     entries: tuple
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"order n must be an integer >= 1, got {self.n!r}")
+        check_int(self.n, 1, "matrix order n")
         if len(self.entries) != self.n:
             raise DimensionMismatch(
                 f"generator has {len(self.entries)} entries for order {self.n}"
@@ -96,16 +87,10 @@ def build(spec: CirculantSpec) -> DenseMatrix:
     return DenseMatrix(n=n, rows=tuple(rows))
 
 
-def _check_pell_order(n) -> int:
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"matrix order n must be an integer >= 2, got {n!r}")
-    return n
-
-
 def build_pell(k: int, n: int, r) -> DenseMatrix:
     """Dense r-circulant generated by the first n sequence terms."""
     check_k(k)
-    _check_pell_order(n)
+    check_int(n, 2, "matrix order n")
     return build(CirculantSpec(n=n, r=r, entries=tuple(terms_upto(k, n - 1))))
 
 
@@ -172,7 +157,7 @@ def _resultants(k: int, n: int, r) -> tuple[int, int, int]:
     rather than divided by.
     """
     check_k(k)
-    _check_pell_order(n)
+    check_int(n, 2, "matrix order n")
     if not is_exact(r):
         raise ValueError(f"exact resultants need int or Fraction r, got {r!r}")
     r = Fraction(r)
@@ -238,6 +223,21 @@ class Polynomial:
                 out[i + j] += c * d
         return Polynomial.of(out)
 
+    def __mod__(self, other: "Polynomial") -> "Polynomial":
+        """Remainder of the division by a nonzero polynomial, over the rationals."""
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial remainder by the zero polynomial")
+        rem = [Fraction(c) for c in self.coeffs]
+        while len(rem) > other.degree:
+            # subtract (top / lead) x^shift other; its leading term cancels the popped top
+            factor = rem.pop() / other.coeffs[-1]
+            shift = len(rem) - other.degree
+            for i, c in enumerate(other.coeffs[:-1]):
+                rem[shift + i] -= factor * c
+            while rem and rem[-1] == 0:
+                rem.pop()
+        return Polynomial(coeffs=tuple(rem))
+
     def __call__(self, x):
         acc = 0
         for c in reversed(self.coeffs):
@@ -248,8 +248,7 @@ class Polynomial:
 def generator_poly(k: int, n: int) -> Polynomial:
     """Polynomial with the first n sequence terms as coefficients."""
     check_k(k)
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    check_int(n, 1, "matrix order n")
     return Polynomial.of(terms_upto(k, n - 1))
 
 
@@ -260,8 +259,7 @@ def psi_times_Psi(k: int, n: int) -> Polynomial:
     The product telescopes: every interior coefficient cancels, leaving
     x - P(n) x^n - (k P(n-1) + P(n-2)) x^{n+1} - P(n-1) x^{n+2}.
     """
-    if not isinstance(n, int) or n < 3:
-        raise ValueError(f"telescoping product needs n >= 3, got {n!r}")
+    check_int(n, 3, "matrix order n")
     psi = Polynomial.of((1, -2 * k, -k, -1))
     return psi * generator_poly(k, n)
 
@@ -294,8 +292,7 @@ def shift_identity_check(k: int, n: int, r) -> bool:
     Exact computation; r must be an int or Fraction.
     """
     check_k(k)
-    if not isinstance(n, int) or n < 4:
-        raise ValueError(f"shift identity needs n >= 4, got {n!r}")
+    check_int(n, 4, "matrix order n")
     if not is_exact(r):
         raise ValueError("shift_identity_check requires exact rational r")
     shift_gen = (1, -2 * k, -k, -1) + (0,) * (n - 4)

@@ -106,7 +106,9 @@ def _parse_complex(s: str, original: str) -> complex:
     return value
 
 
-def _require_nonzero(value):
+def _parse_r(config: "CliConfig"):
+    """The command's --r at the requested precision; ZeroR when it is 0."""
+    value = parse_scalar(config.r, config.precision_bits)
     if value == 0:
         raise ZeroR("r must be nonzero for this command")
     return value
@@ -154,9 +156,14 @@ def _csv_cell(value) -> str:
 
 
 class Report:
-    """One command's output in all three serializations."""
+    """One command's output in all three serializations.
 
-    def __init__(self, params: dict, result, plain: list[str], csv: list[str]):
+    For a dict result, plain and csv default to one `name = value` line per
+    entry and a one-row table of the params followed by the result.
+    """
+
+    def __init__(self, params: dict, result, plain: list[str] | None = None,
+                 csv: list[str] | None = None):
         self.params = params
         self.result = result
         self.plain = plain
@@ -173,68 +180,60 @@ class Report:
             }
             return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
         if config.output == "csv":
-            return "\n".join(self.csv) + "\n"
-        return "\n".join(self.plain) + "\n"
+            lines = self.csv
+            if lines is None:
+                values = [*self.params.values(), *self.result.values()]
+                lines = [",".join([*self.params, *self.result]), ",".join(map(_csv_cell, values))]
+        else:
+            lines = self.plain
+            if lines is None:
+                lines = [f"{name} = {value}" for name, value in self.result.items()]
+        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # command handlers
 
 def _cmd_seq(config: CliConfig) -> Report:
-    k, n = config.k, config.n
-    value = sequence.term(k, n)
-    params = {"k": k, "n": n}
-    return Report(params, {"term": value},
-                  plain=[str(value)],
-                  csv=["k,n,term", f"{k},{n},{value}"])
+    value = sequence.term(config.k, config.n)
+    return Report({"k": config.k, "n": config.n}, {"term": value}, plain=[str(value)])
 
 
 def _cmd_sums(config: CliConfig) -> Report:
-    k, n = config.k, config.n
-    rep = sums.sums_report(k, n)
-    result = {"s1": rep.s1, "w1": rep.w1, "s2": rep.s2, "w2": rep.w2}
-    plain = [f"{name} = {value}" for name, value in result.items()]
-    return Report({"k": k, "n": n}, result, plain,
-                  ["k,n,s1,w1,s2,w2", f"{k},{n},{rep.s1},{rep.w1},{rep.s2},{rep.w2}"])
+    rep = sums.sums_report(config.k, config.n)
+    return Report({"k": config.k, "n": config.n},
+                  {"s1": rep.s1, "w1": rep.w1, "s2": rep.s2, "w2": rep.w2})
+
+
+def _knr(config: CliConfig) -> dict:
+    return {"k": config.k, "n": config.n, "r": config.r}
 
 
 def _cmd_norms(config: CliConfig) -> Report:
-    k, n = config.k, config.n
-    r = _require_nonzero(parse_scalar(config.r, config.precision_bits))
+    k, n, r = config.k, config.n, _parse_r(config)
     fro_sq = spectral.frobenius_sq_closed(k, n, r)
-    fro = spectral.frobenius_closed(k, n, r)
-    l1 = spectral.l1_closed(k, n, r)
-    result = {"frobenius": fro, "frobenius_sq": _fmt(fro_sq), "l1": _fmt(l1)}
-    plain = [f"frobenius = {fro!r}", f"frobenius_sq = {_fmt(fro_sq)}", f"l1 = {_fmt(l1)}"]
-    csv = ["k,n,r,frobenius,frobenius_sq,l1",
-           f"{k},{n},{config.r},{fro!r},{_csv_cell(fro_sq)},{_csv_cell(l1)}"]
-    return Report({"k": k, "n": n, "r": config.r}, result, plain, csv)
+    result = {"frobenius": spectral.frobenius_closed(k, n, r),
+              "frobenius_sq": _fmt(fro_sq),
+              "l1": _fmt(spectral.l1_closed(k, n, r))}
+    return Report(_knr(config), result)
 
 
 def _cmd_bounds(config: CliConfig) -> Report:
-    k, n = config.k, config.n
-    r = _require_nonzero(parse_scalar(config.r, config.precision_bits))
-    rep = spectral.norm_report(k, n, r)
-    result = {
+    rep = spectral.norm_report(config.k, config.n, _parse_r(config))
+    return Report(_knr(config), {
         "lower": rep.spectral_lower,
         "upper": rep.spectral_upper,
         "sigma": rep.sigma,
         "frobenius": rep.frobenius,
-        "frobenius_over_sqrt_n": rep.frobenius / n ** 0.5,
+        "frobenius_over_sqrt_n": rep.frobenius / config.n ** 0.5,
         "row_length_norm": rep.row_length_norm,
         "col_length_norm": rep.col_length_norm,
-    }
-    plain = [f"{name} = {value!r}" for name, value in result.items()]
-    header = "k,n,r," + ",".join(result)
-    row = f"{k},{n},{config.r}," + ",".join(repr(v) for v in result.values())
-    return Report({"k": k, "n": n, "r": config.r}, result, plain, [header, row])
+    })
 
 
 def _cmd_eig(config: CliConfig) -> Report:
-    k, n = config.k, config.n
-    bits = config.precision_bits
-    r = _require_nonzero(parse_scalar(config.r, bits))
-    spectrum = spectral.eigenvalues_closed(k, n, r, bits)
+    n, bits = config.n, config.precision_bits
+    spectrum = spectral.eigenvalues_closed(config.k, n, _parse_r(config), bits)
     with mp.workprec(bits + sequence._GUARD):
         entries = [
             {"m": m, "branch": spectrum.branches[m], "value": str(spectrum.lambdas[m])}
@@ -245,17 +244,14 @@ def _cmd_eig(config: CliConfig) -> Report:
             for m in range(n)
         ]
     plain = [f"m={e['m']} branch={e['branch']} value={e['value']}" for e in entries]
-    return Report({"k": k, "n": n, "r": config.r}, entries, plain, csv)
+    return Report(_knr(config), entries, plain, csv)
 
 
 def _cmd_det(config: CliConfig) -> Report:
-    k, n = config.k, config.n
-    bits = config.precision_bits
-    r = _require_nonzero(parse_scalar(config.r, bits))
+    k, n, bits = config.k, config.n, config.precision_bits
+    r = _parse_r(config)
     rep = spectral.determinant_closed(k, n, r, bits)
-    det_exact = None
-    if isinstance(r, (int, Fraction)):
-        det_exact = circulant.det_exact(k, n, r)
+    det_exact = circulant.det_exact(k, n, r) if isinstance(r, (int, Fraction)) else None
     with mp.workprec(bits + sequence._GUARD):
         result = {
             "det_closed": str(rep.det_closed),
@@ -265,32 +261,27 @@ def _cmd_det(config: CliConfig) -> Report:
             "quadratic_r2": str(rep.r2),
             "used_generic_formula": rep.used_generic_formula,
         }
-    plain = [f"{name} = {value}" for name, value in result.items()]
-    header = "k,n,r," + ",".join(result)
-    row = f"{k},{n},{config.r}," + ",".join(_csv_cell(v) for v in result.values())
-    return Report({"k": k, "n": n, "r": config.r}, result, plain, [header, row])
+    return Report(_knr(config), result)
 
 
 def _cmd_invert(config: CliConfig) -> Report:
-    k, n = config.k, config.n
-    bits = config.precision_bits
-    r = _require_nonzero(parse_scalar(config.r, bits))
+    r = _parse_r(config)
     if isinstance(r, complex):
         verdict = invertibility.InvertibilityVerdict(
             status="not_covered", reason="sufficient condition applies to real r only")
     else:
-        verdict = invertibility.sufficient_condition(k, n, r, bits)
-    gcd_ok = verdict.exact_invertible
+        verdict = invertibility.sufficient_condition(config.k, config.n, r, config.precision_bits)
     result = {
         "status": verdict.status,
         "reason": verdict.reason,
         "witness": None if verdict.witness is None else str(verdict.witness),
-        "gcd_invertible": gcd_ok,
+        "gcd_invertible": verdict.exact_invertible,
     }
-    plain = [f"{name} = {value}" for name, value in result.items()]
-    header = "k,n,r,status,reason,gcd_invertible"
-    row = f"{k},{n},{config.r},{verdict.status},\"{verdict.reason}\",{_csv_cell(gcd_ok)}"
-    return Report({"k": k, "n": n, "r": config.r}, result, plain, [header, row])
+    # the CSV row leaves out the witness and quotes the reason
+    csv = ["k,n,r,status,reason,gcd_invertible",
+           f"{config.k},{config.n},{config.r},{verdict.status},\"{verdict.reason}\","
+           f"{_csv_cell(verdict.exact_invertible)}"]
+    return Report(_knr(config), result, csv=csv)
 
 
 _SCAN_FIELDS = ("k", "n", "sign", "r_star_log10", "min_abs_lambda_log10",
@@ -320,8 +311,7 @@ def _cmd_scan(config: CliConfig) -> Report:
 
 def _cmd_bench(config: CliConfig) -> Report:
     sizes = config.options["sizes"]
-    r = _require_nonzero(parse_scalar(config.r, config.precision_bits))
-    rows = fastops.bench_matvec(sizes, config.k, complex(r))
+    rows = fastops.bench_matvec(sizes, config.k, complex(_parse_r(config)))
     dicts = [dataclasses.asdict(row) for row in rows]
     csv = [fastops.CSV_HEADER] + [row.csv() for row in rows]
     plain = [f"n={row.n} {row.path}: {row.mean_ns / 1e3:.1f} us (rel_err {row.rel_err:.2e})"

@@ -31,15 +31,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpf
 
-from .circulant import _resultants, is_exact
+from .circulant import Polynomial, _resultants, is_exact
 from .errors import PrecisionExhausted, ZeroR
-from .sequence import _GUARD, char_roots, check_bits, check_k, term
-from .spectral import eigenvalues_direct, _check_order, _quadratic_roots
+from .sequence import _GUARD, char_roots, check_bits, check_int, check_k, term
+from .spectral import _quadratic_roots, _r_to_mp, eigenvalues_direct
 
 GUARANTEED_INVERTIBLE = "guaranteed_invertible"
 EXCLUDED_PARAMETER = "excluded_parameter"
@@ -62,28 +61,6 @@ def invertible_exact(k: int, n: int, r) -> bool:
     return _resultants(k, n, r)[0] != 0
 
 
-def _strip(coeffs: list[Fraction]) -> list[Fraction]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = a[:]
-    deg_b = len(b) - 1
-    lead = b[-1]
-    while len(a) - 1 >= deg_b:
-        factor = a[-1] / lead
-        shift = len(a) - 1 - deg_b
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-        a.pop()
-        _strip(a)
-        if not a:
-            break
-    return a
-
-
 def gcd_criterion(entries, r) -> bool:
     """True iff Circ_r(entries) is invertible; exact rational arithmetic.
 
@@ -97,12 +74,12 @@ def gcd_criterion(entries, r) -> bool:
     n = len(entries)
     if n < 1:
         raise ValueError("generator must be nonempty")
-    a = _strip([Fraction(e) for e in entries])
-    b = _strip([Fraction(-r)] + [Fraction(0)] * (n - 1) + [Fraction(1)])
-    while b:
-        a, b = b, _poly_mod(a, b)
+    a = Polynomial.of(entries)
+    b = Polynomial.of([-r] + [0] * (n - 1) + [1])
+    while not b.is_zero():
+        a, b = b, a % b
     # a now holds the gcd; zero generator gives gcd = x^n - r (degree n).
-    return len(a) == 1
+    return a.degree == 0
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +107,7 @@ def sufficient_condition(k: int, n: int, r, precision_bits: int = 256) -> Invert
     """
     check_k(k)
     check_bits(precision_bits)
-    _check_order(n)
+    check_int(n, 2, "matrix order n")
     if isinstance(r, complex) or (hasattr(r, "imag") and r.imag != 0):
         raise ValueError("sufficient_condition covers real r only")
     if r == 0:
@@ -149,7 +126,7 @@ def sufficient_condition(k: int, n: int, r, precision_bits: int = 256) -> Invert
 
 def _theorem_verdict(k: int, n: int, r, precision_bits: int) -> InvertibilityVerdict:
     with mp.workprec(precision_bits + _GUARD):
-        r_mp = mpmath.mpmathify(Fraction(r) if is_exact(r) else r)
+        r_mp = _r_to_mp(r)
         tol = mpf(2) ** (-precision_bits // 2)
         r_star = _critical_magnitude(k, n)
         alpha = char_roots(k, precision_bits).alpha
@@ -159,29 +136,18 @@ def _theorem_verdict(k: int, n: int, r, precision_bits: int) -> InvertibilityVer
                 (alpha ** (-n), "alpha^(-n), where the root grid meets 1/alpha"),
                 (r_star, "critical magnitude (P(n)/P(n-1))^(n/2)"),
             )
-            for value, label in excluded:
-                if _within_band(r_mp, value, tol):
-                    return InvertibilityVerdict(
-                        status=EXCLUDED_PARAMETER,
-                        reason=f"r within 2^-{precision_bits // 2} band of {label}",
-                        witness=value,
-                    )
-            return InvertibilityVerdict(
-                status=GUARANTEED_INVERTIBLE,
-                reason="positive r away from all excluded values",
-            )
-        excluded_neg = ((-r_star, "minus the critical magnitude"),)
-        for value, label in excluded_neg:
+            away = "positive r away from all excluded values"
+        else:
+            excluded = ((-r_star, "minus the critical magnitude"),)
+            away = "negative r away from the excluded value"
+        for value, label in excluded:
             if _within_band(r_mp, value, tol):
                 return InvertibilityVerdict(
                     status=EXCLUDED_PARAMETER,
                     reason=f"r within 2^-{precision_bits // 2} band of {label}",
                     witness=value,
                 )
-        return InvertibilityVerdict(
-            status=GUARANTEED_INVERTIBLE,
-            reason="negative r away from the excluded value",
-        )
+        return InvertibilityVerdict(status=GUARANTEED_INVERTIBLE, reason=away)
 
 
 def min_eigen_magnitude(k: int, n: int, r, precision_bits: int = 256) -> tuple[mpf, int]:
@@ -248,8 +214,7 @@ def counterexample_scan(k_values, n_values, sign: int = 1,
     for k in k_values:
         check_k(k)
         for n in n_values:
-            if not isinstance(n, int) or n < 2:
-                raise ValueError(f"scan needs integer n >= 2, got {n!r}")
+            check_int(n, 2, "matrix order n")
             try:
                 cells.append(_scan_cell(k, n, sign, precision_bits))
             except (PrecisionExhausted, ArithmeticError):

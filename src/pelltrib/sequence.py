@@ -35,10 +35,15 @@ _GUARD = 32
 _terms_cache: dict[int, list[int]] = {}
 
 
+def check_int(value, lo: int, name: str) -> int:
+    """value itself if it is an int (not a bool) >= lo, else ValueError."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
+    return value
+
+
 def check_k(k) -> int:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    return k
+    return check_int(k, 1, "k")
 
 
 def check_bits(precision_bits) -> int:
@@ -55,8 +60,7 @@ def check_bits(precision_bits) -> int:
 def term(k: int, n: int) -> int:
     """Exact n-th sequence term for parameter k."""
     check_k(k)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be an integer >= 0, got {n!r}")
+    check_int(n, 0, "n")
     cache = _terms_cache.setdefault(k, [0, 1, 2 * k])
     while len(cache) <= n:
         cache.append(2 * k * cache[-1] + k * cache[-2] + cache[-3])

@@ -32,14 +32,9 @@ from mpmath.libmp import to_fixed
 
 from .circulant import DenseMatrix, abs_sq, build_pell, is_exact, to_complex_list
 from .errors import DegenerateCase, ZeroR
-from .sequence import _GUARD, char_roots, check_bits, check_k, recip_poly, term, terms_upto
+from .sequence import (_GUARD, char_roots, check_bits, check_int, check_k, recip_poly,
+                       term, terms_upto)
 from . import sums
-
-
-def _check_order(n, lo=2) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < lo:
-        raise ValueError(f"matrix order n must be an integer >= {lo}, got {n!r}")
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +43,7 @@ def _check_order(n, lo=2) -> int:
 def frobenius_sq_closed(k: int, n: int, r):
     """Squared Frobenius norm; exact (int or Fraction) for exact rational r."""
     check_k(k)
-    _check_order(n)
+    check_int(n, 2, "matrix order n")
     return n * sums.s2_closed(k, n - 1) + (abs_sq(r) - 1) * sums.w2_closed(k, n - 1)
 
 
@@ -66,7 +61,7 @@ def frobenius_closed(k: int, n: int, r) -> float:
 def l1_closed(k: int, n: int, r):
     """Entrywise 1-norm; exact for exact rational r."""
     check_k(k)
-    _check_order(n)
+    check_int(n, 2, "matrix order n")
     return n * sums.s1_closed(k, n - 1) + (abs(r) - 1) * sums.w1_closed(k, n - 1)
 
 
@@ -74,7 +69,7 @@ def spectral_bounds(k: int, n: int, r) -> tuple[float, float]:
     """(lower, upper) enclosure of the largest singular value, as doubles;
     OverflowError when either does not fit one."""
     check_k(k)
-    _check_order(n)
+    check_int(n, 2, "matrix order n")
     inner = sums.s2_closed(k, n - 1) + Fraction(1, n) * (abs_sq(r) - 1) * sums.w2_closed(k, n - 1) \
         if is_exact(r) else \
         sums.s2_closed(k, n - 1) + (abs_sq(r) - 1) / n * sums.w2_closed(k, n - 1)
@@ -173,7 +168,7 @@ def _r_to_mp(r):
 
 
 def eigen_grid(n: int, r, precision_bits: int = 256) -> EigenGrid:
-    _check_order(n)
+    check_int(n, 2, "matrix order n")
     check_bits(precision_bits)
     _require_nonzero_r(r)
     with mp.workprec(precision_bits + _GUARD):
@@ -209,11 +204,19 @@ def _degenerate_lambda(mu, nu, xi, n):
     return head + t_nu + t_xi
 
 
+def _generic_psi(k: int, rho, tol):
+    """psi(rho), or None when |psi(rho)| < tol (1 + |rho|)^3: there rho is
+    too close to a reciprocal characteristic root for the rational closed
+    form."""
+    psi = recip_poly(k, rho)
+    return psi if abs(psi) >= tol * (1 + abs(rho)) ** 3 else None
+
+
 def eigenvalues_closed(k: int, n: int, r, precision_bits: int = 256) -> EigenSpectrum:
     """lambda_m from the rational closed form, with degenerate-branch dispatch
     when rho_m falls within 2^(-bits/2) of a reciprocal characteristic root."""
     check_k(k)
-    _check_order(n, lo=3)
+    check_int(n, 3, "matrix order n")
     grid = eigen_grid(n, r, precision_bits)
     roots = char_roots(k, precision_bits)
     pn, pn1, pn2 = term(k, n), term(k, n - 1), term(k, n - 2)
@@ -228,8 +231,8 @@ def eigenvalues_closed(k: int, n: int, r, precision_bits: int = 256) -> EigenSpe
             (1 / gamma, "gamma", (gamma, alpha, beta)),
         )
         for rho in grid.rhos:
-            psi = recip_poly(k, rho)
-            if abs(psi) >= tol * (1 + abs(rho)) ** 3:
+            psi = _generic_psi(k, rho, tol)
+            if psi is not None:
                 num = rho - r_mp * pn - r_mp * rho * (k * pn1 + pn2) - r_mp * rho**2 * pn1
                 lams.append(num / psi)
                 branches.append("generic")
@@ -349,12 +352,10 @@ def determinant_closed(k: int, n: int, r, precision_bits: int = 256) -> DetRepor
     pn1 = term(k, n - 1)
     tol = mpf(2) ** (-precision_bits // 2)
     with mp.workprec(precision_bits + _GUARD):
-        for rho in spectrum.grid.rhos:
-            if abs(recip_poly(k, rho)) < tol * (1 + abs(rho)) ** 3:
-                raise DegenerateCase(
-                    f"rho grid hits a reciprocal characteristic root at k={k},"
-                    f" n={n}, r={r!r}"
-                )
+        if any(_generic_psi(k, rho, tol) is None for rho in spectrum.grid.rhos):
+            raise DegenerateCase(
+                f"rho grid hits a reciprocal characteristic root at k={k}, n={n}, r={r!r}"
+            )
         r_mp = _r_to_mp(r)
         r1, r2 = _quadratic_roots(k, n, r_mp)
         alpha, beta, gamma = mpc(roots.alpha), roots.beta, roots.gamma

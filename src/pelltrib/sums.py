@@ -18,13 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sequence import check_k, term, terms_upto
-
-
-def _check_n(n) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be an integer >= 0, got {n!r}")
-    return n
+from .sequence import check_int, check_k, term, terms_upto
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
@@ -34,42 +28,39 @@ def _exact_div(num: int, den: int, what: str) -> int:
     return q
 
 
-def s1_direct(k: int, n: int) -> int:
+def _next_terms(k: int, n: int) -> tuple[int, int, int]:
+    """P(n+1), P(n+2), P(n+3), after checking k and n >= 0."""
     check_k(k)
-    _check_n(n)
+    check_int(n, 0, "n")
+    return term(k, n + 1), term(k, n + 2), term(k, n + 3)
+
+
+# The direct oracles leave the checks of k and n to terms_upto.
+
+def s1_direct(k: int, n: int) -> int:
     return sum(terms_upto(k, n))
 
 
 def w1_direct(k: int, n: int) -> int:
-    check_k(k)
-    _check_n(n)
     return sum(i * p for i, p in enumerate(terms_upto(k, n)))
 
 
 def s2_direct(k: int, n: int) -> int:
-    check_k(k)
-    _check_n(n)
     return sum(p * p for p in terms_upto(k, n))
 
 
 def w2_direct(k: int, n: int) -> int:
-    check_k(k)
-    _check_n(n)
     return sum(i * p * p for i, p in enumerate(terms_upto(k, n)))
 
 
 def s1_closed(k: int, n: int) -> int:
-    check_k(k)
-    _check_n(n)
-    p1, p2, p3 = term(k, n + 1), term(k, n + 2), term(k, n + 3)
+    p1, p2, p3 = _next_terms(k, n)
     num = p3 + (1 - 2 * k) * p2 + (1 - 3 * k) * p1 - 1
     return _exact_div(num, 3 * k, "s1")
 
 
 def w1_closed(k: int, n: int) -> int:
-    check_k(k)
-    _check_n(n)
-    p1, p2, p3 = term(k, n + 1), term(k, n + 2), term(k, n + 3)
+    p1, p2, p3 = _next_terms(k, n)
     num = (
         (3 * k * n + 5 * k - 3) * p3
         + ((3 * k - 6 * k * k) * n + (-10 * k * k + 8 * k - 3)) * p2
@@ -80,9 +71,7 @@ def w1_closed(k: int, n: int) -> int:
 
 
 def s2_closed(k: int, n: int) -> int:
-    check_k(k)
-    _check_n(n)
-    p1, p2, p3 = term(k, n + 1), term(k, n + 2), term(k, n + 3)
+    p1, p2, p3 = _next_terms(k, n)
     sq_part = p3 * p3 + (4 * k * k + 4 * k + 1) * p2 * p2 + (3 * k * k + 6 * k + 1) * p1 * p1
     cross_part = (2 * k - 2) * p1 * p2 + (-4 * k - 2) * p2 * p3 + (-2) * p1 * p3 - 1
     # Both groups share the denominator 3k(k+2), the squares with a minus sign.
@@ -90,9 +79,7 @@ def s2_closed(k: int, n: int) -> int:
 
 
 def w2_closed(k: int, n: int) -> int:
-    check_k(k)
-    _check_n(n)
-    p1, p2, p3 = term(k, n + 1), term(k, n + 2), term(k, n + 3)
+    p1, p2, p3 = _next_terms(k, n)
     m = 3 * k * (k + 2)
     a1 = -m * n - (7 * k * k + 14 * k + 9)
     a2 = -m * (2 * k + 1) ** 2 * n - (28 * k**4 + 72 * k**3 + 60 * k * k + 20 * k + 9)

@@ -1,0 +1,38 @@
+"""Every entry point that takes an order or index n rejects a bad one with
+the same message: `<name> must be an integer >= <lo>, got <n!r>`."""
+
+from fractions import Fraction
+
+import pytest
+
+from pelltrib import circulant, invertibility, sequence, spectral, sums
+
+# (entry point, smallest accepted n, name in the message)
+ENTRY_POINTS = {
+    "term": (lambda n: sequence.term(1, n), 0, "n"),
+    "s1_closed": (lambda n: sums.s1_closed(1, n), 0, "n"),
+    "frobenius_sq_closed": (lambda n: spectral.frobenius_sq_closed(1, n, 2), 2, "matrix order n"),
+    "eigenvalues_closed": (lambda n: spectral.eigenvalues_closed(1, n, 2, 64), 3, "matrix order n"),
+    "det_exact": (lambda n: circulant.det_exact(1, n, Fraction(3, 7)), 2, "matrix order n"),
+    "generator_poly": (lambda n: circulant.generator_poly(1, n), 1, "matrix order n"),
+    "CirculantSpec": (lambda n: circulant.CirculantSpec(n=n, r=1, entries=(1,)), 1,
+                      "matrix order n"),
+    "counterexample_scan": (lambda n: invertibility.counterexample_scan([1], [n]), 2,
+                            "matrix order n"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_bad_n_is_rejected_with_one_message(entry):
+    call, lo, name = ENTRY_POINTS[entry]
+    for bad in (True, False, lo - 1, float(lo), str(lo)):
+        with pytest.raises(ValueError) as info:
+            call(bad)
+        assert str(info.value) == f"{name} must be an integer >= {lo}, got {bad!r}"
+    call(lo)  # the minimum itself is accepted
+
+
+def test_check_int_returns_the_value():
+    assert sequence.check_int(5, 5, "n") == 5
+    with pytest.raises(ValueError, match=r"^k must be an integer >= 1, got True$"):
+        sequence.check_k(True)
