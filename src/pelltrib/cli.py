@@ -234,15 +234,14 @@ def _cmd_bounds(config: CliConfig) -> Report:
 def _cmd_eig(config: CliConfig) -> Report:
     n, bits = config.n, config.precision_bits
     spectrum = spectral.eigenvalues_closed(config.k, n, _parse_r(config), bits)
-    with mp.workprec(bits + sequence._GUARD):
-        entries = [
-            {"m": m, "branch": spectrum.branches[m], "value": str(spectrum.lambdas[m])}
-            for m in range(n)
-        ]
-        csv = ["m,branch,re,im"] + [
-            f"{m},{spectrum.branches[m]},{str(spectrum.lambdas[m].real)},{str(spectrum.lambdas[m].imag)}"
-            for m in range(n)
-        ]
+    entries = [
+        {"m": m, "branch": spectrum.branches[m], "value": str(spectrum.lambdas[m])}
+        for m in range(n)
+    ]
+    csv = ["m,branch,re,im"] + [
+        f"{m},{spectrum.branches[m]},{str(spectrum.lambdas[m].real)},{str(spectrum.lambdas[m].imag)}"
+        for m in range(n)
+    ]
     plain = [f"m={e['m']} branch={e['branch']} value={e['value']}" for e in entries]
     return Report(_knr(config), entries, plain, csv)
 
@@ -252,16 +251,14 @@ def _cmd_det(config: CliConfig) -> Report:
     r = _parse_r(config)
     rep = spectral.determinant_closed(k, n, r, bits)
     det_exact = circulant.det_exact(k, n, r) if isinstance(r, (int, Fraction)) else None
-    with mp.workprec(bits + sequence._GUARD):
-        result = {
-            "det_closed": str(rep.det_closed),
-            "det_product_of_eigenvalues": str(rep.det_oracle),
-            "det_exact": _fmt(det_exact),
-            "quadratic_r1": str(rep.r1),
-            "quadratic_r2": str(rep.r2),
-            "used_generic_formula": rep.used_generic_formula,
-        }
-    return Report(_knr(config), result)
+    return Report(_knr(config), {
+        "det_closed": str(rep.det_closed),
+        "det_product_of_eigenvalues": str(rep.det_oracle),
+        "det_exact": _fmt(det_exact),
+        "quadratic_r1": str(rep.r1),
+        "quadratic_r2": str(rep.r2),
+        "used_generic_formula": rep.used_generic_formula,
+    })
 
 
 def _cmd_invert(config: CliConfig) -> Report:
@@ -368,9 +365,12 @@ _HANDLERS = {
 def run(config: CliConfig) -> tuple[int, str]:
     """Execute one command; returns (exit code, serialized report).
 
-    Exact results can have far more than CPython's default 4300 digits, so
-    the int-to-str limit is lifted while the command runs and renders, and
-    restored afterwards; argument parsing keeps the default.
+    The command runs and renders in one mpmath context of bits + _GUARD
+    bits, so a value computed or printed outside the library's own
+    precision blocks keeps the requested precision.  Exact results can have
+    far more than CPython's default 4300 digits, so the int-to-str limit is
+    lifted while the command runs and renders, and restored afterwards;
+    argument parsing keeps the default.
     """
     sequence.check_bits(config.precision_bits)
     if config.output not in ("json", "csv", "plain"):
@@ -378,8 +378,9 @@ def run(config: CliConfig) -> tuple[int, str]:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        report = _HANDLERS[config.command](config)
-        return 0, report.render(config)
+        with mp.workprec(config.precision_bits + sequence._GUARD):
+            report = _HANDLERS[config.command](config)
+            return 0, report.render(config)
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -14,7 +14,7 @@ from mpmath import mp
 
 from pelltrib import cli
 from pelltrib.errors import PrecisionExhausted, ScalarParseError
-from pelltrib.sequence import term
+from pelltrib.sequence import char_roots, term
 
 
 SCHEMA = json.loads((files("pelltrib") / "schema" / "report.schema.json").read_text())
@@ -223,6 +223,32 @@ def test_det_reports_exact_for_rational_r(capsys):
     out = _capture(["det", "--k", "1", "--n", "3", "--r", "1", "--format", "json"], capsys)
     envelope = json.loads(out)
     assert envelope["result"]["det_exact"] == 9
+
+
+def _fields(out):
+    return dict(line.split(" = ", 1) for line in out.splitlines())
+
+
+def test_norms_keep_a_decimal_r_at_the_requested_precision(capsys):
+    # r = 1 + 1e-18: frobenius_sq = 995 + (r^2 - 1) w2(4), l1 = 105 + (r - 1) w1(4)
+    out = _capture(["norms", "--k", "1", "--n", "5", "--r", "1.000000000000000001",
+                    "--bits", "512"], capsys)
+    fields = _fields(out)
+    with mp.workprec(600):
+        eps = mp.mpf("1e-18")
+        assert abs(mp.mpf(fields["frobenius_sq"]) - (995 + (2 * eps + eps * eps) * 760)) < 1e-140
+        assert abs(mp.mpf(fields["l1"]) - (105 + eps * 72)) < 1e-140
+
+
+def test_invert_witness_prints_at_requested_precision(capsys):
+    with mp.workprec(300):
+        recip = 1 / char_roots(1, 256).alpha
+        r_text = mp.nstr(recip, 20)
+    out = _capture(["invert", "--k", "1", "--n", "4", "--r", r_text, "--bits", "64"], capsys)
+    fields = _fields(out)
+    assert fields["status"] == "excluded_parameter"
+    with mp.workprec(300):
+        assert abs(mp.mpf(fields["witness"]) - recip) < mp.mpf(2) ** -90
 
 
 def test_invert_complex_r_not_covered(capsys):
