@@ -493,8 +493,12 @@ def main(argv=None) -> int:
         _emit_error(exc)
         return 3
     if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _emit_error(exc)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -176,6 +176,17 @@ def test_out_writes_file(tmp_path, capsys):
     assert envelope["result"] == {"s1": 21, "w1": 72, "s2": 199, "w2": 760}
 
 
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_out_unwritable_exits_2(where, tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "x" if where == "missing_dir" else tmp_path
+    assert cli.main(["seq", "--k", "1", "--n", "4", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["kind"] == ("FileNotFoundError" if where == "missing_dir" else "IsADirectoryError")
+    assert str(target) in error["message"]
+
+
 # ---------------------------------------------------------------------------
 # per-command content
 
