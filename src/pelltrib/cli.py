@@ -206,6 +206,7 @@ def _cmd_sums(config: CliConfig) -> Report:
 
 
 def _knr(config: CliConfig) -> dict:
+    """The params of a command that takes k, n and r, with r as typed."""
     return {"k": config.k, "n": config.n, "r": config.r}
 
 
