@@ -11,7 +11,7 @@ from mpmath import mp, mpc, mpf
 
 from pelltrib.circulant import DenseMatrix, abs_sq
 from pelltrib.errors import DimensionMismatch
-from pelltrib.sequence import _GUARD, char_roots
+from pelltrib.sequence import _GUARD, char_roots, check_int
 
 
 def matvec_dense(m: DenseMatrix, x) -> list:
@@ -54,8 +54,7 @@ def l1_direct(m: DenseMatrix):
 def binet_term(k: int, n: int, precision_bits: int = 256) -> mpf:
     """Closed-form n-th term from the three roots; agrees with term() to
     relative 2^(-precision_bits/4)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be an integer >= 0, got {n!r}")
+    check_int(n, 0, "n")
     roots = char_roots(k, precision_bits)
     with mp.workprec(precision_bits + _GUARD):
         value = (
