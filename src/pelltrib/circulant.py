@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 from mpmath import mpc
 
-from .errors import DimensionMismatch
 from .sequence import check_int, check_k, term, terms_upto
 
 EXACT_TYPES = (int, Fraction)
@@ -45,53 +45,23 @@ def abs_sq(x):
     return x * x
 
 
-@dataclass(frozen=True)
-class CirculantSpec:
-    """Order, wrap factor r, and generator entries of an r-circulant."""
+def build(r, entries) -> np.ndarray:
+    """The dense r-circulant of a generator row, as an n-by-n object array
+    of the entries themselves (exact entries stay int or Fraction).
 
-    n: int
-    r: object
-    entries: tuple
-
-    def __post_init__(self):
-        check_int(self.n, 1, "matrix order n")
-        if len(self.entries) != self.n:
-            raise DimensionMismatch(
-                f"generator has {len(self.entries)} entries for order {self.n}"
-            )
+    Entry (i, j) is a_{(j-i) mod n}, times r where i > j: it is read at
+    n + j - i from the row (r a_0, ..., r a_{n-1}, a_0, ..., a_{n-1}).
+    """
+    n = len(entries)
+    doubled = np.array([r * e for e in entries] + list(entries), dtype=object)
+    return doubled[n + np.arange(n) - np.arange(n)[:, None]]
 
 
-@dataclass(frozen=True)
-class DenseMatrix:
-    """Square matrix as a tuple of row tuples."""
-
-    n: int
-    rows: tuple
-
-    def __post_init__(self):
-        if len(self.rows) != self.n or any(len(row) != self.n for row in self.rows):
-            raise DimensionMismatch("rows do not form an n-by-n matrix")
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-
-def build(spec: CirculantSpec) -> DenseMatrix:
-    """Materialise the dense r-circulant for a generator spec."""
-    n, r, a = spec.n, spec.r, spec.entries
-    rows = []
-    for i in range(n):
-        wrapped = tuple(r * e for e in a[n - i:])
-        rows.append(wrapped + tuple(a[: n - i]))
-    return DenseMatrix(n=n, rows=tuple(rows))
-
-
-def build_pell(k: int, n: int, r) -> DenseMatrix:
+def build_pell(k: int, n: int, r) -> np.ndarray:
     """Dense r-circulant generated by the first n sequence terms."""
     check_k(k)
     check_int(n, 2, "matrix order n")
-    return build(CirculantSpec(n=n, r=r, entries=tuple(terms_upto(k, n - 1))))
+    return build(r, terms_upto(k, n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +247,10 @@ def telescoped_form(k: int, n: int) -> Polynomial:
 # ---------------------------------------------------------------------------
 # shift identity
 
-def _as_int_matrix(m: DenseMatrix) -> tuple[list[list[int]], Fraction]:
-    """Clear a common denominator; returns (int rows, scale) with m = rows/scale."""
-    lcm = math.lcm(*(Fraction(e).denominator for row in m.rows for e in row))
-    rows = [[int(e * lcm) for e in row] for row in m.rows]
-    return rows, Fraction(lcm)
+def _as_int_matrix(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """Clear a common denominator; returns (int array, scale) with m = array/scale."""
+    lcm = math.lcm(*(Fraction(e).denominator for e in m.flat))
+    return np.vectorize(lambda e: int(e * lcm), otypes=[object])(m), lcm
 
 
 def shift_identity_check(k: int, n: int, r) -> bool:
@@ -296,26 +265,22 @@ def shift_identity_check(k: int, n: int, r) -> bool:
     if not is_exact(r):
         raise ValueError("shift_identity_check requires exact rational r")
     shift_gen = (1, -2 * k, -k, -1) + (0,) * (n - 4)
-    lhs_a = build(CirculantSpec(n=n, r=r, entries=shift_gen))
-    lhs_b = build_pell(k, n, r)
     pn, pn1, pn2 = term(k, n), term(k, n - 1), term(k, n - 2)
     rhs_gen = (-r * pn, 1 - r * k * pn1 - r * pn2, -r * pn1) + (0,) * (n - 3)
-    rhs = build(CirculantSpec(n=n, r=r, entries=rhs_gen))
-
-    a_rows, a_scale = _as_int_matrix(lhs_a)
-    b_rows, b_scale = _as_int_matrix(lhs_b)
-    r_rows, r_scale = _as_int_matrix(rhs)
-    product = _matmul_int(a_rows, b_rows)
-    # product / (a_scale b_scale) must equal rhs / r_scale
-    lhs_mult = int(r_scale)
-    rhs_mult = int(a_scale * b_scale)
-    return all(
-        lhs_mult * product[i][j] == rhs_mult * r_rows[i][j]
-        for i in range(n)
-        for j in range(n)
-    )
+    # integer products are far cheaper than Fraction ones
+    a, a_scale = _as_int_matrix(build(r, shift_gen))
+    b, b_scale = _as_int_matrix(build_pell(k, n, r))
+    rhs, rhs_scale = _as_int_matrix(build(r, rhs_gen))
+    # (a @ b) / (a_scale b_scale) must equal rhs / rhs_scale
+    return bool(np.array_equal(rhs_scale * (a @ b), a_scale * b_scale * rhs))
 
 
-def to_complex_list(m: DenseMatrix) -> list[list[complex]]:
-    """Entries coerced to double-precision complex (plumbing for numerics)."""
-    return [[complex(e) for e in row] for row in m.rows]
+def to_complex_list(m: np.ndarray) -> np.ndarray:
+    """The matrix as complex128, the one conversion on the double path;
+    each entry e becomes complex(e).  OverflowError if an entry exceeds a
+    double.  The name predates the array result and stays because the
+    benchmark's span tracer (bench/spans.py) looks it up."""
+    a = np.asarray(m, dtype=np.complex128)
+    if not np.isfinite(a).all():
+        raise OverflowError("matrix entries overflow a double")
+    return a

@@ -30,7 +30,7 @@ import mpmath
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import to_fixed
 
-from .circulant import DenseMatrix, abs_sq, build_pell, is_exact, to_complex_list
+from .circulant import abs_sq, build_pell, is_exact, to_complex_list
 from .errors import DegenerateCase, ZeroR
 from .sequence import (_GUARD, char_roots, check_bits, check_int, check_k, recip_poly,
                        term, terms_upto)
@@ -81,18 +81,15 @@ def spectral_bounds(k: int, n: int, r) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # numeric reference norms
 
-def spectral_numeric(m: DenseMatrix) -> float:
-    """Largest singular value from LAPACK; OverflowError if an entry exceeds a double."""
-    a = np.array(to_complex_list(m), dtype=np.complex128)
-    if not np.isfinite(a).all():
-        raise OverflowError("matrix entries overflow a double")
+def spectral_numeric(a: np.ndarray) -> float:
+    """Largest singular value of a complex128 matrix, from LAPACK."""
     return float(np.linalg.norm(a, 2))
 
 
-def row_col_length_norms(m: DenseMatrix) -> tuple[float, float]:
-    """Largest Euclidean row length and column length."""
-    a = np.abs(np.array(to_complex_list(m), dtype=np.complex128))
-    sq = a * a
+def row_col_length_norms(a: np.ndarray) -> tuple[float, float]:
+    """Largest Euclidean row length and column length of a complex128 matrix."""
+    mag = np.abs(a)
+    sq = mag * mag
     return (
         float(np.sqrt(sq.sum(axis=1).max())),
         float(np.sqrt(sq.sum(axis=0).max())),
@@ -115,15 +112,15 @@ class NormReport:
 
 def norm_report(k: int, n: int, r) -> NormReport:
     lower, upper = spectral_bounds(k, n, r)
-    m = build_pell(k, n, r)
-    r1, c1 = row_col_length_norms(m)
+    a = to_complex_list(build_pell(k, n, r))
+    r1, c1 = row_col_length_norms(a)
     return NormReport(
         k=k, n=n, r=r,
         frobenius=frobenius_closed(k, n, r),
         l1=float(l1_closed(k, n, r)),
         spectral_lower=lower,
         spectral_upper=upper,
-        sigma=spectral_numeric(m),
+        sigma=spectral_numeric(a),
         row_length_norm=r1,
         col_length_norm=c1,
     )
@@ -430,7 +427,7 @@ def table1_report() -> list[Table1Row]:
     for n, r_str, lower_p, sigma_p, upper_p in PUBLISHED_TABLE:
         r = Fraction(r_str)
         lower, upper = spectral_bounds(1, n, r)
-        sigma = spectral_numeric(build_pell(1, n, r))
+        sigma = spectral_numeric(to_complex_list(build_pell(1, n, r)))
         lower_published, sigma_published, upper_published = (
             float(lower_p), float(sigma_p), float(upper_p))
         flags = []

@@ -32,15 +32,15 @@ def _bareiss_int(a: list[list[int]]) -> int:
 
 
 def det_dense(m) -> Fraction:
-    """Exact determinant of a DenseMatrix with int or Fraction entries.
+    """Exact determinant of a square array with int or Fraction entries.
 
     Denominators are cleared per row so the core loop runs on plain integers.
     """
-    if not all(is_exact(e) for row in m.rows for e in row):
+    if not all(is_exact(e) for e in m.flat):
         raise ValueError("det_dense requires int or Fraction entries")
     scale = Fraction(1)
     int_rows = []
-    for row in m.rows:
+    for row in m:
         lcm = math.lcm(*(Fraction(e).denominator for e in row))
         scale *= lcm
         int_rows.append([int(e * lcm) for e in row])

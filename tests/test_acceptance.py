@@ -105,8 +105,7 @@ def test_criterion_04_sandwich_bounds(capsys):
     for k in range(1, 6):
         for n in range(2, 65):
             for r in r_values:
-                m = circ.build_pell(k, n, r)
-                sigma = sp.spectral_numeric(m)
+                sigma = sp.spectral_numeric(circ.to_complex_list(circ.build_pell(k, n, r)))
                 lower, upper = sp.spectral_bounds(k, n, r)
                 fro = sp.frobenius_closed(k, n, r)
                 for low, high in ((lower, sigma), (sigma, upper),

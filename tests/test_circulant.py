@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mpf
 
 from pelltrib import circulant as circ
 from pelltrib.errors import DimensionMismatch
@@ -12,27 +14,48 @@ from det_oracle import det_dense
 
 
 def C(entries, r):
-    return circ.build(circ.CirculantSpec(n=len(entries), r=r, entries=tuple(entries)))
+    return circ.build(r, entries)
 
 
 def test_build_ordinary():
     m = C([0, 1, 2], 1)
-    assert m.rows == ((0, 1, 2), (2, 0, 1), (1, 2, 0))
+    assert m.tolist() == [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
 
 
 def test_build_r2_wraps_scaled():
     m = C([0, 1, 2], 2)
-    assert m.rows == ((0, 1, 2), (4, 0, 1), (2, 4, 0))
+    assert m.tolist() == [[0, 1, 2], [4, 0, 1], [2, 4, 0]]
 
 
 def test_build_r0_upper_triangular():
     m = C([3, 1, 4], 0)
-    assert m.rows == ((3, 1, 4), (0, 3, 1), (0, 0, 3))
+    assert m.tolist() == [[3, 1, 4], [0, 3, 1], [0, 0, 3]]
 
 
 def test_build_pell_matches_generator():
     m = circ.build_pell(1, 3, 1)
-    assert m.rows == ((0, 1, 2), (2, 0, 1), (1, 2, 0))
+    assert m.tolist() == [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
+
+
+# the r set that the double conversion was checked against entry by entry
+CONVERSION_R = (1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(3, 7), Fraction(27, 25),
+                mpf("1.08"), mpf("1e-3"), 1j, 2 - 3j, 0.3 + 0.4j)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_to_complex_list_rounds_each_entry_once(k):
+    for n in (2, 3, 8, 21, 64):
+        for r in CONVERSION_R:
+            m = circ.build_pell(k, n, r)
+            want = np.array([[complex(e) for e in row] for row in m], dtype=np.complex128)
+            got = circ.to_complex_list(m)
+            assert np.array_equal(got.view(np.float64), want.view(np.float64)), (k, n, r)
+
+
+def test_to_complex_list_refuses_entries_past_a_double():
+    for entries in ((10**400, 1), (0, Fraction(10**400, 3))):
+        with pytest.raises(OverflowError):
+            circ.to_complex_list(C(entries, 1))
 
 
 def test_matvec_first_column():
@@ -50,10 +73,10 @@ def test_matvec_length_mismatch():
 def test_hadamard_and_conj_transpose():
     a = C([0, 1, 2], 1)
     b = C([1, 1, 1], 1)
-    assert ref.hadamard(a, b).rows == a.rows
-    c = circ.DenseMatrix(n=2, rows=((1 + 2j, 3), (0, 4 - 1j)))
+    assert ref.hadamard(a, b).tolist() == a.tolist()
+    c = np.array([[1 + 2j, 3], [0, 4 - 1j]], dtype=object)
     ct = ref.conj_transpose(c)
-    assert ct.rows == ((1 - 2j, 0), (3, 4 + 1j))
+    assert ct.tolist() == [[1 - 2j, 0], [3, 4 + 1j]]
     with pytest.raises(DimensionMismatch):
         ref.hadamard(a, c)
 
@@ -206,29 +229,18 @@ def test_shift_identity_rejects_inexact_r():
         circ.shift_identity_check(1, 5, 1.5)
 
 
-def _matmul(a, b):
-    n = a.n
-    rows = tuple(
-        tuple(sum(a.rows[i][t] * b.rows[t][j] for t in range(n)) for j in range(n))
-        for i in range(n)
-    )
-    return circ.DenseMatrix(n=n, rows=rows)
-
-
 def test_shift_matrix_nth_power_is_r_identity():
     for n in (2, 3, 5):
         for r in (1, -1, Fraction(3, 7)):
             s = C([0, 1] + [0] * (n - 2), r)
             acc = s
             for _ in range(n - 1):
-                acc = _matmul(acc, s)
+                acc = acc @ s
             for i in range(n):
                 for j in range(n):
-                    assert acc.rows[i][j] == (r if i == j else 0)
+                    assert acc[i, j] == (r if i == j else 0)
 
 
 def test_spec_validation():
-    with pytest.raises(DimensionMismatch):
-        circ.CirculantSpec(n=3, r=1, entries=(1, 2))
     with pytest.raises(ValueError):
         circ.build_pell(1, 1, 1)

@@ -75,7 +75,7 @@ def test_operator_first_column_invariant():
         e0 = np.zeros(n)
         e0[0] = 1
         col = fo.fast_matvec(op, e0)
-        dense = circ.build(circ.CirculantSpec(n=n, r=r, entries=entries))
+        dense = circ.build(r, entries)
         want = np.asarray([complex(dense[i, 0]) for i in range(n)])
         assert np.linalg.norm(col - want) < 1e-10 * max(1.0, np.linalg.norm(want))
 

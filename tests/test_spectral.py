@@ -68,28 +68,27 @@ def test_power_iteration_matches_svd():
     for k in (1, 3):
         for n in (2, 5, 9):
             for r in (1, -1, 2, 0.5, 1j):
-                m = circ.build_pell(k, n, r)
+                m = circ.to_complex_list(circ.build_pell(k, n, r))
                 ours = sp.spectral_numeric(m)
-                ref = float(np.linalg.svd(
-                    np.array(circ.to_complex_list(m)), compute_uv=False)[0])
+                ref = float(np.linalg.svd(m, compute_uv=False)[0])
                 assert ours == pytest.approx(ref, rel=1e-8)
 
 
 def test_power_iteration_zero_matrix():
-    z = circ.DenseMatrix(n=2, rows=((0, 0), (0, 0)))
+    z = circ.to_complex_list(circ.build(1, (0, 0)))
     assert sp.spectral_numeric(z) == 0.0
 
 
 def test_spectral_numeric_rejects_overflowing_entries():
     with pytest.raises(OverflowError):
-        sp.spectral_numeric(circ.build_pell(1, 3, mpf("1e400")))
+        sp.spectral_numeric(circ.to_complex_list(circ.build_pell(1, 3, mpf("1e400"))))
 
 
 @pytest.mark.parametrize("k,n,r", [(5, 64, 1j), (5, 64, -1), (2, 64, 1j), (3, 9, 1)])
 def test_sigma_equals_peak_eigenvalue_for_unit_r(k, n, r):
     # |r| = 1 makes diag(rho^j) unitary, so Circ_r is normal and its largest
     # singular value is the largest eigenvalue modulus
-    sigma = sp.spectral_numeric(circ.build_pell(k, n, r))
+    sigma = sp.spectral_numeric(circ.to_complex_list(circ.build_pell(k, n, r)))
     spectrum = sp.eigenvalues_direct(k, n, r, 128)
     with mp.workprec(160):
         peak = float(max(abs(lam) for lam in spectrum.lambdas))
@@ -101,7 +100,7 @@ def test_sandwich_bounds_small_grid():
         for n in (2, 8, 21):
             for r in (1, -1, Fraction(1, 2), 2, 1.08, 1j):
                 lower, upper = sp.spectral_bounds(k, n, r)
-                sigma = sp.spectral_numeric(circ.build_pell(k, n, r))
+                sigma = sp.spectral_numeric(circ.to_complex_list(circ.build_pell(k, n, r)))
                 fro = sp.frobenius_closed(k, n, r)
                 slack = 1 + 1e-8
                 assert lower <= sigma * slack
@@ -111,10 +110,10 @@ def test_sandwich_bounds_small_grid():
 
 
 def test_row_col_length_norms():
-    m1 = circ.build(circ.CirculantSpec(n=3, r=1, entries=(0, 1, 2)))
+    m1 = circ.to_complex_list(circ.build(1, (0, 1, 2)))
     assert sp.row_col_length_norms(m1) == (
         pytest.approx(math.sqrt(5)), pytest.approx(math.sqrt(5)))
-    m2 = circ.build(circ.CirculantSpec(n=3, r=2, entries=(0, 1, 2)))
+    m2 = circ.to_complex_list(circ.build(2, (0, 1, 2)))
     r1, c1 = sp.row_col_length_norms(m2)
     assert r1 == pytest.approx(math.sqrt(20))
     assert c1 == pytest.approx(math.sqrt(20))
@@ -123,7 +122,7 @@ def test_row_col_length_norms():
 def test_hadamard_factor_bound():
     # sigma(M) = sigma(M o ones) <= r1(M) * c1(ones) = r1(M) * sqrt(n)
     for k, n, r in ((1, 5, 1), (2, 7, -2), (1, 6, 0.5)):
-        m = circ.build_pell(k, n, r)
+        m = circ.to_complex_list(circ.build_pell(k, n, r))
         sigma = sp.spectral_numeric(m)
         r1, c1 = sp.row_col_length_norms(m)
         assert sigma <= r1 * math.sqrt(n) * (1 + 1e-9)
@@ -173,7 +172,7 @@ def test_direct_spectrum_frozen_small():
 def test_direct_spectrum_matches_numpy_eigvals():
     for k, n, r in ((1, 4, 1), (2, 5, -1), (1, 6, 2), (3, 5, 1j)):
         spectrum = sp.eigenvalues_direct(k, n, r, 256)
-        dense = np.array(circ.to_complex_list(circ.build_pell(k, n, r)))
+        dense = circ.to_complex_list(circ.build_pell(k, n, r))
         ref = list(np.linalg.eigvals(dense))
         scale = max(abs(v) for v in ref) + 1
         for lam in spectrum.lambdas:
