@@ -63,7 +63,6 @@ class FastCirculantOperator:
     r: complex
     scaled_spectrum: np.ndarray
     rho_scale: np.ndarray
-    precision: str = "float64"
 
 
 def fast_operator(entries, r) -> FastCirculantOperator:

@@ -140,9 +140,6 @@ class EigenGrid:
     root: mpc
     rhos: tuple
 
-    def __iter__(self):
-        return iter(self.rhos)
-
 
 @dataclass(frozen=True)
 class EigenSpectrum:
