@@ -66,6 +66,8 @@ class FastCirculantOperator:
 
 
 def fast_operator(entries, r) -> FastCirculantOperator:
+    """Spectral form of Circ_r(entries); ZeroR for r = 0, ValueError for
+    |r| outside [1/4, 4], the range of the module's accuracy claim."""
     a = np.asarray([complex(e) for e in entries], dtype=np.complex128)
     n = a.size
     if n == 0:
@@ -73,6 +75,8 @@ def fast_operator(entries, r) -> FastCirculantOperator:
     rc = complex(r)
     if rc == 0:
         raise ZeroR("r = 0 breaks the diagonal scaling")
+    if not 0.25 <= abs(rc) <= 4:
+        raise ValueError(f"|r| = {abs(rc)!r} lies outside [1/4, 4], the range of the fast path")
     if rc.imag == 0 and rc.real > 0:
         rho = complex(rc.real ** (1.0 / n))
     else:

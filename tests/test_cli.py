@@ -225,6 +225,12 @@ def test_bench_csv_header(capsys):
     assert len(lines) == 5
 
 
+def test_bench_r_outside_fast_range_exits_2(capsys):
+    assert cli.main(["bench", "--sizes", "4", "--k", "1", "--r", "5"]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "ValueError" and "outside [1/4, 4]" in err["message"]
+
+
 def test_eig_plain_lists_branches(capsys):
     out = _capture(["eig", "--k", "1", "--n", "3", "--r", "1", "--bits", "128"], capsys)
     assert out.count("branch=generic") == 3

@@ -124,6 +124,14 @@ def test_fast_matvec_validation():
         fo.fast_operator([], 1)
 
 
+def test_fast_operator_refuses_r_outside_its_accuracy_range():
+    for r in (5, 0.2, -4.5, 4.5j, 0.1 + 0.1j):
+        with pytest.raises(ValueError, match=r"outside \[1/4, 4\]"):
+            fo.fast_operator([0, 1, 2], r)
+    for r in (0.25, 4, -0.25, -4j, 0.3 + 0.4j):
+        assert fo.fast_operator([0, 1, 2], r).r == complex(r)
+
+
 def test_bench_generator_bounded_and_deterministic():
     a = fo.bench_generator(1, 200)
     assert np.all(np.abs(a) < 2 ** 40)
