@@ -46,6 +46,10 @@ CASES = {
     ] + [
         ["scan", "--kmax=2", "--nmax=6", f"--sign={sign}"] for sign in (1, -1)
     ] + [
+        ["scan", "--kmin=8", "--kmax=10", "--nmin=20", "--nmax=30", "--bits=512",
+         f"--sign={sign}"]
+        for sign in (1, -1)
+    ] + [
         ["table1"],
         # error exits
         ["norms", "--k=1", "--n=3", "--r=0"],
