@@ -127,6 +127,27 @@ def norm_report(k: int, n: int, r) -> NormReport:
 
 
 # ---------------------------------------------------------------------------
+# fixed-point Gaussian-integer kernel
+#
+# eigenvalues_direct and eigenpair_residuals run on complex numbers held as
+# integer pairs scaled by 2^F.  _to_fixed rounds each part down, and every
+# product of two pairs is shifted back by F bits, which rounds down again,
+# so each conversion and each product errs by less than 2^-F per part and
+# sqrt(2) 2^-F in modulus; sums of pairs are exact.  _from_fixed rounds the
+# result once to the working precision.
+
+def _to_fixed(z, frac_bits: int) -> tuple[int, int]:
+    """(re, im) of an mpc as integers scaled by 2^frac_bits, each rounded down."""
+    return to_fixed(z.real._mpf_, frac_bits), to_fixed(z.imag._mpf_, frac_bits)
+
+
+def _from_fixed(x: int, y: int, frac_bits: int) -> mpc:
+    """(x + i y) 2^-frac_bits as an mpc, each part rounded once to the
+    working precision."""
+    return mpc(mpf((x, -frac_bits)), mpf((y, -frac_bits)))
+
+
+# ---------------------------------------------------------------------------
 # eigenvalue grid
 
 @dataclass(frozen=True)
@@ -175,18 +196,51 @@ def eigen_grid(n: int, r, precision_bits: int = 256) -> EigenGrid:
     return EigenGrid(n=n, r=r, precision_bits=precision_bits, root=root, rhos=rhos)
 
 
+def _horner_mpc(k: int, n: int, rhos) -> list:
+    """The order-n generator polynomial at each rho, by mpc Horner at the
+    working precision.  determinant_closed multiplies these for its oracle
+    product; the tests compare the fixed-point kernel with them."""
+    coeffs = [mpmath.mpmathify(t) for t in terms_upto(k, n - 1)]
+    lams = []
+    for rho in rhos:
+        acc = mpc(0)
+        for c in reversed(coeffs):
+            acc = acc * rho + c
+        lams.append(acc)
+    return lams
+
+
 def eigenvalues_direct(k: int, n: int, r, precision_bits: int = 256) -> EigenSpectrum:
-    """lambda_m as the generator polynomial evaluated at rho_m by Horner."""
+    """lambda_m as the generator polynomial evaluated at rho_m by Horner,
+    on Gaussian integers scaled by 2^F (see _to_fixed), with
+    F = bits + _GUARD + 8 + max(0, 3 - mag(rho)); the extra bits for small
+    |rho| keep the relative error of each converted rho_m below
+    2^-(bits + _GUARD + 9).  Each lambda is rounded once to bits + _GUARD
+    bits.
+
+    Error bound: with a_l the generator row and lambda~_m the kernel's
+    value before that rounding,
+
+        |lambda~_m - Psi(rho_m)| <= 2^(1-F) * (sum_{j<n-1} |rho|^j + sum_l l a_l |rho|^(l-1)).
+
+    The first sum carries the floor of each Horner product, the second the
+    conversion of rho_m.
+    """
     check_k(k)
     grid = eigen_grid(n, r, precision_bits)
     with mp.workprec(precision_bits + _GUARD):
-        coeffs = [mpmath.mpmathify(t) for t in terms_upto(k, n - 1)]
+        frac = precision_bits + _GUARD + 8 + max(0, 3 - mpmath.mag(grid.root))
+        top, *rest = [a << frac for a in reversed(terms_upto(k, n - 1))]
         lams = []
         for rho in grid.rhos:
-            acc = mpc(0)
-            for c in reversed(coeffs):
-                acc = acc * rho + c
-            lams.append(acc)
+            x, y = _to_fixed(rho, frac)
+            s, d = x + y, y - x
+            ax, ay = top, 0
+            for a in rest:
+                # (ax + i ay)(x + i y) from three products
+                t = x * (ax + ay)
+                ax, ay = ((t - ay * s) >> frac) + a, (t + ax * d) >> frac
+            lams.append(_from_fixed(ax, ay, frac))
     return EigenSpectrum(k=k, grid=grid, lambdas=tuple(lams), branches=("direct",) * n)
 
 
@@ -239,11 +293,6 @@ def eigenvalues_closed(k: int, n: int, r, precision_bits: int = 256) -> EigenSpe
     return EigenSpectrum(k=k, grid=grid, lambdas=tuple(lams), branches=tuple(branches))
 
 
-def _to_fixed(z, frac_bits: int) -> tuple[int, int]:
-    """(re, im) of an mpc as integers scaled by 2^frac_bits, each rounded down."""
-    return to_fixed(z.real._mpf_, frac_bits), to_fixed(z.imag._mpf_, frac_bits)
-
-
 def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum | None = None,
                         precision_bits: int = 256) -> list:
     """Relative residuals ||M v_m - lambda_m v_m|| / (||M||_F ||v_m||), v_m = (rho_m^i).
@@ -289,7 +338,7 @@ def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum | None = None
                 ty += a * py
                 px, py = (px * x - py * y) >> frac, (px * y + py * x) >> frac
             # (px, py) is now rho^n, (tx, ty) is T; c = r / rho^n - 1, d = T - lambda
-            cx, cy = _to_fixed(r_mp / mpc(mpf((px, -frac)), mpf((py, -frac))) - 1, frac)
+            cx, cy = _to_fixed(r_mp / _from_fixed(px, py, frac) - 1, frac)
             lx, ly = _to_fixed(lam, frac)
             dx, dy = tx - lx, ty - ly
             err_sq = v_sq = ux = uy = 0  # (ux, uy) is tail_i
@@ -335,18 +384,19 @@ def _quadratic_roots(k: int, n: int, r_mp) -> tuple[mpc, mpc]:
 
 
 def determinant_closed(k: int, n: int, r, precision_bits: int = 256) -> DetReport:
-    """Determinant via the quadratic-root product formula, with the direct
-    eigenvalue product as the attached oracle.
+    """Determinant via the quadratic-root product formula, with the product
+    of the mpc Horner eigenvalues (_horner_mpc) as the attached oracle.
 
     Raises DegenerateCase when some rho_m collides with a reciprocal
     characteristic root (the rational closed form degenerates there).
     """
-    spectrum = eigenvalues_direct(k, n, r, precision_bits)
+    check_k(k)
+    grid = eigen_grid(n, r, precision_bits)
     roots = char_roots(k, precision_bits)
     pn1 = term(k, n - 1)
     tol = mpf(2) ** (-precision_bits // 2)
     with mp.workprec(precision_bits + _GUARD):
-        if any(_generic_psi(k, rho, tol) is None for rho in spectrum.grid.rhos):
+        if any(_generic_psi(k, rho, tol) is None for rho in grid.rhos):
             raise DegenerateCase(
                 f"rho grid hits a reciprocal characteristic root at k={k}, n={n}, r={r!r}"
             )
@@ -363,7 +413,7 @@ def determinant_closed(k: int, n: int, r, precision_bits: int = 256) -> DetRepor
             / denom
         )
         oracle = mpc(1)
-        for lam in spectrum.lambdas:
+        for lam in _horner_mpc(k, n, grid.rhos):
             oracle *= lam
         det_closed, r1, r2 = mpc(det), mpc(r1), mpc(r2)
     return DetReport(

@@ -297,6 +297,52 @@ def test_eigenpair_residuals_see_a_perturbed_lambda():
             assert abs(g - w) <= w / 100, (k, n, r, g, w)
 
 
+DIRECT_R = (1, -1, 2, Fraction(-3, 2), Fraction(3, 7), 10**40, mpf("1e-300"), 1j, 2 - 3j)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 21, 64, 200])
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_eigenvalues_direct_within_stated_bound_of_mpc_horner(bits, n):
+    # the kernel's bound 2^(1-F) (sum_{j<n-1} |rho|^j + sum_l l a_l |rho|^(l-1)),
+    # F = bits + _GUARD + 8 + max(0, 3 - mag(rho)), plus the final rounding
+    # to bits + _GUARD bits and the oracle's own Horner error 8 n 2^-q sum_l
+    # a_l |rho|^l at q = bits + _GUARD + 64.  At n = 200 the oracle runs on
+    # every 8th grid point and the last one, which keeps the test to seconds.
+    picks = range(n) if n <= 64 else sorted({*range(0, n, 8), n - 1})
+    p, q = bits + _GUARD, bits + _GUARD + 64
+    for k in range(1, 6):
+        terms = terms_upto(k, n - 1)
+        for r in DIRECT_R:
+            spectrum = sp.eigenvalues_direct(k, n, r, bits)
+            rhos = [spectrum.grid.rhos[m] for m in picks]
+            with mp.workprec(q):
+                want = sp._horner_mpc(k, n, rhos)
+                size = max(abs(rho) for rho in spectrum.grid.rhos)
+                frac = p + 8 + max(0, 3 - mpmath.mag(spectrum.grid.root))
+                kernel = mpf(2) ** (1 - frac) * (
+                    sum(size**j for j in range(n - 1))
+                    + sum(l * a * size ** (l - 1) for l, a in enumerate(terms)))
+                horner = 8 * n * mpf(2) ** -q * sum(a * size**l for l, a in enumerate(terms))
+                for m, w in zip(picks, want):
+                    g = spectrum.lambdas[m]
+                    bound = kernel + mpf(2) ** -p * (abs(w) + kernel + horner) + horner
+                    assert abs(g - w) <= bound, (k, n, r, m, g, w)
+
+
+@pytest.mark.parametrize("k,n,r", [
+    (1, 5, 2), (2, 9, Fraction(-3, 2)), (3, 24, Fraction(3, 7)),
+    (5, 40, Fraction(169, 25)), (1, 40, Fraction(-1, 8)), (2, 7, 1j),
+])
+def test_det_oracle_is_the_mpc_horner_product(k, n, r):
+    rep = sp.determinant_closed(k, n, r, 256)
+    grid = sp.eigen_grid(n, r, 256)
+    with mp.workprec(256 + _GUARD):
+        prod = mpc(1)
+        for lam in sp._horner_mpc(k, n, grid.rhos):
+            prod *= lam
+    assert prod._mpc_ == rep.det_oracle._mpc_
+
+
 def test_root_product_identity():
     # prod_m (rho_m - a) = (-1)^n (a^n - r)
     for n, r in ((4, 1), (5, -2), (6, Fraction(3, 7))):
