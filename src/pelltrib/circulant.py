@@ -45,16 +45,22 @@ def abs_sq(x):
     return x * x
 
 
+def _doubled(r, entries) -> np.ndarray:
+    """The row (r a_0, ..., r a_{n-1}, a_0, ..., a_{n-1}) as an object array."""
+    return np.array([r * e for e in entries] + list(entries), dtype=object)
+
+
+def _layout(doubled: np.ndarray) -> np.ndarray:
+    """The n-by-n r-circulant read from its doubled row: entry (i, j) is
+    a_{(j-i) mod n}, times r where i > j, found at n + j - i."""
+    n = len(doubled) // 2
+    return doubled[n + np.arange(n) - np.arange(n)[:, None]]
+
+
 def build(r, entries) -> np.ndarray:
     """The dense r-circulant of a generator row, as an n-by-n object array
-    of the entries themselves (exact entries stay int or Fraction).
-
-    Entry (i, j) is a_{(j-i) mod n}, times r where i > j: it is read at
-    n + j - i from the row (r a_0, ..., r a_{n-1}, a_0, ..., a_{n-1}).
-    """
-    n = len(entries)
-    doubled = np.array([r * e for e in entries] + list(entries), dtype=object)
-    return doubled[n + np.arange(n) - np.arange(n)[:, None]]
+    of the entries themselves (exact entries stay int or Fraction)."""
+    return _layout(_doubled(r, entries))
 
 
 def build_pell(k: int, n: int, r) -> np.ndarray:
@@ -62,6 +68,14 @@ def build_pell(k: int, n: int, r) -> np.ndarray:
     check_k(k)
     check_int(n, 2, "matrix order n")
     return build(r, terms_upto(k, n - 1))
+
+
+def build_pell_complex(k: int, n: int, r) -> np.ndarray:
+    """to_complex_list(build_pell(k, n, r)), bit for bit, converting only
+    the 2n entries of the doubled row."""
+    check_k(k)
+    check_int(n, 2, "matrix order n")
+    return _layout(to_complex_list(_doubled(r, terms_upto(k, n - 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +290,11 @@ def shift_identity_check(k: int, n: int, r) -> bool:
 
 
 def to_complex_list(m: np.ndarray) -> np.ndarray:
-    """The matrix as complex128, the one conversion on the double path;
-    each entry e becomes complex(e).  OverflowError if an entry exceeds a
-    double.  The name predates the array result and stays because the
-    benchmark's span tracer (bench/spans.py) looks it up."""
+    """An object array (a matrix, or the doubled row of build_pell_complex)
+    as complex128, the one conversion on the double path; each entry e
+    becomes complex(e).  OverflowError if an entry exceeds a double.  The
+    name predates the array result and stays because the benchmark's span
+    tracer (bench/spans.py) looks it up."""
     a = np.asarray(m, dtype=np.complex128)
     if not np.isfinite(a).all():
         raise OverflowError("matrix entries overflow a double")

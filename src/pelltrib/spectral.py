@@ -30,7 +30,7 @@ import mpmath
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import to_fixed
 
-from .circulant import abs_sq, build_pell, is_exact, to_complex_list
+from .circulant import abs_sq, build_pell_complex, is_exact
 from .errors import DegenerateCase, ZeroR
 from .sequence import (_GUARD, char_roots, check_bits, check_int, check_k, recip_poly,
                        term, terms_upto)
@@ -112,7 +112,7 @@ class NormReport:
 
 def norm_report(k: int, n: int, r) -> NormReport:
     lower, upper = spectral_bounds(k, n, r)
-    a = to_complex_list(build_pell(k, n, r))
+    a = build_pell_complex(k, n, r)
     r1, c1 = row_col_length_norms(a)
     return NormReport(
         k=k, n=n, r=r,
@@ -474,7 +474,7 @@ def table1_report() -> list[Table1Row]:
     for n, r_str, lower_p, sigma_p, upper_p in PUBLISHED_TABLE:
         r = Fraction(r_str)
         lower, upper = spectral_bounds(1, n, r)
-        sigma = spectral_numeric(to_complex_list(build_pell(1, n, r)))
+        sigma = spectral_numeric(build_pell_complex(1, n, r))
         lower_published, sigma_published, upper_published = (
             float(lower_p), float(sigma_p), float(upper_p))
         flags = []

@@ -52,6 +52,22 @@ def test_to_complex_list_rounds_each_entry_once(k):
             assert np.array_equal(got.view(np.float64), want.view(np.float64)), (k, n, r)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_build_pell_complex_is_the_converted_dense_matrix(k):
+    for n in (2, 3, 8, 21, 64):
+        for r in CONVERSION_R:
+            want = circ.to_complex_list(circ.build_pell(k, n, r))
+            got = circ.build_pell_complex(k, n, r)
+            assert got.dtype == np.complex128
+            assert np.array_equal(got.view(np.float64), want.view(np.float64)), (k, n, r)
+
+
+def test_build_pell_complex_refuses_entries_past_a_double():
+    for r in (mpf("1e400"), Fraction(10**400, 3)):
+        with pytest.raises(OverflowError):
+            circ.build_pell_complex(1, 3, r)
+
+
 def test_to_complex_list_refuses_entries_past_a_double():
     for entries in ((10**400, 1), (0, Fraction(10**400, 3))):
         with pytest.raises(OverflowError):
