@@ -215,7 +215,7 @@ def eigenvalues_direct(k: int, n: int, r, precision_bits: int = 256) -> EigenSpe
     on Gaussian integers scaled by 2^F (see _to_fixed), with
     F = bits + _GUARD + 8 + max(0, 3 - mag(rho)); the extra bits for small
     |rho| keep the relative error of each converted rho_m below
-    2^-(bits + _GUARD + 9).  Each lambda is rounded once to bits + _GUARD
+    2^-(bits + _GUARD + 8).  Each lambda is rounded once to bits + _GUARD
     bits.
 
     Error bound: with a_l the generator row and lambda~_m the kernel's
