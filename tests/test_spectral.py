@@ -307,7 +307,8 @@ def test_eigenvalues_direct_within_stated_bound_of_mpc_horner(bits, n):
     # F = bits + _GUARD + 8 + max(0, 3 - mag(rho)), plus the final rounding
     # to bits + _GUARD bits and the oracle's own Horner error 8 n 2^-q sum_l
     # a_l |rho|^l at q = bits + _GUARD + 64.  At n = 200 the oracle runs on
-    # every 8th grid point and the last one, which keeps the test to seconds.
+    # every 8th grid point and the last one, so the kernel, not the oracle,
+    # sets the test's time.
     picks = range(n) if n <= 64 else sorted({*range(0, n, 8), n - 1})
     p, q = bits + _GUARD, bits + _GUARD + 64
     for k in range(1, 6):
