@@ -13,9 +13,10 @@ and the spectral sandwich
 
 Eigenvalues live on the grid rho_m = r^(1/n) * omega^m (principal root,
 omega = exp(2 pi i / n)); the direct path evaluates the generator polynomial
-by Horner, the closed path uses a rational expression in rho_m with three
-degenerate branches when rho_m collides with a reciprocal characteristic
-root.  Everything high-precision runs under mpmath workprec; everything
+by Horner on a fixed-point grid built from one root and one omega, the
+closed path uses a rational expression in rho_m with three degenerate
+branches when rho_m collides with a reciprocal characteristic root.
+Everything high-precision runs under mpmath workprec; everything
 double-precision runs on numpy.
 """
 
@@ -28,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 import mpmath
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .circulant import abs_sq, build_pell_complex, is_exact
 from .errors import DegenerateCase, ZeroR
@@ -144,7 +145,9 @@ def _to_fixed(z, frac_bits: int) -> tuple[int, int]:
 def _from_fixed(x: int, y: int, frac_bits: int) -> mpc:
     """(x + i y) 2^-frac_bits as an mpc, each part rounded once to the
     working precision."""
-    return mpc(mpf((x, -frac_bits)), mpf((y, -frac_bits)))
+    prec = mp.prec
+    return mp.make_mpc((from_man_exp(x, -frac_bits, prec, round_nearest),
+                        from_man_exp(y, -frac_bits, prec, round_nearest)))
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +173,13 @@ class EigenSpectrum:
     branches: tuple
 
 
-def _require_nonzero_r(r):
+def _check_grid(n: int, r, precision_bits: int) -> None:
+    check_int(n, 2, "matrix order n")
+    check_bits(precision_bits)
     if r == 0:
         raise ZeroR("r must be nonzero")
+    if not mpmath.isfinite(r):
+        raise ValueError(f"r must be finite, got {r!r}")
 
 
 def _r_to_mp(r):
@@ -182,18 +189,58 @@ def _r_to_mp(r):
     return mpmath.mpmathify(r)
 
 
+def _principal_root(n: int, r_mp) -> mpc:
+    """The principal n-th root of r_mp at the working precision."""
+    if isinstance(r_mp, mpf) and r_mp > 0:
+        return mpc(r_mp ** (mpf(1) / n))
+    return mpmath.exp(mpmath.log(mpc(r_mp)) / n)
+
+
 def eigen_grid(n: int, r, precision_bits: int = 256) -> EigenGrid:
-    check_int(n, 2, "matrix order n")
-    check_bits(precision_bits)
-    _require_nonzero_r(r)
+    """The grid at bits + _GUARD bits, each rho_m from its own expjpi.
+    eigenvalues_closed and determinant_closed evaluate on it, so the eig and
+    det reports depend on these exact bytes."""
+    _check_grid(n, r, precision_bits)
     with mp.workprec(precision_bits + _GUARD):
-        r_mp = _r_to_mp(r)
-        if isinstance(r_mp, mpf) and r_mp > 0:
-            root = mpc(r_mp ** (mpf(1) / n))
-        else:
-            root = mpmath.exp(mpmath.log(mpc(r_mp)) / n)
+        root = _principal_root(n, _r_to_mp(r))
         rhos = tuple(root * mpmath.expjpi(mpf(2 * m) / n) for m in range(n))
     return EigenGrid(n=n, r=r, precision_bits=precision_bits, root=root, rhos=rhos)
+
+
+def _fixed_grid(n: int, r, precision_bits: int) -> tuple[int, mpc, list]:
+    """(F, root, points): the n-th roots of r as Gaussian integers scaled by
+    2^F, F = bits + _GUARD + 8 + max(0, 3 - mag(root)), with root the
+    principal n-th root of r.
+
+    mpmath computes root and omega = exp(2 pi i / n) once each, exact to
+    2^-G in absolute terms, G = F + bit_length(n) + 4 + max(0, mag(root));
+    the root's working precision also covers the factor |log(r) / n| by
+    which exp(log(r) / n) magnifies rounding.  The points are
+    rho_{m+1} = rho_m * omega, n - 1 products on integers scaled by 2^G,
+    each shifted down to F bits.
+
+    Error: each point lies within 2^(1-F) of the exact rho_m.  The G-bit
+    products drift by less than 5 n max(1, |root|) 2^-G <= 2^-(F+1) over
+    the grid, and the shift to F bits adds less than sqrt(2) 2^-F.
+    """
+    mag_r = mpmath.mag(r)
+    top = -(-mag_r // n) + 2  # >= mag(root)
+    spread = ((abs(mag_r) + 5) // n + 2).bit_length() + 3  # 2^spread > 8 (|log(r) / n| + 1)
+    with mp.workprec(precision_bits + _GUARD + 12 + n.bit_length()
+                     + max(3, top) + max(0, top) + spread):
+        root = _principal_root(n, _r_to_mp(r))
+    size = mpmath.mag(root)
+    frac = precision_bits + _GUARD + 8 + max(0, 3 - size)
+    guard = frac + n.bit_length() + 4 + max(0, size)
+    with mp.workprec(guard + 4):
+        wx, wy = _to_fixed(mpmath.expjpi(mpf(2) / n), guard)
+    x, y = _to_fixed(root, guard)
+    points = [(x, y)]
+    for _ in range(n - 1):
+        x, y = (x * wx - y * wy) >> guard, (x * wy + y * wx) >> guard
+        points.append((x, y))
+    shift = guard - frac
+    return frac, root, [(x >> shift, y >> shift) for x, y in points]
 
 
 def _horner_mpc(k: int, n: int, rhos) -> list:
@@ -212,28 +259,27 @@ def _horner_mpc(k: int, n: int, rhos) -> list:
 
 def eigenvalues_direct(k: int, n: int, r, precision_bits: int = 256) -> EigenSpectrum:
     """lambda_m as the generator polynomial evaluated at rho_m by Horner,
-    on Gaussian integers scaled by 2^F (see _to_fixed), with
-    F = bits + _GUARD + 8 + max(0, 3 - mag(rho)); the extra bits for small
-    |rho| keep the relative error of each converted rho_m below
+    on Gaussian integers scaled by 2^F (see _to_fixed), at the points of
+    _fixed_grid.  F = bits + _GUARD + 8 + max(0, 3 - mag(rho)); the extra
+    bits for small |rho| keep the relative error of each point below
     2^-(bits + _GUARD + 8).  Each lambda is rounded once to bits + _GUARD
-    bits.
+    bits, and so are the points and root that make up the returned grid.
 
-    Error bound: with a_l the generator row and lambda~_m the kernel's
-    value before that rounding,
+    Error bound: with a_l the generator row, rho_m the exact n-th roots of r
+    and lambda~_m the kernel's value before that rounding,
 
         |lambda~_m - Psi(rho_m)| <= 2^(1-F) * (sum_{j<n-1} |rho|^j + sum_l l a_l |rho|^(l-1)).
 
     The first sum carries the floor of each Horner product, the second the
-    conversion of rho_m.
+    error of each point, which is below 2^(1-F) (see _fixed_grid).
     """
     check_k(k)
-    grid = eigen_grid(n, r, precision_bits)
+    _check_grid(n, r, precision_bits)
+    frac, root, points = _fixed_grid(n, r, precision_bits)
+    top, *rest = [a << frac for a in reversed(terms_upto(k, n - 1))]
+    lams = []
     with mp.workprec(precision_bits + _GUARD):
-        frac = precision_bits + _GUARD + 8 + max(0, 3 - mpmath.mag(grid.root))
-        top, *rest = [a << frac for a in reversed(terms_upto(k, n - 1))]
-        lams = []
-        for rho in grid.rhos:
-            x, y = _to_fixed(rho, frac)
+        for x, y in points:
             s, d = x + y, y - x
             ax, ay = top, 0
             for a in rest:
@@ -241,6 +287,8 @@ def eigenvalues_direct(k: int, n: int, r, precision_bits: int = 256) -> EigenSpe
                 t = x * (ax + ay)
                 ax, ay = ((t - ay * s) >> frac) + a, (t + ax * d) >> frac
             lams.append(_from_fixed(ax, ay, frac))
+        grid = EigenGrid(n=n, r=r, precision_bits=precision_bits, root=+root,
+                         rhos=tuple(_from_fixed(x, y, frac) for x, y in points))
     return EigenSpectrum(k=k, grid=grid, lambdas=tuple(lams), branches=("direct",) * n)
 
 
@@ -310,8 +358,8 @@ def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum | None = None
     final square root and quotient.
 
     Error bound: for the given rho_m and lambda_m (|r / rho_m^n - 1| <= 1,
-    which every grid from eigen_grid meets), A = sum_l a_l and res_m the
-    exact residual,
+    which every grid from eigen_grid and the grid of every spectrum from
+    eigenvalues_direct meet), A = sum_l a_l and res_m the exact residual,
 
         |returned_m - res_m| <= 2^(4-F) * n * (max(1, |r|) * A / ||M||_F + res_m).
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pelltrib import circulant, invertibility, sequence, spectral, sums
+from pelltrib.errors import ZeroR
 
 # (entry point, smallest accepted n, name in the message)
 ENTRY_POINTS = {
@@ -13,6 +14,7 @@ ENTRY_POINTS = {
     "s1_closed": (lambda n: sums.s1_closed(1, n), 0, "n"),
     "frobenius_sq_closed": (lambda n: spectral.frobenius_sq_closed(1, n, 2), 2, "matrix order n"),
     "eigenvalues_closed": (lambda n: spectral.eigenvalues_closed(1, n, 2, 64), 3, "matrix order n"),
+    "eigenvalues_direct": (lambda n: spectral.eigenvalues_direct(1, n, 2, 64), 2, "matrix order n"),
     "det_exact": (lambda n: circulant.det_exact(1, n, Fraction(3, 7)), 2, "matrix order n"),
     "generator_poly": (lambda n: circulant.generator_poly(1, n), 1, "matrix order n"),
     "counterexample_scan": (lambda n: invertibility.counterexample_scan([1], [n]), 2,
@@ -34,3 +36,20 @@ def test_check_int_returns_the_value():
     assert sequence.check_int(5, 5, "n") == 5
     with pytest.raises(ValueError, match=r"^k must be an integer >= 1, got True$"):
         sequence.check_k(True)
+
+
+def test_eigenvalues_direct_rejects_zero_r_and_bad_bits():
+    with pytest.raises(ZeroR):
+        spectral.eigenvalues_direct(1, 4, 0)
+    with pytest.raises(ValueError) as want:
+        sequence.check_bits(63)
+    with pytest.raises(ValueError) as info:
+        spectral.eigenvalues_direct(1, 4, 2, 63)
+    assert str(info.value) == str(want.value)
+
+
+@pytest.mark.parametrize("r", [float("inf"), float("nan"), complex(1, float("inf"))])
+def test_grids_reject_non_finite_r(r):
+    for call in (spectral.eigen_grid, lambda n, r: spectral.eigenvalues_direct(1, n, r)):
+        with pytest.raises(ValueError, match=r"^r must be finite, got "):
+            call(4, r)

@@ -297,6 +297,26 @@ def test_eigenpair_residuals_see_a_perturbed_lambda():
             assert abs(g - w) <= w / 100, (k, n, r, g, w)
 
 
+GRID_R = (1, -1, 2, Fraction(3, 7), 10**40, mpf("1e-300"), 1j, 2 - 3j)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 21, 64, 200, 1000])
+@pytest.mark.parametrize("bits", [64, 512])
+def test_fixed_grid_within_stated_error_of_exact_roots(bits, n):
+    # every point of the direct kernel's grid lies within 2^(1-F) of the
+    # exact n-th root of r, taken as eigen_grid at bits + 160, with
+    # F = bits + _GUARD + 8 + max(0, 3 - mag(root)).  Without the
+    # bit_length(n) guard bits the drift of the n - 1 products breaks this.
+    for r in GRID_R:
+        frac, root, points = sp._fixed_grid(n, r, bits)
+        exact = sp.eigen_grid(n, r, bits + 160)
+        assert frac == bits + _GUARD + 8 + max(0, 3 - mpmath.mag(exact.root)), r
+        with mp.workprec(bits + _GUARD + 160):
+            tol = mpf(2) ** (1 - frac)
+            for m, ((x, y), rho) in enumerate(zip(points, exact.rhos)):
+                assert abs(sp._from_fixed(x, y, frac) - rho) <= tol, (r, m)
+
+
 DIRECT_R = (1, -1, 2, Fraction(-3, 2), Fraction(3, 7), 10**40, mpf("1e-300"), 1j, 2 - 3j)
 
 
@@ -306,20 +326,22 @@ def test_eigenvalues_direct_within_stated_bound_of_mpc_horner(bits, n):
     # the kernel's bound 2^(1-F) (sum_{j<n-1} |rho|^j + sum_l l a_l |rho|^(l-1)),
     # F = bits + _GUARD + 8 + max(0, 3 - mag(rho)), plus the final rounding
     # to bits + _GUARD bits and the oracle's own Horner error 8 n 2^-q sum_l
-    # a_l |rho|^l at q = bits + _GUARD + 64.  At n = 200 the oracle runs on
-    # every 8th grid point and the last one, so the kernel, not the oracle,
-    # sets the test's time.
+    # a_l |rho|^l at q = bits + _GUARD + 64.  The oracle evaluates at the
+    # exact n-th roots of r, taken as eigen_grid at bits + 160.  At n = 200
+    # it runs on every 8th grid point and the last one, so the kernel, not
+    # the oracle, sets the test's time.
     picks = range(n) if n <= 64 else sorted({*range(0, n, 8), n - 1})
     p, q = bits + _GUARD, bits + _GUARD + 64
-    for k in range(1, 6):
-        terms = terms_upto(k, n - 1)
-        for r in DIRECT_R:
+    for r in DIRECT_R:
+        exact = sp.eigen_grid(n, r, bits + 160)
+        rhos = [exact.rhos[m] for m in picks]
+        for k in range(1, 6):
+            terms = terms_upto(k, n - 1)
             spectrum = sp.eigenvalues_direct(k, n, r, bits)
-            rhos = [spectrum.grid.rhos[m] for m in picks]
             with mp.workprec(q):
                 want = sp._horner_mpc(k, n, rhos)
-                size = max(abs(rho) for rho in spectrum.grid.rhos)
-                frac = p + 8 + max(0, 3 - mpmath.mag(spectrum.grid.root))
+                size = max(abs(rho) for rho in exact.rhos)
+                frac = p + 8 + max(0, 3 - mpmath.mag(exact.root))
                 kernel = mpf(2) ** (1 - frac) * (
                     sum(size**j for j in range(n - 1))
                     + sum(l * a * size ** (l - 1) for l, a in enumerate(terms)))
