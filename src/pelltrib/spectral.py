@@ -226,6 +226,7 @@ def _fixed_grid(n: int, r, precision_bits: int) -> tuple[int, mpc, list]:
     mag_r = mpmath.mag(r)
     top = -(-mag_r // n) + 2  # >= mag(root)
     spread = ((abs(mag_r) + 5) // n + 2).bit_length() + 3  # 2^spread > 8 (|log(r) / n| + 1)
+    # G + mag(root) grows with mag(root), so top bounds it from above
     with mp.workprec(precision_bits + _GUARD + 12 + n.bit_length()
                      + max(3, top) + max(0, top) + spread):
         root = _principal_root(n, _r_to_mp(r))

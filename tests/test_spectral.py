@@ -297,7 +297,7 @@ def test_eigenpair_residuals_see_a_perturbed_lambda():
             assert abs(g - w) <= w / 100, (k, n, r, g, w)
 
 
-GRID_R = (1, -1, 2, Fraction(3, 7), 10**40, mpf("1e-300"), 1j, 2 - 3j)
+DIRECT_R = (1, -1, 2, Fraction(-3, 2), Fraction(3, 7), 10**40, mpf("1e-300"), 1j, 2 - 3j)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 21, 64, 200, 1000])
@@ -307,7 +307,7 @@ def test_fixed_grid_within_stated_error_of_exact_roots(bits, n):
     # exact n-th root of r, taken as eigen_grid at bits + 160, with
     # F = bits + _GUARD + 8 + max(0, 3 - mag(root)).  Without the
     # bit_length(n) guard bits the drift of the n - 1 products breaks this.
-    for r in GRID_R:
+    for r in DIRECT_R:
         frac, root, points = sp._fixed_grid(n, r, bits)
         exact = sp.eigen_grid(n, r, bits + 160)
         assert frac == bits + _GUARD + 8 + max(0, 3 - mpmath.mag(exact.root)), r
@@ -315,9 +315,6 @@ def test_fixed_grid_within_stated_error_of_exact_roots(bits, n):
             tol = mpf(2) ** (1 - frac)
             for m, ((x, y), rho) in enumerate(zip(points, exact.rhos)):
                 assert abs(sp._from_fixed(x, y, frac) - rho) <= tol, (r, m)
-
-
-DIRECT_R = (1, -1, 2, Fraction(-3, 2), Fraction(3, 7), 10**40, mpf("1e-300"), 1j, 2 - 3j)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 21, 64, 200])
