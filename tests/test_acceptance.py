@@ -5,6 +5,7 @@ verdicts survive pytest's capture, then asserts.  Tolerances are stated
 inline; none are loosened relative to the module contracts.
 """
 
+import hashlib
 import sys
 import time
 from fractions import Fraction
@@ -213,6 +214,11 @@ def test_criterion_08_polynomial_and_shift_identities(capsys):
             f"shift checks, {elapsed:.0f} s")
 
 
+# sha256 of the newline-joined ScanCell reprs of the 512-bit scan over
+# k 1..10, n 2..30, sign +1 then -1
+SCAN_DIGEST = "a99170c0b7205209fa4a921582e5591b73517a661c32923f16105c44a001fc8b"
+
+
 def test_criterion_09_invertibility(capsys):
     start = time.perf_counter()
     for k in range(1, 4):
@@ -225,9 +231,10 @@ def test_criterion_09_invertibility(capsys):
     for k in range(1, 11):
         for n in range(2, 31):
             for r in (1, -1):
-                min_mag, _ = inv.min_eigen_magnitude(k, n, r)
+                min_mag, _ = ref.min_eigen_magnitude(k, n, r)
                 assert min_mag > 0, (k, n, r)
     cells = {}
+    reprs = []
     for sign in (1, -1):
         scan = inv.counterexample_scan(range(1, 11), range(2, 31), sign=sign,
                                        precision_bits=512)
@@ -235,6 +242,10 @@ def test_criterion_09_invertibility(capsys):
         for cell in scan:
             assert cell.verdict in ("invertible", "singular", "undetermined")
             cells[(cell.k, cell.n, sign)] = cell.verdict
+        reprs += map(repr, scan)
+    # every field of all 580 cells, pinned byte for byte
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+    assert digest == SCAN_DIGEST, digest
     spotlight = {key: cells[key] for key in ((5, 28, 1), (5, 29, 1), (5, 30, 1))}
     elapsed = time.perf_counter() - start
     _report(capsys, 9, "invertibility criteria and scan", True,
