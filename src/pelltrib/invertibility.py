@@ -24,7 +24,9 @@ Three layers, strongest first:
 * counterexample_scan: probes the uncertified critical values r* cell by
   cell at high precision, deciding singularity twice over (quadratic-root
   phase alignment vs. smallest eigenvalue magnitude) and reporting
-  "undetermined" when the two routes disagree.
+  "undetermined" when the two routes disagree.  The eigenvalue moduli are
+  compared squared on the fixed-point kernel's integers, so a cell takes two
+  square roots, for the smallest and the largest, whatever n is.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from mpmath import mp, mpf
 from .circulant import Polynomial, _resultants, is_exact
 from .errors import PrecisionExhausted, ZeroR
 from .sequence import _GUARD, char_roots, check_bits, check_int, check_k, term
-from .spectral import _quadratic_roots, _r_to_mp, eigenvalues_direct
+from .spectral import _direct_fixed, _from_fixed, _quadratic_roots, _r_to_mp
 
 GUARANTEED_INVERTIBLE = "guaranteed_invertible"
 EXCLUDED_PARAMETER = "excluded_parameter"
@@ -150,15 +152,6 @@ def _theorem_verdict(k: int, n: int, r, precision_bits: int) -> InvertibilityVer
         return InvertibilityVerdict(status=GUARANTEED_INVERTIBLE, reason=away)
 
 
-def min_eigen_magnitude(k: int, n: int, r, precision_bits: int = 256) -> tuple[mpf, int]:
-    """Smallest |lambda_m| and its index on the eigenvalue grid."""
-    spectrum = eigenvalues_direct(k, n, r, precision_bits)
-    with mp.workprec(precision_bits + _GUARD):
-        mags = [abs(lam) for lam in spectrum.lambdas]
-    idx = min(range(len(mags)), key=mags.__getitem__)
-    return mags[idx], idx
-
-
 # ---------------------------------------------------------------------------
 # critical-value scan
 
@@ -175,6 +168,19 @@ class ScanCell:
     verdict: str
 
 
+def _modulus_extremes(k: int, n: int, r, precision_bits: int) -> tuple[mpf, int, mpf]:
+    """(smallest |lambda_m|, its index m, largest |lambda_m|) over the direct
+    eigenvalues.  The moduli are compared squared on the kernel's integers,
+    so only the two extremes are rounded to bits + _GUARD bits, as
+    eigenvalues_direct rounds every lambda, and take a square root."""
+    frac, _, _, values = _direct_fixed(k, n, r, precision_bits)
+    sq = [x * x + y * y for x, y in values]
+    lo = min(range(n), key=sq.__getitem__)
+    hi = max(range(n), key=sq.__getitem__)
+    with mp.workprec(precision_bits + _GUARD):
+        return abs(_from_fixed(*values[lo], frac)), lo, abs(_from_fixed(*values[hi], frac))
+
+
 def _scan_cell(k: int, n: int, sign: int, precision_bits: int) -> ScanCell:
     with mp.workprec(precision_bits + _GUARD):
         tol = mpf(2) ** (-precision_bits // 2)
@@ -182,10 +188,7 @@ def _scan_cell(k: int, n: int, sign: int, precision_bits: int) -> ScanCell:
         r1, r2 = _quadratic_roots(k, n, r_star)
         closed_res = min(abs(r1**n - r_star), abs(r2**n - r_star)) / abs(r_star)
         closed_singular = bool(closed_res <= tol)
-        mags = []
-        for lam in eigenvalues_direct(k, n, r_star, precision_bits).lambdas:
-            mags.append(abs(lam))
-        min_mag, max_mag = min(mags), max(mags)
+        min_mag, _, max_mag = _modulus_extremes(k, n, r_star, precision_bits)
         eigen_singular = bool(min_mag <= tol * max(mpf(1), max_mag))
         if closed_singular == eigen_singular:
             verdict = "singular" if closed_singular else "invertible"

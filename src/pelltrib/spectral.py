@@ -130,15 +130,16 @@ def norm_report(k: int, n: int, r) -> NormReport:
 # ---------------------------------------------------------------------------
 # fixed-point Gaussian-integer kernel
 #
-# eigenvalues_direct and eigenpair_residuals run on complex numbers held as
-# integer pairs scaled by 2^F.  _to_fixed rounds each part down, and every
-# product of two pairs is shifted back by F bits, which rounds down again,
-# so each conversion and each product errs by less than 2^-F per part and
-# sqrt(2) 2^-F in modulus; sums of pairs are exact.  _from_fixed rounds the
-# result once to the working precision.
+# eigenvalues_direct, eigenpair_residuals and the invertibility scan run on
+# complex numbers held as integer pairs scaled by 2^F, and all three take the
+# generator polynomial from _horner_fixed.  _to_fixed rounds each part down,
+# and every product of two pairs is shifted back by F bits, which rounds down
+# again, so each conversion and each product errs by less than 2^-F per part
+# and sqrt(2) 2^-F in modulus; sums of pairs are exact.  _from_fixed rounds
+# the result once to the working precision.
 
 def _to_fixed(z, frac_bits: int) -> tuple[int, int]:
-    """(re, im) of an mpc as integers scaled by 2^frac_bits, each rounded down."""
+    """(re, im) of an mpc or mpf as integers scaled by 2^frac_bits, each rounded down."""
     return to_fixed(z.real._mpf_, frac_bits), to_fixed(z.imag._mpf_, frac_bits)
 
 
@@ -148,6 +149,21 @@ def _from_fixed(x: int, y: int, frac_bits: int) -> mpc:
     prec = mp.prec
     return mp.make_mpc((from_man_exp(x, -frac_bits, prec, round_nearest),
                         from_man_exp(y, -frac_bits, prec, round_nearest)))
+
+
+def _horner_fixed(coeffs, x: int, y: int, frac: int) -> tuple[int, int]:
+    """The polynomial with coefficients coeffs (highest degree first, each
+    an integer scaled by 2^frac) at (x + i y) 2^-frac, by Horner with three
+    products per step; the value as an integer pair scaled by 2^frac.  Each
+    of the len(coeffs) - 1 products rounds down once (see above)."""
+    s, d = x + y, y - x
+    top, *rest = coeffs
+    ax, ay = top, 0
+    for a in rest:
+        # (ax + i ay)(x + i y) from three products
+        t = x * (ax + ay)
+        ax, ay = ((t - ay * s) >> frac) + a, (t + ax * d) >> frac
+    return ax, ay
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +274,25 @@ def _horner_mpc(k: int, n: int, rhos) -> list:
     return lams
 
 
+def _direct_fixed(k: int, n: int, r, precision_bits: int) -> tuple[int, mpc, list, list]:
+    """(F, root, points, values): the points of _fixed_grid and the order-n
+    generator polynomial at each of them by _horner_fixed, all as integer
+    pairs scaled by 2^F; see eigenvalues_direct for F and the error."""
+    check_k(k)
+    _check_grid(n, r, precision_bits)
+    frac, root, points = _fixed_grid(n, r, precision_bits)
+    coeffs = [a << frac for a in reversed(terms_upto(k, n - 1))]
+    return frac, root, points, [_horner_fixed(coeffs, x, y, frac) for x, y in points]
+
+
 def eigenvalues_direct(k: int, n: int, r, precision_bits: int = 256) -> EigenSpectrum:
     """lambda_m as the generator polynomial evaluated at rho_m by Horner,
-    on Gaussian integers scaled by 2^F (see _to_fixed), at the points of
-    _fixed_grid.  F = bits + _GUARD + 8 + max(0, 3 - mag(rho)); the extra
-    bits for small |rho| keep the relative error of each point below
-    2^-(bits + _GUARD + 8).  Each lambda is rounded once to bits + _GUARD
-    bits, and so are the points and root that make up the returned grid.
+    on Gaussian integers scaled by 2^F (see _to_fixed and _horner_fixed), at
+    the points of _fixed_grid.  F = bits + _GUARD + 8 + max(0, 3 - mag(rho));
+    the extra bits for small |rho| keep the relative error of each point
+    below 2^-(bits + _GUARD + 8).  Each lambda is rounded once to
+    bits + _GUARD bits, and so are the points and root that make up the
+    returned grid.
 
     Error bound: with a_l the generator row, rho_m the exact n-th roots of r
     and lambda~_m the kernel's value before that rounding,
@@ -274,23 +302,12 @@ def eigenvalues_direct(k: int, n: int, r, precision_bits: int = 256) -> EigenSpe
     The first sum carries the floor of each Horner product, the second the
     error of each point, which is below 2^(1-F) (see _fixed_grid).
     """
-    check_k(k)
-    _check_grid(n, r, precision_bits)
-    frac, root, points = _fixed_grid(n, r, precision_bits)
-    top, *rest = [a << frac for a in reversed(terms_upto(k, n - 1))]
-    lams = []
+    frac, root, points, values = _direct_fixed(k, n, r, precision_bits)
     with mp.workprec(precision_bits + _GUARD):
-        for x, y in points:
-            s, d = x + y, y - x
-            ax, ay = top, 0
-            for a in rest:
-                # (ax + i ay)(x + i y) from three products
-                t = x * (ax + ay)
-                ax, ay = ((t - ay * s) >> frac) + a, (t + ax * d) >> frac
-            lams.append(_from_fixed(ax, ay, frac))
+        lams = tuple(_from_fixed(x, y, frac) for x, y in values)
         grid = EigenGrid(n=n, r=r, precision_bits=precision_bits, root=+root,
                          rhos=tuple(_from_fixed(x, y, frac) for x, y in points))
-    return EigenSpectrum(k=k, grid=grid, lambdas=tuple(lams), branches=("direct",) * n)
+    return EigenSpectrum(k=k, grid=grid, lambdas=lams, branches=("direct",) * n)
 
 
 def _degenerate_lambda(mu, nu, xi, n):
@@ -346,27 +363,34 @@ def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum | None = None
                         precision_bits: int = 256) -> list:
     """Relative residuals ||M v_m - lambda_m v_m|| / (||M||_F ||v_m||), v_m = (rho_m^i).
 
-    With a_l the generator row, T = sum_l a_l rho^l and
-    tail_i = sum_{l >= n-i} a_l rho^l, row i of M v - lambda v is exactly
+    With a_l the generator row and T = sum_l a_l rho^l, row i of
+    M v - lambda v is exactly
 
-        rho^i * ((T - lambda) + (r / rho^n - 1) * tail_i),
+        e_i = rho^i (T - lambda) + (r - rho^n) h_i,   h_i = sum_{j<i} a_{n-i+j} rho^j,
 
-    so |rho|^(2i) weighs each row in both ||M v - lambda v||^2 and ||v||^2.
-    Powers, T, the tails and the rows run on Gaussian integers scaled by
-    2^F', F' = F + max(0, 3 - mag(r)) with F = bits + _GUARD + 8; the extra
-    bits for small |r| keep every power's relative error at most
-    2^(1.5-F) i.  mpmath does the one division r / rho^n per rho and the
-    final square root and quotient.
+    so e_0 = T - lambda and e_i = rho e_(i-1) + a_(n-i) (r - rho^n).  It all
+    runs on Gaussian integers scaled by 2^F', F' = F + max(0, 3 - mag(r))
+    with F = bits + _GUARD + 8; the extra bits for small |r| keep the
+    relative error of rho and of r below 2^(0.5-F).  T comes from
+    _horner_fixed, rho^n and ||v||^2 = sum_{i<n} |rho|^(2i) from one binary
+    powering, and the e_i are residual-sized, so each step of the recurrence
+    multiplies the F'-bit rho by small integers.  The square root and the
+    quotient by ||v|| are taken on integers too; mpmath divides once by
+    ||M||_F.
 
-    Error bound: for the given rho_m and lambda_m (|r / rho_m^n - 1| <= 1,
-    which every grid from eigen_grid and the grid of every spectrum from
-    eigenvalues_direct meet), A = sum_l a_l and res_m the exact residual,
+    Error bound: for rho_m with |rho_m^n / r - 1| <= 2^-16 (every grid from
+    eigen_grid and the grid of every spectrum from eigenvalues_direct meets
+    this), A = sum_l a_l and res_m the exact residual,
 
         |returned_m - res_m| <= 2^(4-F) * n * (max(1, |r|) * A / ||M||_F + res_m).
 
-    The first term is the kernel's absolute error in ||M v - lambda v||
-    relative to ||M||_F ||v||; the second is the relative error of the
-    weights |rho|^(2i).
+    The first term bounds the error in ||M v - lambda v|| relative to
+    ||M||_F ||v||.  Rounding rho moves v by n 2^(0.5-F) ||v||, and
+    ||M - T|| <= max(1, |r|) A, so that gives 2^(1.5-F) n; the floors of T,
+    lambda, r, rho^n (|d rho^n| < 2^(1.5-F') n max(1, |rho|)^(n-1)) and of
+    each step add less than 2^(2.7-F) n.  The second term is the relative
+    error of ||v||: n 2^(0.5-F) from the rounded rho, as much again from
+    (T - lambda) dv, and 3.5 n 2^-F from the floors of the powering.
     """
     if spectrum is None:
         spectrum = eigenvalues_direct(k, n, r, precision_bits)
@@ -376,33 +400,39 @@ def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum | None = None
         r_mp = _r_to_mp(r)
         frac = bits + _GUARD + 8 + max(0, 3 - mpmath.mag(r_mp))
         fro = mpmath.sqrt(mpmath.mpmathify(frobenius_sq_closed(k, n, abs(r_mp))))
+        coeffs = [a << frac for a in reversed(terms)]
+        wrapped = terms[:0:-1]  # a_(n-i) for rows i = 1 .. n-1
+        rx, ry = _to_fixed(r_mp, frac)
+        one = 1 << frac
+        bits_n = bin(n)[3:]
+        prec = mp.prec
         out = []
         for rho, lam in zip(spectrum.grid.rhos, spectrum.lambdas):
             x, y = _to_fixed(rho, frac)
-            powers = []
-            px, py, tx, ty = 1 << frac, 0, 0, 0
-            for a in terms:
-                powers.append((px, py))
-                tx += a * px
-                ty += a * py
-                px, py = (px * x - py * y) >> frac, (px * y + py * x) >> frac
-            # (px, py) is now rho^n, (tx, ty) is T; c = r / rho^n - 1, d = T - lambda
-            cx, cy = _to_fixed(r_mp / _from_fixed(px, py, frac) - 1, frac)
+            s, d = x + y, y - x
+            # rho^m and w = sum_{i<m} |rho|^(2i) by binary powering up to m = n
+            q = (x * x + y * y) >> frac
+            px, py, w = x, y, one
+            for bit in bits_n:
+                w += (w * ((px * px + py * py) >> frac)) >> frac
+                px, py = (px * px - py * py) >> frac, (2 * px * py) >> frac
+                if bit == "1":
+                    w = one + ((w * q) >> frac)
+                    t = x * (px + py)
+                    px, py = (t - py * s) >> frac, (t + px * d) >> frac
+            cx, cy = rx - px, ry - py
+            tx, ty = _horner_fixed(coeffs, x, y, frac)
             lx, ly = _to_fixed(lam, frac)
-            dx, dy = tx - lx, ty - ly
-            err_sq = v_sq = ux = uy = 0  # (ux, uy) is tail_i
-            for i, (vx, vy) in enumerate(powers):
-                if i:
-                    a = terms[n - i]
-                    qx, qy = powers[n - i]
-                    ux += a * qx
-                    uy += a * qy
-                ex = dx + ((cx * ux - cy * uy) >> frac)
-                ey = dy + ((cx * uy + cy * ux) >> frac)
-                weight = vx * vx + vy * vy
-                v_sq += weight
-                err_sq += weight * (ex * ex + ey * ey)
-            out.append(mpmath.sqrt(mpf((err_sq, -2 * frac)) / v_sq) / fro)
+            ex, ey = tx - lx, ty - ly
+            err_sq = ex * ex + ey * ey
+            for a in wrapped:
+                t = x * (ex + ey)
+                ex, ey = ((t - ey * s) >> frac) + a * cx, ((t + ex * d) >> frac) + a * cy
+                err_sq += ex * ex + ey * ey
+            # sqrt(err_sq 2^-frac / w) to about prec + 8 bits, on integers
+            shift = max(0, 2 * prec + 16 + w.bit_length() - err_sq.bit_length())
+            shift += (shift + frac) & 1
+            out.append(mpf((math.isqrt((err_sq << shift) // w), -(frac + shift) // 2)) / fro)
     return out
 
 

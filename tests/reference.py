@@ -3,7 +3,8 @@
 Literal dense operations and entrywise norms of a square numpy array, such
 as the object array circulant.build returns, and the Binet form of the
 sequence terms from the characteristic roots: slow, obvious oracles for the
-closed forms in the package.
+closed forms in the package.  Also the smallest eigenvalue modulus, which
+only the tests read.
 """
 
 import math
@@ -13,6 +14,7 @@ from mpmath import mp, mpc, mpf
 
 from pelltrib.circulant import abs_sq
 from pelltrib.errors import DimensionMismatch
+from pelltrib.invertibility import _modulus_extremes
 from pelltrib.sequence import _GUARD, char_roots, check_int
 
 
@@ -59,3 +61,10 @@ def binet_term(k: int, n: int, precision_bits: int = 256) -> mpf:
             + roots.binet_c * roots.gamma**n
         )
         return mpf(value.real)
+
+
+def min_eigen_magnitude(k: int, n: int, r, precision_bits: int = 256) -> tuple[mpf, int]:
+    """Smallest |lambda_m| and its index m over the direct eigenvalues, from
+    the scan's comparison of squared moduli on the kernel's integers."""
+    min_mag, idx, _ = _modulus_extremes(k, n, r, precision_bits)
+    return min_mag, idx

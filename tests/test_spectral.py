@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -259,26 +260,27 @@ def _residuals_oracle(k, n, r, spectrum, extra_bits=0):
     return out
 
 
-RESIDUAL_R = (1, -1, 2, Fraction(-3, 2), Fraction(3, 7), 1j)
+RESIDUAL_R = (1, -1, 2, Fraction(-3, 2), Fraction(3, 7), 1j, 2 - 3j, 10**40, mpf("1e-300"))
 
 
 @pytest.mark.parametrize("bits", [64, 256])
 def test_eigenpair_residuals_within_stated_bound_of_oracle(bits):
-    # 2^(4-F) n (max(1,|r|) A / ||M||_F + res), F = bits + _GUARD + 8; the
-    # oracle runs 64 bits higher so its own rounding stays far below the bound
+    # 2^(4-F) n (max(1,|r|) A / ||M||_F + res), F = bits + _GUARD + 8, on
+    # direct and closed spectra; the oracle runs 64 bits higher so its own
+    # rounding stays far below the bound
     with mp.workprec(bits + _GUARD + 64):
         unit = mpf(2) ** (4 - (bits + _GUARD + 8))
-    for k in (1, 2, 3):
-        for n in (3, 5, 8, 13, 21):
-            for r in RESIDUAL_R:
-                spectrum = sp.eigenvalues_direct(k, n, r, bits)
-                got = sp.eigenpair_residuals(k, n, r, spectrum)
-                want = _residuals_oracle(k, n, r, spectrum, extra_bits=64)
-                with mp.workprec(bits + _GUARD + 64):
-                    fro = mpmath.sqrt(mpmath.mpmathify(sp.frobenius_sq_closed(k, n, abs(r))))
-                    scale = max(1, abs(sp._r_to_mp(r))) * sum(terms_upto(k, n - 1)) / fro
-                    for g, w in zip(got, want):
-                        assert abs(g - w) <= unit * n * (scale + w), (k, n, r, g, w)
+    for k, n, r, eigenvalues in itertools.product(
+            (1, 2, 3), (3, 5, 8, 13, 21), RESIDUAL_R,
+            (sp.eigenvalues_direct, sp.eigenvalues_closed)):
+        spectrum = eigenvalues(k, n, r, bits)
+        got = sp.eigenpair_residuals(k, n, r, spectrum)
+        want = _residuals_oracle(k, n, r, spectrum, extra_bits=64)
+        with mp.workprec(bits + _GUARD + 64):
+            fro = mpmath.sqrt(mpmath.mpmathify(sp.frobenius_sq_closed(k, n, abs(r))))
+            scale = max(1, abs(sp._r_to_mp(r))) * sum(terms_upto(k, n - 1)) / fro
+            for g, w in zip(got, want):
+                assert abs(g - w) <= unit * n * (scale + w), (k, n, r, eigenvalues, g, w)
 
 
 def test_eigenpair_residuals_see_a_perturbed_lambda():
