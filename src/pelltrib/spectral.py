@@ -385,12 +385,13 @@ def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum | None = None
         |returned_m - res_m| <= 2^(4-F) * n * (max(1, |r|) * A / ||M||_F + res_m).
 
     The first term bounds the error in ||M v - lambda v|| relative to
-    ||M||_F ||v||.  Rounding rho moves v by n 2^(0.5-F) ||v||, and
-    ||M - T|| <= max(1, |r|) A, so that gives 2^(1.5-F) n; the floors of T,
-    lambda, r, rho^n (|d rho^n| < 2^(1.5-F') n max(1, |rho|)^(n-1)) and of
-    each step add less than 2^(2.7-F) n.  The second term is the relative
-    error of ||v||: n 2^(0.5-F) from the rounded rho, as much again from
-    (T - lambda) dv, and 3.5 n 2^-F from the floors of the powering.
+    ||M||_F ||v||, in units of max(1, |r|) A / ||M||_F.  Rounding rho moves
+    v by n 2^(0.5-F) ||v||, and ||M - T|| <= 2 max(1, |r|) A, which gives
+    2^(1.5-F) n; the floors of T, lambda, r, rho^n
+    (|d rho^n| < 2^(1.5-F') n max(1, |rho|)^(n-1)) and of each step add less
+    than 2^(2.7-F) n.  The second term is the relative error of ||v||:
+    n 2^(0.5-F) from the rounded rho, as much again from (T - lambda) dv,
+    and 3.5 n 2^-F from the floors of the powering.
     """
     if spectrum is None:
         spectrum = eigenvalues_direct(k, n, r, precision_bits)
