@@ -10,8 +10,8 @@ multiplied by r.  r = 1 is the ordinary circulant, r = -1 the skew
 circulant, r = 0 an upper-triangular band.
 
 Entries may be exact (int, Fraction) or inexact (float, complex, mpmath
-scalars).  The exact routines (determinant, shift-identity check) refuse
-inexact r instead of quietly degrading.
+scalars).  The exact determinant refuses inexact r instead of quietly
+degrading.
 
 The exact determinant of the sequence matrix never builds the matrix: it is
 the resultant Res(x^n - r, f) of the generator polynomial f, which the
@@ -22,14 +22,13 @@ products (see _resultants).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from mpmath import mpc
 
-from .sequence import check_int, check_k, term, terms_upto
+from .sequence import check_int, check_k, terms_upto
 
 EXACT_TYPES = (int, Fraction)
 
@@ -121,7 +120,8 @@ def _resultants(k: int, n: int, r) -> tuple[int, int, int]:
 
     psi = 1 - 2k x - k x^2 - x^3 and T = x - r P(n) - r (k P(n-1) + P(n-2)) x
     - r P(n-1) x^2.  psi times the generator polynomial f telescopes to
-    T mod (x^n - r) (see psi_times_Psi), so det Circ_r = Res(x^n - r, f)
+    T mod (x^n - r) (tests/reference.py checks it coefficient by
+    coefficient, psi_times_Psi), so det Circ_r = Res(x^n - r, f)
     = Res(x^n - r, T) / Res(x^n - r, psi).
 
     With q T = a0 + a1 x + a2 x^2 and U_n = X^n + Y^n for the roots X, Y of
@@ -236,58 +236,8 @@ def generator_poly(k: int, n: int) -> Polynomial:
     return Polynomial.of(terms_upto(k, n - 1))
 
 
-def psi_times_Psi(k: int, n: int) -> Polynomial:
-    """Exact product of the reciprocal characteristic polynomial
-    (1 - 2k x - k x^2 - x^3) with the generator polynomial of order n.
-
-    The product telescopes: every interior coefficient cancels, leaving
-    x - P(n) x^n - (k P(n-1) + P(n-2)) x^{n+1} - P(n-1) x^{n+2}.
-    """
-    check_int(n, 3, "matrix order n")
-    psi = Polynomial.of((1, -2 * k, -k, -1))
-    return psi * generator_poly(k, n)
-
-
-def telescoped_form(k: int, n: int) -> Polynomial:
-    """The four-term right-hand side that psi_times_Psi must equal."""
-    coeffs = [0] * (n + 3)
-    coeffs[1] = 1
-    coeffs[n] = -term(k, n)
-    coeffs[n + 1] = -(k * term(k, n - 1) + term(k, n - 2))
-    coeffs[n + 2] = -term(k, n - 1)
-    return Polynomial.of(coeffs)
-
-
 # ---------------------------------------------------------------------------
-# shift identity
-
-def _as_int_matrix(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """Clear a common denominator; returns (int array, scale) with m = array/scale."""
-    lcm = math.lcm(*(Fraction(e).denominator for e in m.flat))
-    return np.vectorize(lambda e: int(e * lcm), otypes=[object])(m), lcm
-
-
-def shift_identity_check(k: int, n: int, r) -> bool:
-    """Verify that the companion-style circulant Circ_r(1, -2k, -k, -1, 0...)
-    times the sequence circulant collapses to a three-term circulant:
-    Circ_r(-r P(n), 1 - r k P(n-1) - r P(n-2), -r P(n-1), 0, ...).
-
-    Exact computation; r must be an int or Fraction.
-    """
-    check_k(k)
-    check_int(n, 4, "matrix order n")
-    if not is_exact(r):
-        raise ValueError("shift_identity_check requires exact rational r")
-    shift_gen = (1, -2 * k, -k, -1) + (0,) * (n - 4)
-    pn, pn1, pn2 = term(k, n), term(k, n - 1), term(k, n - 2)
-    rhs_gen = (-r * pn, 1 - r * k * pn1 - r * pn2, -r * pn1) + (0,) * (n - 3)
-    # integer products are far cheaper than Fraction ones
-    a, a_scale = _as_int_matrix(build(r, shift_gen))
-    b, b_scale = _as_int_matrix(build_pell(k, n, r))
-    rhs, rhs_scale = _as_int_matrix(build(r, rhs_gen))
-    # (a @ b) / (a_scale b_scale) must equal rhs / rhs_scale
-    return bool(np.array_equal(rhs_scale * (a @ b), a_scale * b_scale * rhs))
-
+# double conversion
 
 def to_complex_list(m: np.ndarray) -> np.ndarray:
     """An object array (a matrix, or the doubled row of build_pell_complex)

@@ -24,20 +24,6 @@ import numpy as np
 from .errors import DimensionMismatch, ZeroR
 from .sequence import check_k, term
 
-# forward transform exponent sign; +1 matches rho_m = r^(1/n) e^(2*pi*i*m/n)
-FORWARD_SIGN = 1.0
-
-
-def dft_naive(x) -> np.ndarray:
-    """Literal O(n^2) forward DFT, kept as the permanent oracle."""
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.size
-    j = np.arange(n, dtype=np.int64)
-    # reduce j*m mod n in exact integers so exp never sees a large phase
-    phases = np.outer(j, j) % n
-    matrix = np.exp(FORWARD_SIGN * 2j * np.pi / n * phases)
-    return matrix @ x
-
 
 def fft(x) -> np.ndarray:
     """Forward DFT with the project-wide positive-exponent convention:

