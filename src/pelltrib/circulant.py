@@ -22,7 +22,6 @@ products (see _resultants).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -172,68 +171,6 @@ def det_exact(k: int, n: int, r) -> Fraction:
     if rem:
         raise ArithmeticError(f"resultant quotient is not integral at k={k}, n={n}, r={r}")
     return Fraction(scaled, q ** (n - 1))
-
-
-# ---------------------------------------------------------------------------
-# polynomials over exact scalars
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense polynomial, coefficients ascending, trailing zeros stripped."""
-
-    coeffs: tuple
-
-    @staticmethod
-    def of(coeffs) -> "Polynomial":
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return Polynomial(coeffs=tuple(coeffs))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero() or other.is_zero():
-            return Polynomial.of(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            for j, d in enumerate(other.coeffs):
-                out[i + j] += c * d
-        return Polynomial.of(out)
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        """Remainder of the division by a nonzero polynomial, over the rationals."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial remainder by the zero polynomial")
-        rem = [Fraction(c) for c in self.coeffs]
-        while len(rem) > other.degree:
-            # subtract (top / lead) x^shift other; its leading term cancels the popped top
-            factor = rem.pop() / other.coeffs[-1]
-            shift = len(rem) - other.degree
-            for i, c in enumerate(other.coeffs[:-1]):
-                rem[shift + i] -= factor * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Polynomial(coeffs=tuple(rem))
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-def generator_poly(k: int, n: int) -> Polynomial:
-    """Polynomial with the first n sequence terms as coefficients."""
-    check_k(k)
-    check_int(n, 1, "matrix order n")
-    return Polynomial.of(terms_upto(k, n - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -98,9 +98,6 @@ class BenchRow:
     mean_ns: float
     rel_err: float
 
-    def csv(self) -> str:
-        return f"{self.n},{self.path},{self.mean_ns:.1f},{self.rel_err:.3e}"
-
 
 def _mean_ns(fn, reps: int) -> float:
     start = time.perf_counter_ns()
@@ -139,6 +136,3 @@ def bench_matvec(n_list, k: int, r, reps_fast: int = 30, reps_dense: int = 5) ->
         rows.append(BenchRow(n=n, path="fast", mean_ns=fast_ns, rel_err=rel))
         rows.append(BenchRow(n=n, path="dense", mean_ns=dense_ns, rel_err=0.0))
     return rows
-
-
-CSV_HEADER = "n,path,mean_ns,rel_err"

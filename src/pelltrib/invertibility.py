@@ -9,7 +9,8 @@ Three layers, strongest first:
   gcd_criterion is the same decision for any exact generator: Circ_r(a) is
   invertible exactly when the generator polynomial is coprime to x^n - r
   (the eigenvalues are the generator polynomial's values on the n-th roots
-  of r); its Fraction Euclid costs O(n^2) and no report uses it.
+  of r).  Its Euclid runs on plain lists of Fraction coefficients, costs
+  O(n^2) and no report uses it; the benchmark's span tracer still names it.
 * sufficient_condition: the real-r sufficient theorem.  For r > 0 the
   guarantee excludes the reciprocal dominant root and the critical magnitude
   (P(n)/P(n-1))^(n/2); for r < 0 it excludes minus the critical magnitude.
@@ -24,23 +25,25 @@ Three layers, strongest first:
 * counterexample_scan: probes the uncertified critical values r* cell by
   cell at high precision, deciding singularity twice over (quadratic-root
   phase alignment vs. smallest eigenvalue magnitude) and reporting
-  "undetermined" when the two routes disagree.  The eigenvalue moduli are
-  compared squared on the fixed-point kernel's integers, so a cell takes two
-  square roots, for the smallest and the largest, whatever n is.
+  "undetermined" when the two routes disagree.  spectral._modulus_extremes
+  compares the eigenvalue moduli squared on the fixed-point kernel's
+  integers, so a cell takes two square roots, for the smallest and the
+  largest, whatever n is.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpf
 
-from .circulant import Polynomial, _resultants, is_exact
-from .errors import PrecisionExhausted, ZeroR
+from .circulant import _resultants, is_exact
+from .errors import ZeroR
 from .sequence import _GUARD, char_roots, check_bits, check_int, check_k, term
-from .spectral import _direct_fixed, _from_fixed, _quadratic_roots, _r_to_mp
+from .spectral import _modulus_extremes, _quadratic_roots, _r_to_mp
 
 GUARANTEED_INVERTIBLE = "guaranteed_invertible"
 EXCLUDED_PARAMETER = "excluded_parameter"
@@ -63,11 +66,19 @@ def invertible_exact(k: int, n: int, r) -> bool:
     return _resultants(k, n, r)[0] != 0
 
 
+def _strip(coeffs: list) -> list:
+    """coeffs without its trailing zeros, in place."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
 def gcd_criterion(entries, r) -> bool:
     """True iff Circ_r(entries) is invertible; exact rational arithmetic.
 
     Computes gcd(generator polynomial, x^n - r) by the Euclidean algorithm
-    over the rationals; invertible exactly when the gcd is a constant.
+    on lists of Fraction coefficients, lowest degree first with trailing
+    zeros stripped; invertible exactly when the gcd is a constant.
     """
     if r == 0:
         raise ZeroR("gcd criterion needs r != 0")
@@ -76,12 +87,19 @@ def gcd_criterion(entries, r) -> bool:
     n = len(entries)
     if n < 1:
         raise ValueError("generator must be nonempty")
-    a = Polynomial.of(entries)
-    b = Polynomial.of([-r] + [0] * (n - 1) + [1])
-    while not b.is_zero():
-        a, b = b, a % b
-    # a now holds the gcd; zero generator gives gcd = x^n - r (degree n).
-    return a.degree == 0
+    a = [Fraction(-r)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    b = _strip([Fraction(e) for e in entries])
+    while b:
+        # a mod b: cancel a's top term with a multiple of b until deg a < deg b
+        while len(a) >= len(b):
+            factor = a.pop() / b[-1]
+            shift = len(a) - len(b) + 1
+            for i, c in enumerate(b[:-1]):
+                a[shift + i] -= factor * c
+            _strip(a)
+        a, b = b, a
+    # a now holds the gcd; a zero generator leaves x^n - r (degree n).
+    return len(a) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -168,19 +186,6 @@ class ScanCell:
     verdict: str
 
 
-def _modulus_extremes(k: int, n: int, r, precision_bits: int) -> tuple[mpf, int, mpf]:
-    """(smallest |lambda_m|, its index m, largest |lambda_m|) over the direct
-    eigenvalues.  The moduli are compared squared on the kernel's integers,
-    so only the two extremes are rounded to bits + _GUARD bits, as
-    eigenvalues_direct rounds every lambda, and take a square root."""
-    frac, _, _, values = _direct_fixed(k, n, r, precision_bits)
-    sq = [x * x + y * y for x, y in values]
-    lo = min(range(n), key=sq.__getitem__)
-    hi = max(range(n), key=sq.__getitem__)
-    with mp.workprec(precision_bits + _GUARD):
-        return abs(_from_fixed(*values[lo], frac)), lo, abs(_from_fixed(*values[hi], frac))
-
-
 def _scan_cell(k: int, n: int, sign: int, precision_bits: int) -> ScanCell:
     with mp.workprec(precision_bits + _GUARD):
         tol = mpf(2) ** (-precision_bits // 2)
@@ -220,7 +225,7 @@ def counterexample_scan(k_values, n_values, sign: int = 1,
             check_int(n, 2, "matrix order n")
             try:
                 cells.append(_scan_cell(k, n, sign, precision_bits))
-            except (PrecisionExhausted, ArithmeticError):
+            except ArithmeticError:
                 cells.append(ScanCell(
                     k=k, n=n, sign=sign,
                     r_star_log10=float("nan"),

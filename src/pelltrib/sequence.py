@@ -88,9 +88,7 @@ class CubicRoots:
     """Roots of the characteristic cubic at a given binary precision.
 
     alpha is the dominant real root; beta and gamma are the remaining two,
-    stored as mpc even when real so downstream code is branch-free.  The
-    binet_* fields are the partial-fraction weights of the Binet form
-    P(n) = binet_a alpha^n + binet_b beta^n + binet_c gamma^n.
+    stored as mpc even when real so downstream code is branch-free.
     """
 
     k: int
@@ -98,9 +96,6 @@ class CubicRoots:
     alpha: mpf
     beta: mpc
     gamma: mpc
-    binet_a: mpc
-    binet_b: mpc
-    binet_c: mpc
 
     def all_roots(self) -> tuple:
         # alpha stays mpf: re-wrapping in mpc() here would round it to the
@@ -212,16 +207,4 @@ def char_roots(k: int, precision_bits: int = 256) -> CubicRoots:
                 raise PrecisionExhausted(
                     f"radical cross-check failed for k={k} at {precision_bits} bits"
                 )
-        binet_a = mpc(alpha) / ((alpha - beta) * (alpha - gamma))
-        binet_b = beta / ((beta - alpha) * (beta - gamma))
-        binet_c = gamma / ((gamma - alpha) * (gamma - beta))
-    return CubicRoots(
-        k=k,
-        precision_bits=precision_bits,
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        binet_a=binet_a,
-        binet_b=binet_b,
-        binet_c=binet_c,
-    )
+    return CubicRoots(k=k, precision_bits=precision_bits, alpha=alpha, beta=beta, gamma=gamma)

@@ -130,13 +130,14 @@ def norm_report(k: int, n: int, r) -> NormReport:
 # ---------------------------------------------------------------------------
 # fixed-point Gaussian-integer kernel
 #
-# eigenvalues_direct, eigenpair_residuals and the invertibility scan run on
-# complex numbers held as integer pairs scaled by 2^F, and all three take the
-# generator polynomial from _horner_fixed.  _to_fixed rounds each part down,
-# and every product of two pairs is shifted back by F bits, which rounds down
-# again, so each conversion and each product errs by less than 2^-F per part
-# and sqrt(2) 2^-F in modulus; sums of pairs are exact.  _from_fixed rounds
-# the result once to the working precision.
+# eigenvalues_direct, eigenpair_residuals and the invertibility scan (through
+# _modulus_extremes) run on complex numbers held as integer pairs scaled by
+# 2^F, and all three take the generator polynomial from _horner_fixed.  No
+# other module sees these pairs.  _to_fixed rounds each part down, and every
+# product of two pairs is shifted back by F bits, which rounds down again, so
+# each conversion and each product errs by less than 2^-F per part and
+# sqrt(2) 2^-F in modulus; sums of pairs are exact.  _from_fixed rounds the
+# result once to the working precision.
 
 def _to_fixed(z, frac_bits: int) -> tuple[int, int]:
     """(re, im) of an mpc or mpf as integers scaled by 2^frac_bits, each rounded down."""
@@ -342,6 +343,19 @@ def _direct_fixed(k: int, n: int, r, precision_bits: int) -> tuple[int, mpc, lis
     return frac, root, points, [_horner_fixed(coeffs, x, y, frac) for x, y in points]
 
 
+def _modulus_extremes(k: int, n: int, r, precision_bits: int) -> tuple[mpf, int, mpf]:
+    """(smallest |lambda_m|, its index m, largest |lambda_m|) over the direct
+    eigenvalues.  The moduli are compared squared on the kernel's integers,
+    so only the two extremes are rounded to bits + _GUARD bits, as
+    eigenvalues_direct rounds every lambda, and take a square root."""
+    frac, _, _, values = _direct_fixed(k, n, r, precision_bits)
+    sq = [x * x + y * y for x, y in values]
+    lo = min(range(n), key=sq.__getitem__)
+    hi = max(range(n), key=sq.__getitem__)
+    with mp.workprec(precision_bits + _GUARD):
+        return abs(_from_fixed(*values[lo], frac)), lo, abs(_from_fixed(*values[hi], frac))
+
+
 def eigenvalues_direct(k: int, n: int, r, precision_bits: int = 256) -> EigenSpectrum:
     """lambda_m as the generator polynomial evaluated at rho_m by Horner,
     on Gaussian integers scaled by 2^F (see _to_fixed and _horner_fixed), at
@@ -417,8 +431,11 @@ def eigenvalues_closed(k: int, n: int, r, precision_bits: int = 256) -> EigenSpe
 
 
 def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum | None = None,
-                        precision_bits: int = 256) -> list:
-    """Relative residuals ||M v_m - lambda_m v_m|| / (||M||_F ||v_m||), v_m = (rho_m^i).
+                        precision_bits: int | None = None) -> list:
+    """Relative residuals ||M v_m - lambda_m v_m|| / (||M||_F ||v_m||), v_m = (rho_m^i),
+    for the given spectrum or the direct one.  precision_bits defaults to
+    the spectrum's precision, or 256 without a spectrum; a value other than
+    the spectrum's raises ValueError.
 
     With a_l the generator row and T = sum_l a_l rho^l, row i of
     M v - lambda v is exactly
@@ -451,7 +468,10 @@ def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum | None = None
     and 3.5 n 2^-F from the floors of the powering.
     """
     if spectrum is None:
-        spectrum = eigenvalues_direct(k, n, r, precision_bits)
+        spectrum = eigenvalues_direct(k, n, r, 256 if precision_bits is None else precision_bits)
+    elif precision_bits not in (None, spectrum.grid.precision_bits):
+        raise ValueError(f"precision_bits {precision_bits!r} differs from the spectrum's"
+                         f" {spectrum.grid.precision_bits}")
     bits = spectrum.grid.precision_bits
     terms = terms_upto(k, n - 1)
     with mp.workprec(bits + _GUARD + 16):
@@ -507,7 +527,6 @@ class DetReport:
     det_oracle: mpc
     r1: mpc
     r2: mpc
-    used_generic_formula: bool
 
 
 def _quadratic_roots(k: int, n: int, r_mp) -> tuple[mpc, mpc]:
@@ -566,11 +585,8 @@ def determinant_closed(k: int, n: int, r, precision_bits: int = 256) -> DetRepor
         for lam in _horner_mpc(k, n, grid.rhos):
             oracle *= lam
         det_closed, r1, r2 = mpc(det), mpc(r1), mpc(r2)
-    return DetReport(
-        k=k, n=n, r=r, precision_bits=precision_bits,
-        det_closed=det_closed, det_oracle=oracle, r1=r1, r2=r2,
-        used_generic_formula=True,
-    )
+    return DetReport(k=k, n=n, r=r, precision_bits=precision_bits,
+                     det_closed=det_closed, det_oracle=oracle, r1=r1, r2=r2)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, mpc, mpf, mpmathify
 
-from pelltrib.circulant import Polynomial, abs_sq, build, build_pell, generator_poly, is_exact
+from pelltrib.circulant import abs_sq, build, build_pell, is_exact
 from pelltrib.errors import DimensionMismatch
-from pelltrib.invertibility import _modulus_extremes
 from pelltrib.sequence import _GUARD, char_roots, check_int, check_k, term, terms_upto
+from pelltrib.spectral import _modulus_extremes
 
 
 def matvec_dense(m: np.ndarray, x) -> list:
@@ -69,14 +69,13 @@ def binet_term(k: int, n: int, precision_bits: int = 256) -> mpf:
     """Closed-form n-th term from the three roots; agrees with term() to
     relative 2^(-precision_bits/4)."""
     check_int(n, 0, "n")
-    roots = char_roots(k, precision_bits)
+    alpha, beta, gamma = char_roots(k, precision_bits).all_roots()
     with mp.workprec(precision_bits + _GUARD):
-        value = (
-            roots.binet_a * mpc(roots.alpha) ** n
-            + roots.binet_b * roots.beta**n
-            + roots.binet_c * roots.gamma**n
-        )
-        return mpf(value.real)
+        # the partial-fraction weights of P(n) = w_a alpha^n + w_b beta^n + w_c gamma^n
+        w_a = mpc(alpha) / ((alpha - beta) * (alpha - gamma))
+        w_b = beta / ((beta - alpha) * (beta - gamma))
+        w_c = gamma / ((gamma - alpha) * (gamma - beta))
+        return mpf((w_a * mpc(alpha) ** n + w_b * beta**n + w_c * gamma**n).real)
 
 
 def min_eigen_magnitude(k: int, n: int, r, precision_bits: int = 256) -> tuple[mpf, int]:
@@ -100,26 +99,27 @@ def horner_mpc(k: int, n: int, rhos) -> list:
     return lams
 
 
-def psi_times_Psi(k: int, n: int) -> Polynomial:
-    """Exact product of the reciprocal characteristic polynomial
-    (1 - 2k x - k x^2 - x^3) with the generator polynomial of order n.
+def psi_times_Psi(k: int, n: int) -> tuple:
+    """Exact coefficients, lowest degree first, of the product of the
+    reciprocal characteristic polynomial (1 - 2k x - k x^2 - x^3) with the
+    generator polynomial of order n.
 
     The product telescopes: every interior coefficient cancels, leaving
     x - P(n) x^n - (k P(n-1) + P(n-2)) x^{n+1} - P(n-1) x^{n+2}.
     """
     check_int(n, 3, "matrix order n")
-    psi = Polynomial.of((1, -2 * k, -k, -1))
-    return psi * generator_poly(k, n)
+    psi = np.array((1, -2 * k, -k, -1), dtype=object)
+    return tuple(np.convolve(psi, np.array(terms_upto(k, n - 1), dtype=object)))
 
 
-def telescoped_form(k: int, n: int) -> Polynomial:
+def telescoped_form(k: int, n: int) -> tuple:
     """The four-term right-hand side that psi_times_Psi must equal."""
     coeffs = [0] * (n + 3)
     coeffs[1] = 1
     coeffs[n] = -term(k, n)
     coeffs[n + 1] = -(k * term(k, n - 1) + term(k, n - 2))
     coeffs[n + 2] = -term(k, n - 1)
-    return Polynomial.of(coeffs)
+    return tuple(coeffs)
 
 
 def _as_int_matrix(m: np.ndarray) -> tuple[np.ndarray, int]:

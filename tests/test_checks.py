@@ -16,7 +16,6 @@ ENTRY_POINTS = {
     "eigenvalues_closed": (lambda n: spectral.eigenvalues_closed(1, n, 2, 64), 3, "matrix order n"),
     "eigenvalues_direct": (lambda n: spectral.eigenvalues_direct(1, n, 2, 64), 2, "matrix order n"),
     "det_exact": (lambda n: circulant.det_exact(1, n, Fraction(3, 7)), 2, "matrix order n"),
-    "generator_poly": (lambda n: circulant.generator_poly(1, n), 1, "matrix order n"),
     "counterexample_scan": (lambda n: invertibility.counterexample_scan([1], [n]), 2,
                             "matrix order n"),
 }

@@ -211,7 +211,7 @@ def test_det_matches_sympy(n, rnum):
 
 def test_psi_product_small():
     p = ref.psi_times_Psi(1, 3)
-    assert p.coeffs == (0, 1, 0, -5, -3, -2)
+    assert p == (0, 1, 0, -5, -3, -2)
     assert p == ref.telescoped_form(1, 3)
 
 

@@ -223,6 +223,9 @@ def test_bench_csv_header(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "n,path,mean_ns,rel_err"
     assert len(lines) == 5
+    # one fast and one dense row per n; mean_ns as .1f, rel_err as .3e
+    for line, (n, path) in zip(lines[1:], [(4, "fast"), (4, "dense"), (8, "fast"), (8, "dense")]):
+        assert re.fullmatch(rf"{n},{path},\d+\.\d,\d\.\d{{3}}e[+-]\d\d", line), line
 
 
 def test_bench_r_outside_fast_range_exits_2(capsys):

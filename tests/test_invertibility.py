@@ -45,6 +45,19 @@ def test_gcd_agrees_with_exact_determinant(entries, r):
     assert inv.gcd_criterion(entries, r) == (det_dense(m) != 0)
 
 
+@settings(max_examples=120)
+@given(
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=7), min_size=1, max_size=5),
+    st.integers(min_value=0, max_value=2),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(lambda f: f != 0),
+)
+def test_gcd_agrees_with_exact_determinant_on_fraction_generators(head, zeros, r):
+    # trailing zeros drop the generator polynomial below degree n - 1
+    entries = tuple(head) + (Fraction(0),) * zeros
+    m = circ.build(r, entries)
+    assert inv.gcd_criterion(entries, r) == (det_dense(m) != 0)
+
+
 def test_gcd_agrees_with_det_on_pell_matrices():
     for k in (1, 2, 3):
         for n in (2, 4, 7):

@@ -228,6 +228,17 @@ def test_eigenpair_residuals_sample():
         assert max(res) <= bound
 
 
+def test_eigenpair_residuals_take_the_spectrums_precision():
+    spectrum = sp.eigenvalues_direct(1, 5, 2, 64)
+    at_64 = sp.eigenpair_residuals(1, 5, 2, spectrum)
+    assert sp.eigenpair_residuals(1, 5, 2, spectrum, precision_bits=64) == at_64
+    with pytest.raises(ValueError, match=r"^precision_bits 256 differs from the spectrum's 64$"):
+        sp.eigenpair_residuals(1, 5, 2, spectrum, precision_bits=256)
+    # without a spectrum the default is the direct one at 256 bits
+    assert sp.eigenpair_residuals(1, 5, 2) == sp.eigenpair_residuals(
+        1, 5, 2, sp.eigenvalues_direct(1, 5, 2, 256))
+
+
 def _residuals_oracle(k, n, r, spectrum, extra_bits=0):
     """The residual as mpc prefix and suffix sums of a_l rho^l, with the
     wrapped part divided by rho^n row by row, at bits + _GUARD + extra_bits."""
@@ -449,7 +460,6 @@ def test_det_closed_matches_exact(k, n, r, expect):
         assert abs(rep.det_closed - target) <= mpf("1e-20") * scale
         assert abs(rep.det_oracle - target) <= mpf("1e-20") * scale
         assert abs(rep.det_closed - rep.det_oracle) <= mpf("1e-20") * scale
-    assert rep.used_generic_formula
 
 
 def test_det_two_by_two_closed():
