@@ -28,7 +28,9 @@ Three layers, strongest first:
   "undetermined" when the two routes disagree.  spectral._modulus_extremes
   compares the eigenvalue moduli squared on the fixed-point kernel's
   integers, so a cell takes two square roots, for the smallest and the
-  largest, whatever n is.
+  largest, whatever n is.  r* is real, so the kernel evaluates about half
+  of the grid and mirrors the rest, and complex quadratic roots are an
+  exact conjugate pair: the closed residual takes one power per pair.
 """
 
 from __future__ import annotations
@@ -191,7 +193,9 @@ def _scan_cell(k: int, n: int, sign: int, precision_bits: int) -> ScanCell:
         tol = mpf(2) ** (-precision_bits // 2)
         r_star = sign * _critical_magnitude(k, n)
         r1, r2 = _quadratic_roots(k, n, r_star)
-        closed_res = min(abs(r1**n - r_star), abs(r2**n - r_star)) / abs(r_star)
+        # r* is real: complex roots are an exact conjugate pair, one |r^n - r*|
+        pair = (r1,) if r2 == r1.conjugate() else (r1, r2)
+        closed_res = min(abs(z**n - r_star) for z in pair) / abs(r_star)
         closed_singular = bool(closed_res <= tol)
         min_mag, _, max_mag = _modulus_extremes(k, n, r_star, precision_bits)
         eigen_singular = bool(min_mag <= tol * max(mpf(1), max_mag))

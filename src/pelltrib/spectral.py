@@ -224,6 +224,27 @@ def eigen_grid(n: int, r, precision_bits: int = 256) -> EigenGrid:
     return EigenGrid(n=n, r=r, precision_bits=precision_bits, root=root, rhos=rhos)
 
 
+def _conjugate_half(n: int, r) -> tuple[int, int]:
+    """(h, s): rho_0 .. rho_(h-1) are the grid points to compute, and
+    rho_m = conj rho_(s-m) for h <= m < n.
+
+    For real r (an int, Fraction, float or mpf) the n-th roots of r are
+    closed under conjugation: with r > 0, rho_m = |r|^(1/n) omega^m and
+    s = n, so h = floor(n/2) + 1; with r < 0, rho_m = |r|^(1/n)
+    exp((2m + 1) pi i / n) and s = n - 1, so h = ceil(n/2).  Complex-typed
+    r, even with a zero imaginary part, gives h = s = n: every point."""
+    if not isinstance(r, (int, Fraction, float, mpf)):
+        return n, n
+    s = n if r > 0 else n - 1
+    return s // 2 + 1, s
+
+
+def _conjugate_tail(head: list, n: int, s: int) -> list:
+    """head, a list of integer pairs for m < len(head), completed to n pairs
+    by pair m = conj pair (s - m); see _conjugate_half."""
+    return head + [(x, -y) for x, y in (head[s - m] for m in range(len(head), n))]
+
+
 def _fixed_grid(n: int, r, precision_bits: int) -> tuple[int, mpc, list]:
     """(F, root, points): the n-th roots of r as Gaussian integers scaled by
     2^F, F = bits + _GUARD + 8 + max(0, 3 - mag(root)), with root the
@@ -233,12 +254,16 @@ def _fixed_grid(n: int, r, precision_bits: int) -> tuple[int, mpc, list]:
     2^-G in absolute terms, G = F + bit_length(n) + 4 + max(0, mag(root));
     the root's working precision also covers the factor |log(r) / n| by
     which exp(log(r) / n) magnifies rounding.  The points are
-    rho_{m+1} = rho_m * omega, n - 1 products on integers scaled by 2^G,
-    each shifted down to F bits.
+    rho_{m+1} = rho_m * omega, products on integers scaled by 2^G, each
+    shifted down to F bits.  For real r only the head of _conjugate_half is
+    computed so, about n/2 points; the others are the exact conjugates of
+    their mirror points' integer pairs.
 
     Error: each point lies within 2^(1-F) of the exact rho_m.  The G-bit
     products drift by less than 5 n max(1, |root|) 2^-G <= 2^-(F+1) over
-    the grid, and the shift to F bits adds less than sqrt(2) 2^-F.
+    the grid, and the shift to F bits adds less than sqrt(2) 2^-F.  A
+    mirrored point errs by exactly as much as its mirror, because the
+    exact rho_m are conjugates of each other too.
     """
     mag_r = mpmath.mag(r)
     top = -(-mag_r // n) + 2  # >= mag(root)
@@ -253,12 +278,13 @@ def _fixed_grid(n: int, r, precision_bits: int) -> tuple[int, mpc, list]:
     with mp.workprec(guard + 4):
         wx, wy = _to_fixed(mpmath.expjpi(mpf(2) / n), guard)
     x, y = _to_fixed(root, guard)
+    head, s = _conjugate_half(n, r)
     points = [(x, y)]
-    for _ in range(n - 1):
+    for _ in range(head - 1):
         x, y = (x * wx - y * wy) >> guard, (x * wy + y * wx) >> guard
         points.append((x, y))
     shift = guard - frac
-    return frac, root, [(x >> shift, y >> shift) for x, y in points]
+    return frac, root, _conjugate_tail([(x >> shift, y >> shift) for x, y in points], n, s)
 
 
 def _add_round(sm: int, se: int, tm: int, te: int, prec: int) -> tuple[int, int]:
@@ -334,13 +360,17 @@ def _horner_mpc(k: int, n: int, rhos) -> list:
 
 def _direct_fixed(k: int, n: int, r, precision_bits: int) -> tuple[int, mpc, list, list]:
     """(F, root, points, values): the points of _fixed_grid and the order-n
-    generator polynomial at each of them by _horner_fixed, all as integer
-    pairs scaled by 2^F; see eigenvalues_direct for F and the error."""
+    generator polynomial at each of them, all as integer pairs scaled by
+    2^F; see eigenvalues_direct for F and the error.  _horner_fixed runs on
+    the head of _conjugate_half only, and for real r the other values are
+    conjugates, since the generator's coefficients are integers."""
     check_k(k)
     _check_grid(n, r, precision_bits)
     frac, root, points = _fixed_grid(n, r, precision_bits)
+    head, s = _conjugate_half(n, r)
     coeffs = [a << frac for a in reversed(terms_upto(k, n - 1))]
-    return frac, root, points, [_horner_fixed(coeffs, x, y, frac) for x, y in points]
+    values = [_horner_fixed(coeffs, x, y, frac) for x, y in points[:head]]
+    return frac, root, points, _conjugate_tail(values, n, s)
 
 
 def _modulus_extremes(k: int, n: int, r, precision_bits: int) -> tuple[mpf, int, mpf]:
@@ -372,6 +402,14 @@ def eigenvalues_direct(k: int, n: int, r, precision_bits: int = 256) -> EigenSpe
 
     The first sum carries the floor of each Horner product, the second the
     error of each point, which is below 2^(1-F) (see _fixed_grid).
+
+    For real r, Horner runs on the head of the grid only, about n/2 points
+    (_conjugate_half), and lambda~ at a mirrored point is the exact
+    conjugate of lambda~ at its mirror.  The a_l are real, so
+    Psi(conj rho) = conj Psi(rho) and |conj lambda~ - Psi(conj rho)| =
+    |lambda~ - Psi(rho)|: the bound holds at every point unchanged.  The
+    mirrored values can differ in their last bits from Horner run at the
+    mirrored point itself, whose floors round the other way.
     """
     frac, root, points, values = _direct_fixed(k, n, r, precision_bits)
     with mp.workprec(precision_bits + _GUARD):
@@ -389,12 +427,49 @@ def _degenerate_lambda(mu, nu, xi, n):
     return head + t_nu + t_xi
 
 
-def _generic_psi(k: int, rho, tol):
-    """psi(rho), or None when |psi(rho)| < tol (1 + |rho|)^3: there rho is
-    too close to a reciprocal characteristic root for the rational closed
-    form."""
-    psi = recip_poly(k, rho)
-    return psi if abs(psi) >= tol * (1 + abs(rho)) ** 3 else None
+def _clearly_generic(k: int, rho) -> bool:
+    """True when a double-precision psi(rho) proves |psi(rho)| >= tol
+    (1 + |rho|)^3 for every tol <= 2^-32, i.e. that _degenerate is False,
+    without mpc arithmetic: |psi(z)| > 2^-20 (2k + 3) (1 + |z|)^3 in
+    doubles at z = complex(rho).  False means undecided: inside that margin,
+    for k >= 2^32 (2k is then no exact double) and when a part of z exceeds
+    2^63 in size or is not finite.
+
+    Proof, with u = 2^-53, R = |rho| and Pbar(t) = 1 + 2k t + k t^2 + t^3
+    <= (2k + 3) (1 + t)^3 / 3, the absolute-value polynomial:
+    - mpmath's complex() rounds each part to 53 bits, to nearest under the
+      default context (round_fast would round down), then scales it by
+      ldexp; either way a part moves by less than 2^-52 of itself, plus
+      2^-1073 below the normal range.  So |z - rho| < 2^-52 R + 2^-1072,
+      and with |psi'(t)| <= (2k + 3) (1 + |t|)^2 on the segment,
+      |psi(z) - psi(rho)| < 2^-51 (2k + 3) (1 + R)^3.
+    - In doubles k and 2k are exact and nothing overflows (parts below
+      2^63).  Each addition rounds once (u), each complex product errs by
+      less than 3u |x| |y|, and underflow adds 2^-1074 per rounding, which
+      the later products magnify by less than 2^128.  So Horner's two
+      products and three additions err by less than
+      12.1 u Pbar(|z|) + 2^-940 < 2^-50.9 (2k + 3) (1 + R)^3.
+    - The double's error is thus below 2^-49 (2k + 3) (1 + R)^3, well below
+      2^-44 (2k + 3) (1 + R)^3.  abs(), the threshold and 1 + |z| >=
+      (1 + R)(1 - 2^-51) each round by a few u, so True gives
+      |psi(rho)| > 2^-20 (1 - 2^-23) (2k + 3) (1 + R)^3.
+    - At the mpc test's precision, bits + _GUARD >= 96 (bits >= 64 also
+      gives tol = 2^-(bits // 2) <= 2^-32), psi(rho), |psi| and
+      (1 + |rho|)^3 err by less than 2^-90 (2k + 3) (1 + R)^3, so it finds
+      |psi| > 2^-18 (1 + R)^3 > tol (1 + |rho|)^3: generic.
+    """
+    z = complex(rho)
+    if k >= 1 << 32 or not (abs(z.real) <= 2.0 ** 63 and abs(z.imag) <= 2.0 ** 63):
+        return False
+    return abs(1 - z * (2 * k + z * (k + z))) > 2.0 ** -20 * (2 * k + 3) * (1 + abs(z)) ** 3
+
+
+def _degenerate(k: int, rho, tol) -> bool:
+    """True when |psi(rho)| < tol (1 + |rho|)^3: there rho is too close to
+    a reciprocal characteristic root for the rational closed form.
+    _clearly_generic decides most points in doubles; the others take psi
+    and the two moduli in mpc."""
+    return not _clearly_generic(k, rho) and abs(recip_poly(k, rho)) < tol * (1 + abs(rho)) ** 3
 
 
 def eigenvalues_closed(k: int, n: int, r, precision_bits: int = 256) -> EigenSpectrum:
@@ -416,10 +491,9 @@ def eigenvalues_closed(k: int, n: int, r, precision_bits: int = 256) -> EigenSpe
             (1 / gamma, "gamma", (gamma, alpha, beta)),
         )
         for rho in grid.rhos:
-            psi = _generic_psi(k, rho, tol)
-            if psi is not None:
+            if not _degenerate(k, rho, tol):
                 num = rho - r_mp * pn - r_mp * rho * (k * pn1 + pn2) - r_mp * rho**2 * pn1
-                lams.append(num / psi)
+                lams.append(num / recip_poly(k, rho))
                 branches.append("generic")
             else:
                 recip, name, (mu, nu, xi) = min(
@@ -565,7 +639,7 @@ def determinant_closed(k: int, n: int, r, precision_bits: int = 256) -> DetRepor
     pn1 = term(k, n - 1)
     tol = mpf(2) ** (-precision_bits // 2)
     with mp.workprec(precision_bits + _GUARD):
-        if any(_generic_psi(k, rho, tol) is None for rho in grid.rhos):
+        if any(_degenerate(k, rho, tol) for rho in grid.rhos):
             raise DegenerateCase(
                 f"rho grid hits a reciprocal characteristic root at k={k}, n={n}, r={r!r}"
             )

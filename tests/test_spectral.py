@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from pelltrib import circulant as circ
 from pelltrib import spectral as sp
-from pelltrib.sequence import _GUARD, char_roots, term, terms_upto
+from pelltrib.sequence import _GUARD, char_roots, recip_poly, term, terms_upto
 from pelltrib.errors import DegenerateCase, ZeroR
 
 import reference as ref
@@ -220,6 +220,52 @@ def test_degenerate_branches_dispatch_and_agree():
                     assert rel <= mpf("1e-20")
 
 
+def _mpc_generic(k, rho, bits):
+    # the mpc degeneracy test that _clearly_generic's True must imply
+    with mp.workprec(bits + _GUARD):
+        return abs(recip_poly(k, rho)) >= mpf(2) ** (-bits // 2) * (1 + abs(rho)) ** 3
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_clearly_generic_implies_the_mpc_test_says_generic(bits):
+    # r = mu^(-n) (1 + 2^-j) puts one grid point at relative distance about
+    # 2^-j / n from the reciprocal root 1/mu, from far (j = 0) to inside the
+    # mpc test's degenerate band (j >= bits / 2); 64 bits has the widest band
+    decided = undecided = 0
+    for k in (1, 2, 3):
+        roots = char_roots(k, bits)
+        for n, mu, j in itertools.product((4, 6, 8), (roots.alpha, roots.beta, roots.gamma),
+                                          (0, 8, 16, 32, 64, 128, 200, 256)):
+            with mp.workprec(bits + _GUARD):
+                r = mu ** -n * (1 + mpf(2) ** -j)
+            for rho in sp.eigen_grid(n, r, bits).rhos:
+                if sp._clearly_generic(k, rho):
+                    decided += 1
+                    assert _mpc_generic(k, rho, bits), (k, n, mu, j, rho)
+                else:
+                    undecided += 1
+    assert decided and undecided
+
+
+def test_clearly_generic_decides_the_exact_certify_grid():
+    # the det cells of the benchmark's exact-certify workload: k 1..3,
+    # r in {2, -3/2, 3/7, 169/25}, n in {3, 4, 6, 9, 13, 18, 24, 31, 40},
+    # 256 bits; the double prefilter decides every point without the mpc test
+    for r_text, n in itertools.product(("2", "-3/2", "3/7", "169/25"),
+                                       (3, 4, 6, 9, 13, 18, 24, 31, 40)):
+        rhos = sp.eigen_grid(n, Fraction(r_text), 256).rhos
+        for k in (1, 2, 3):
+            assert all(sp._clearly_generic(k, rho) for rho in rhos), (k, n, r_text)
+
+
+def test_clearly_generic_falls_back_outside_its_proof():
+    with mp.workprec(96):
+        assert sp._clearly_generic(1, mpc(2, 1))
+        assert not sp._clearly_generic(2**32, mpc(2, 1))
+        assert not sp._clearly_generic(1, mpc(mpf(2) ** 64, 0))
+        assert not sp._clearly_generic(1, mpc(0, mpf("1e400")))
+
+
 def test_eigenpair_residuals_sample():
     bound = mpf(2) ** -64
     for k, n, r in ((1, 3, 1), (2, 8, -1), (1, 13, Fraction(3, 7)), (4, 10, 1j)):
@@ -329,6 +375,46 @@ def test_fixed_grid_within_stated_error_of_exact_roots(bits, n):
             tol = mpf(2) ** (1 - frac)
             for m, ((x, y), rho) in enumerate(zip(points, exact.rhos)):
                 assert abs(sp._from_fixed(x, y, frac) - rho) <= tol, (r, m)
+
+
+MIRROR_R = (1, -1, 2, Fraction(-3, 2), Fraction(3, 7), Fraction(-1, 8), 10**40,
+            mpf("1e-300"), -0.7)
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_direct_spectrum_is_conjugate_symmetric_for_real_r(bits):
+    # for real r the kernel computes rho_m and lambda_m for the head of the
+    # grid only and mirrors the rest: rho_(n-m) = conj rho_m for r > 0 and
+    # rho_(n-1-m) = conj rho_m for r < 0.  The mirrored pairs are exact
+    # conjugates, the head values are _horner_fixed at their own points, and
+    # every point, mirrored or not, lies within 2^(1-F) of the exact root.
+    for r, n in itertools.product(MIRROR_R, [*range(2, 10), 21, 64]):
+        exact = sp.eigen_grid(n, r, bits + 160)
+        head, mirror = (n // 2 + 1, lambda m: n - m) if r > 0 else \
+            ((n + 1) // 2, lambda m: n - 1 - m)
+        for k in (1, 3):
+            frac, _, points, values = sp._direct_fixed(k, n, r, bits)
+            coeffs = [a << frac for a in reversed(terms_upto(k, n - 1))]
+            for m in range(head):
+                assert values[m] == sp._horner_fixed(coeffs, *points[m], frac), (r, n, m)
+            for m in range(head, n):
+                (x, y), (u, v) = points[m], values[m]
+                assert points[mirror(m)] == (x, -y), (r, n, m)
+                assert values[mirror(m)] == (u, -v), (r, n, m)
+        with mp.workprec(bits + _GUARD + 160):  # the points do not depend on k
+            tol = mpf(2) ** (1 - frac)
+            for m, ((x, y), rho) in enumerate(zip(points, exact.rhos)):
+                assert abs(sp._from_fixed(x, y, frac) - rho) <= tol, (r, n, m)
+
+
+def test_direct_spectrum_evaluates_every_point_for_complex_typed_r():
+    # complex-typed r keeps all n points, even with a zero imaginary part
+    for r, n in itertools.product((1j, 2 - 3j, complex(2, 0), mpc(2, 0)), (2, 5, 8, 21)):
+        frac, _, points, values = sp._direct_fixed(2, n, r, 256)
+        coeffs = [a << frac for a in reversed(terms_upto(2, n - 1))]
+        assert len(points) == len(values) == n
+        for m, (x, y) in enumerate(points):
+            assert values[m] == sp._horner_fixed(coeffs, x, y, frac), (r, n, m)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 21, 64, 200])
