@@ -97,11 +97,6 @@ class CubicRoots:
     beta: mpc
     gamma: mpc
 
-    def all_roots(self) -> tuple:
-        # alpha stays mpf: re-wrapping in mpc() here would round it to the
-        # caller's ambient precision.
-        return (self.alpha, self.beta, self.gamma)
-
 
 @dataclass(frozen=True)
 class CardanoWork:

@@ -1,7 +1,7 @@
 """Exact partial sums of the k-Pell-Tribonacci sequence.
 
-Four flavours, each with a direct O(n) oracle and an O(1)-in-terms closed
-form (given the three terms P(n+1), P(n+2), P(n+3)):
+Four flavours, each an O(1)-in-terms closed form (given the three terms
+P(n+1), P(n+2), P(n+3)):
 
     s1 = sum of P(i)           for i = 0..n
     w1 = sum of i * P(i)
@@ -11,14 +11,16 @@ form (given the three terms P(n+1), P(n+2), P(n+3)):
 All values are exact integers.  The closed forms are rational expressions
 whose numerators are provably divisible by their denominators; integrality
 is asserted rather than assumed, so a wrong coefficient table fails loudly
-instead of silently truncating.
+instead of silently truncating.  tests/test_sums.py proves the four closed
+forms for every k >= 1 and n >= 0 by induction on n, and tests/reference.py
+holds the literal O(n) sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sequence import check_int, check_k, term, terms_upto
+from .sequence import check_int, check_k, term
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
@@ -33,24 +35,6 @@ def _next_terms(k: int, n: int) -> tuple[int, int, int]:
     check_k(k)
     check_int(n, 0, "n")
     return term(k, n + 1), term(k, n + 2), term(k, n + 3)
-
-
-# The direct oracles leave the checks of k and n to terms_upto.
-
-def s1_direct(k: int, n: int) -> int:
-    return sum(terms_upto(k, n))
-
-
-def w1_direct(k: int, n: int) -> int:
-    return sum(i * p for i, p in enumerate(terms_upto(k, n)))
-
-
-def s2_direct(k: int, n: int) -> int:
-    return sum(p * p for p in terms_upto(k, n))
-
-
-def w2_direct(k: int, n: int) -> int:
-    return sum(i * p * p for i, p in enumerate(terms_upto(k, n)))
 
 
 def s1_closed(k: int, n: int) -> int:
@@ -111,19 +95,22 @@ class SumsReport:
 
 
 def sums_report(k: int, n: int) -> SumsReport:
-    """All four closed-form sums; each is checked against its direct oracle."""
-    report = SumsReport(
-        k=k, n=n,
-        s1=s1_closed(k, n), w1=w1_closed(k, n),
-        s2=s2_closed(k, n), w2=w2_closed(k, n),
-    )
-    checks = (
-        (report.s1, s1_direct(k, n)), (report.w1, w1_direct(k, n)),
-        (report.s2, s2_direct(k, n)), (report.w2, w2_direct(k, n)),
-    )
-    for closed, direct in checks:
-        if closed != direct:
+    """All four closed-form sums, each checked exactly at n against the term
+    it adds: closed(n) - closed(n-1) must equal P(n), n P(n), P(n)^2 or
+    n P(n)^2, with closed(-1) = 0.  The check costs O(1) terms."""
+    p = term(k, n)
+    values = {}
+    for name, closed, step, label in (
+        ("s1", s1_closed, p, "P(n)"),
+        ("w1", w1_closed, n * p, "n*P(n)"),
+        ("s2", s2_closed, p * p, "P(n)^2"),
+        ("w2", w2_closed, n * p * p, "n*P(n)^2"),
+    ):
+        value = closed(k, n)
+        if value - (closed(k, n - 1) if n else 0) != step:
             raise ArithmeticError(
-                f"closed/direct sum disagreement at k={k}, n={n}: {closed} != {direct}"
+                f"{name}: step identity {name}(n) - {name}(n-1) = {label}"
+                f" fails at k={k}, n={n}"
             )
-    return report
+        values[name] = value
+    return SumsReport(k=k, n=n, **values)

@@ -7,7 +7,8 @@ oracles for the closed forms in the package.  The telescoping product
 psi * Psi and the shift identity behind the resultant determinant
 (circulant._resultants), and mpmath's own mpc Horner, which
 spectral._horner_mpc reproduces on integers.  Also the smallest eigenvalue
-modulus, which only the tests read.
+modulus, which only the tests read, and the four partial sums of the
+sequence as literal O(n) loops.
 """
 
 import math
@@ -20,6 +21,24 @@ from pelltrib.circulant import abs_sq, build, build_pell, is_exact
 from pelltrib.errors import DimensionMismatch
 from pelltrib.sequence import _GUARD, char_roots, check_int, check_k, term, terms_upto
 from pelltrib.spectral import _modulus_extremes
+
+
+# The direct oracles leave the checks of k and n to terms_upto.
+
+def s1_direct(k: int, n: int) -> int:
+    return sum(terms_upto(k, n))
+
+
+def w1_direct(k: int, n: int) -> int:
+    return sum(i * p for i, p in enumerate(terms_upto(k, n)))
+
+
+def s2_direct(k: int, n: int) -> int:
+    return sum(p * p for p in terms_upto(k, n))
+
+
+def w2_direct(k: int, n: int) -> int:
+    return sum(i * p * p for i, p in enumerate(terms_upto(k, n)))
 
 
 def matvec_dense(m: np.ndarray, x) -> list:
@@ -69,7 +88,8 @@ def binet_term(k: int, n: int, precision_bits: int = 256) -> mpf:
     """Closed-form n-th term from the three roots; agrees with term() to
     relative 2^(-precision_bits/4)."""
     check_int(n, 0, "n")
-    alpha, beta, gamma = char_roots(k, precision_bits).all_roots()
+    roots = char_roots(k, precision_bits)
+    alpha, beta, gamma = roots.alpha, roots.beta, roots.gamma
     with mp.workprec(precision_bits + _GUARD):
         # the partial-fraction weights of P(n) = w_a alpha^n + w_b beta^n + w_c gamma^n
         w_a = mpc(alpha) / ((alpha - beta) * (alpha - gamma))

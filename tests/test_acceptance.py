@@ -35,10 +35,10 @@ def test_criterion_01_summation_identities(capsys):
     checked = 0
     for k in range(1, 11):
         for n in range(61):
-            assert sums.s1_closed(k, n) == sums.s1_direct(k, n)
-            assert sums.w1_closed(k, n) == sums.w1_direct(k, n)
-            assert sums.s2_closed(k, n) == sums.s2_direct(k, n)
-            assert sums.w2_closed(k, n) == sums.w2_direct(k, n)
+            assert sums.s1_closed(k, n) == ref.s1_direct(k, n)
+            assert sums.w1_closed(k, n) == ref.w1_direct(k, n)
+            assert sums.s2_closed(k, n) == ref.s2_direct(k, n)
+            assert sums.w2_closed(k, n) == ref.w2_direct(k, n)
             checked += 4
     elapsed = time.perf_counter() - start
     ok = elapsed < 10.0

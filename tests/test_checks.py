@@ -12,6 +12,7 @@ from pelltrib.errors import ZeroR
 ENTRY_POINTS = {
     "term": (lambda n: sequence.term(1, n), 0, "n"),
     "s1_closed": (lambda n: sums.s1_closed(1, n), 0, "n"),
+    "sums_report": (lambda n: sums.sums_report(1, n), 0, "n"),
     "frobenius_sq_closed": (lambda n: spectral.frobenius_sq_closed(1, n, 2), 2, "matrix order n"),
     "eigenvalues_closed": (lambda n: spectral.eigenvalues_closed(1, n, 2, 64), 3, "matrix order n"),
     "eigenvalues_direct": (lambda n: spectral.eigenvalues_direct(1, n, 2, 64), 2, "matrix order n"),

@@ -80,7 +80,7 @@ def test_residuals_across_precisions():
         for k in range(1, 11):
             roots = seq.char_roots(k, bits)
             assert 2 * k < roots.alpha < 2 * k + 1
-            for root in roots.all_roots():
+            for root in (roots.alpha, roots.beta, roots.gamma):
                 with mp.workprec(bits + 16):
                     res = abs(seq.char_poly(k, root)) / (1 + abs(root)) ** 3
                 assert res <= tol
@@ -98,7 +98,7 @@ def test_reciprocals_solve_reciprocal_poly():
     for k in (1, 3, 9):
         roots = seq.char_roots(k, 256)
         with mp.workprec(300):
-            for root in roots.all_roots():
+            for root in (roots.alpha, roots.beta, roots.gamma):
                 val = seq.recip_poly(k, 1 / root)
                 assert abs(val) < mpf(2) ** -120
 
@@ -130,7 +130,8 @@ def test_cardano_matches_newton_both_regimes():
     for k in (1, 5, 8, 9, 12):
         bits = 256
         tol = mpf(2) ** (-bits // 2)
-        newton = seq.char_roots(k, bits).all_roots()
+        roots = seq.char_roots(k, bits)
+        newton = (roots.alpha, roots.beta, roots.gamma)
         radical = seq.cardano(k, bits).roots
         with mp.workprec(bits + 16):
             for root in newton:
