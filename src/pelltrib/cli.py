@@ -36,11 +36,15 @@ _DEFAULT_BITS = 256
 PRECISION_ENV = "KPT_PRECISION_BITS"
 
 
+@functools.cache
 def _formula_fingerprint() -> str:
-    """Short stable digest of the formula set, stamped on every report.
+    """Short stable digest of the formula set, stamped on every JSON report.
 
     Probing the closed forms on a fixed grid fingerprints the actual
-    coefficient tables: any change to a formula changes the digest.
+    coefficient tables: any change to a formula changes the digest.  It is
+    computed on first use, not at import, so a closed form that fails its
+    exact division fails the JSON report that needs the digest (exit 3)
+    rather than every import of the module.
     """
     probes: list = []
     for k in (1, 2, 3):
@@ -52,7 +56,11 @@ def _formula_fingerprint() -> str:
     return hashlib.sha256(repr(probes).encode()).hexdigest()[:12]
 
 
-FORMULA_SET_VERSION = _formula_fingerprint()
+def __getattr__(name: str):
+    # FORMULA_SET_VERSION reads the fingerprint on first use
+    if name == "FORMULA_SET_VERSION":
+        return _formula_fingerprint()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +182,7 @@ class Report:
             envelope = {
                 "command": config.command,
                 "precision_bits": config.precision_bits,
-                "formula_version": FORMULA_SET_VERSION,
+                "formula_version": _formula_fingerprint(),
                 "params": self.params,
                 "result": self.result,
             }

@@ -26,11 +26,13 @@ Three layers, strongest first:
   cell at high precision, deciding singularity twice over (quadratic-root
   phase alignment vs. smallest eigenvalue magnitude) and reporting
   "undetermined" when the two routes disagree.  spectral._modulus_extremes
-  compares the eigenvalue moduli squared on the fixed-point kernel's
-  integers, so a cell takes two square roots, for the smallest and the
-  largest, whatever n is.  r* is real, so the kernel evaluates about half
-  of the grid and mirrors the rest, and complex quadratic roots are an
-  exact conjugate pair: the closed residual takes one power per pair.
+  evaluates every head point of the grid in doubles first, keeps the points
+  that a proved error bound leaves as candidates for the smallest and the
+  largest modulus (usually one or two), and runs the fixed-point Horner on
+  those only, comparing their moduli squared on the kernel's integers; a
+  cell takes two square roots whatever n is.  r* is real, so the grid's
+  other half mirrors the head, and complex quadratic roots are an exact
+  conjugate pair: the closed residual takes one power per pair.
 """
 
 from __future__ import annotations

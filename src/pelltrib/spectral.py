@@ -373,15 +373,111 @@ def _direct_fixed(k: int, n: int, r, precision_bits: int) -> tuple[int, mpc, lis
     return frac, root, points, _conjugate_tail(values, n, s)
 
 
+def _extreme_candidates(terms: list, head: list, frac: int) -> tuple[list, list] | None:
+    """(lows, highs): the indices into head, in increasing order, that can
+    hold the smallest and the largest kernel modulus, found from
+    double-precision Horner at every point of head; None when the doubles
+    cannot decide.  See _modulus_extremes for the proof.
+
+    terms are the generator row a_0 .. a_(n-1) and head the points of
+    _fixed_grid (integer pairs scaled by 2^frac) that the kernel evaluates.
+    With w_m the double Psi at point m, R' = |z_0| (1 + 2^-48) and
+    Pbar(t) = sum_l a_l t^l in doubles, index m is a low when
+    |w_m| <= min |w| + 2E and a high when |w_m| >= max |w| - 2E, with
+    E = 2^-40 n Pbar(R').  None when some a_l has more than 1000 bits,
+    R' < 2^-900, Pbar(R') > 2^1000, a double overflows or some |w_m| is not
+    finite."""
+    if max(terms).bit_length() > 1000:
+        return None
+    scale = 1 << frac
+    coeffs = [float(a) for a in reversed(terms)]
+    try:
+        # int / int rounds each part correctly, and raises OverflowError
+        points = [complex(x / scale, y / scale) for x, y in head]
+        radius = abs(points[0]) * (1 + 2.0 ** -48)
+        pbar = 0.0
+        for c in coeffs:
+            pbar = pbar * radius + c
+        if not (radius >= 2.0 ** -900 and pbar <= 2.0 ** 1000):
+            return None
+        mods = []
+        for z in points:
+            acc = 0j
+            for c in coeffs:
+                acc = acc * z + c
+            mods.append(abs(acc))
+    except OverflowError:
+        return None
+    if not all(map(math.isfinite, mods)):
+        return None
+    margin = 2.0 ** -39 * len(terms) * pbar  # 2E
+    low, high = min(mods) + margin, max(mods) - margin
+    return ([m for m, a in enumerate(mods) if a <= low],
+            [m for m, a in enumerate(mods) if a >= high])
+
+
 def _modulus_extremes(k: int, n: int, r, precision_bits: int) -> tuple[mpf, int, mpf]:
     """(smallest |lambda_m|, its index m, largest |lambda_m|) over the direct
-    eigenvalues.  The moduli are compared squared on the kernel's integers,
-    so only the two extremes are rounded to bits + _GUARD bits, as
-    eigenvalues_direct rounds every lambda, and take a square root."""
-    frac, _, _, values = _direct_fixed(k, n, r, precision_bits)
-    sq = [x * x + y * y for x, y in values]
-    lo = min(range(n), key=sq.__getitem__)
-    hi = max(range(n), key=sq.__getitem__)
+    eigenvalues, bit for bit the exhaustive answer: the first index m whose
+    kernel value lambda~_m has the smallest squared modulus x^2 + y^2 on
+    the kernel's integers, and the first with the largest.  Only the two
+    extremes are rounded to bits + _GUARD bits, as eigenvalues_direct
+    rounds every lambda, and take a square root.
+
+    _horner_fixed runs only on the candidates of _extreme_candidates,
+    usually one or two points, on the same integer points as
+    eigenvalues_direct; where the doubles cannot decide, every head point is
+    a candidate.  Among the candidates, taken in increasing order, the
+    first smallest and the first largest squared modulus are returned.
+
+    Proof that the exhaustive argmin lo* and argmax hi* are candidates, with
+    u = 2^-53, R = |r|^(1/n) the common modulus of the exact rho_m,
+    P = Pbar(R') and lambda~_m the kernel value at head point p_m:
+    - Head suffices.  A mirrored index m >= h (_conjugate_half) has the
+      exact conjugate value of its mirror s - m < m, so the same squared
+      modulus; the first index on ties is never a mirrored one.
+    - The kernel's point.  bits >= 64 gives F >= max(104, 107 - mag(root)),
+      and |root| >= 2^(mag(root) - 2), so 2^(1-F) <= 2^-103 R.
+      _fixed_grid puts p_m within 2^(1-F) of rho_m.
+    - The kernel's value.  P(l) >= 1 for l >= 1, so sum_{j<n-1} R^j and
+      sum_l l a_l R^(l-1) are at most n Pbar(R) / R, and the bound stated
+      in eigenvalues_direct gives |lambda~_m - Psi(rho_m)| <= 2^-103 n P.
+    - Rounding to doubles.  int / int rounds each part to nearest, so the
+      double z_m is within u |p_m| + 2^-1074 of p_m; the check R' >= 2^-900
+      makes 2^-1074 < 2^-173 R, so |z_m - rho_m| <= 1.01 u R.  abs() errs
+      by at most 2u, so R' >= R (1 + 2^-49) >= max(|z_m|, |p_m|, R).  Each
+      a_l < 2^1000 rounds to c_l within u a_l.  Hence
+      |sum c_l z_m^l - Psi(rho_m)| <= u P + sum_l a_l l R'^(l-1) 1.01 u R
+      <= 1.01 u n P.
+    - Double Horner.  Each complex product errs by less than 3u |x| |y|,
+      with or without a fused multiply-add, and adding the real c_l rounds
+      the real part once (u).  A finite |w_m| means no step overflowed:
+      an inf or nan never turns finite again.  So Horner errs by less than
+      ((1 + 3u)^(2n) - 1) (1 + u) P <= 6.1 n u P (n < 2^40), plus
+      underflow: below 2^-1073 per product, carried by later products at
+      most R'^j times, in all at most 2^-1072 Pbar(R') / R' < 2^-171 P.
+    - Together |w_m - lambda~_m| < 2^-49 n P, and with abs() (2u |w_m|,
+      |w_m| <= 1.01 P) the computed |w_m| is within 2^-47 n P of
+      |lambda~_m|.  So |w_(lo*)| <= |w_m| + 2^-46 n P for every m, and
+      |w_(hi*)| >= |w_m| - 2^-46 n P.
+    - The thresholds.  Pbar in doubles sums positive terms, so it is at
+      least P (1 - 3nu), and 2E >= 2^-39.1 n P.  Rounding
+      min |w| + 2E and max |w| - 2E moves them by at most u (1.01 P + 2E),
+      so the thresholds stay more than 2^-46 n P beyond min |w| and
+      max |w|: lo* is a low and hi* a high.
+    """
+    check_k(k)
+    _check_grid(n, r, precision_bits)
+    frac, _, points = _fixed_grid(n, r, precision_bits)
+    head, _ = _conjugate_half(n, r)
+    terms = terms_upto(k, n - 1)
+    found = _extreme_candidates(terms, points[:head], frac)
+    lows, highs = found if found else (range(head), range(head))
+    coeffs = [a << frac for a in reversed(terms)]
+    values = {m: _horner_fixed(coeffs, *points[m], frac) for m in sorted({*lows, *highs})}
+    sq = {m: x * x + y * y for m, (x, y) in values.items()}
+    lo = min(lows, key=sq.__getitem__)
+    hi = max(highs, key=sq.__getitem__)
     with mp.workprec(precision_bits + _GUARD):
         return abs(_from_fixed(*values[lo], frac)), lo, abs(_from_fixed(*values[hi], frac))
 

@@ -7,8 +7,9 @@ oracles for the closed forms in the package.  The telescoping product
 psi * Psi and the shift identity behind the resultant determinant
 (circulant._resultants), and mpmath's own mpc Horner, which
 spectral._horner_mpc reproduces on integers.  Also the smallest eigenvalue
-modulus, which only the tests read, and the four partial sums of the
-sequence as literal O(n) loops.
+modulus, which only the tests read, from the exhaustive comparison over
+every kernel value that spectral._modulus_extremes narrows to candidates,
+and the four partial sums of the sequence as literal O(n) loops.
 """
 
 import math
@@ -20,7 +21,7 @@ from mpmath import mp, mpc, mpf, mpmathify
 from pelltrib.circulant import abs_sq, build, build_pell, is_exact
 from pelltrib.errors import DimensionMismatch
 from pelltrib.sequence import _GUARD, char_roots, check_int, check_k, term, terms_upto
-from pelltrib.spectral import _modulus_extremes
+from pelltrib.spectral import _direct_fixed, _from_fixed
 
 
 # The direct oracles leave the checks of k and n to terms_upto.
@@ -98,10 +99,24 @@ def binet_term(k: int, n: int, precision_bits: int = 256) -> mpf:
         return mpf((w_a * mpc(alpha) ** n + w_b * beta**n + w_c * gamma**n).real)
 
 
+def modulus_extremes_exhaustive(k: int, n: int, r, precision_bits: int) -> tuple[mpf, int, mpf]:
+    """(smallest |lambda_m|, its index m, largest |lambda_m|) over all n
+    direct kernel values, mirrored ones included: the first index of the
+    smallest and of the largest squared modulus on the kernel's integers,
+    the two rounded to bits + _GUARD bits.  The oracle for
+    spectral._modulus_extremes, which runs Horner on candidates only."""
+    frac, _, _, values = _direct_fixed(k, n, r, precision_bits)
+    sq = [x * x + y * y for x, y in values]
+    lo = min(range(n), key=sq.__getitem__)
+    hi = max(range(n), key=sq.__getitem__)
+    with mp.workprec(precision_bits + _GUARD):
+        return abs(_from_fixed(*values[lo], frac)), lo, abs(_from_fixed(*values[hi], frac))
+
+
 def min_eigen_magnitude(k: int, n: int, r, precision_bits: int = 256) -> tuple[mpf, int]:
     """Smallest |lambda_m| and its index m over the direct eigenvalues, from
-    the scan's comparison of squared moduli on the kernel's integers."""
-    min_mag, idx, _ = _modulus_extremes(k, n, r, precision_bits)
+    the exhaustive comparison of squared moduli on the kernel's integers."""
+    min_mag, idx, _ = modulus_extremes_exhaustive(k, n, r, precision_bits)
     return min_mag, idx
 
 

@@ -148,6 +148,45 @@ def test_formula_version_is_hex_and_stable():
     assert cli._formula_fingerprint() == cli.FORMULA_SET_VERSION
 
 
+def _failing_w2(k, n):
+    raise ArithmeticError("w2: closed form produced a non-integer")
+
+
+def test_failing_closed_form_fails_only_the_json_report(monkeypatch, capsys):
+    # the fingerprint is computed on first use: a broken closed form makes
+    # the JSON envelope exit 3 with the error object, not the import
+    monkeypatch.setattr(cli.sums, "w2_closed", _failing_w2)
+    cli._formula_fingerprint.cache_clear()
+    try:
+        assert cli.main(["seq", "--k", "1", "--n", "5", "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": {
+            "kind": "ArithmeticError", "message": "w2: closed form produced a non-integer"}}
+        assert cli.main(["seq", "--k", "1", "--n", "5"]) == 0
+        assert capsys.readouterr().out == "33\n"
+    finally:
+        cli._formula_fingerprint.cache_clear()
+
+
+def test_import_survives_a_failing_closed_form():
+    # a fresh interpreter breaks w2_closed before pelltrib.cli is imported
+    code = ("import sys\n"
+            "from pelltrib import sums\n"
+            "sums.w2_closed = lambda k, n: sums._exact_div(1, 2, 'w2')\n"
+            "import pelltrib.cli as cli\n"
+            "sys.exit(cli.main(['seq', '--k', '1', '--n', '5', '--format', 'json']))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    assert json.loads(done.stderr) == {"error": {
+        "kind": "ArithmeticError", "message": "w2: closed form produced a non-integer"}}
+
+
 # ---------------------------------------------------------------------------
 # determinism and file output
 

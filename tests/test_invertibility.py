@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pelltrib import circulant as circ
 from pelltrib import invertibility as inv
+from pelltrib import spectral as sp
 from pelltrib.sequence import char_roots, terms_upto
 from pelltrib.errors import ZeroR
 
@@ -204,6 +205,31 @@ def test_scan_reports_published_counterexample_cells():
     assert keys == {(5, 28), (5, 29), (5, 30)}
     for cell in cells:
         assert cell.verdict in ("invertible", "singular", "undetermined")
+
+
+def test_scan_cells_past_double_range_keep_their_verdict():
+    # coefficients beyond 1000 bits send the double prefilter of
+    # _modulus_extremes to its fallback, Horner on every head point
+    for k, n, log10 in ((10**6, 60, 551.3401340120595), (3, 400, 485.1091599437309)):
+        (cell,) = inv.counterexample_scan([k], [n], sign=1, precision_bits=128)
+        assert cell.verdict == "invertible", (k, n)
+        assert cell.min_abs_lambda_log10 == log10, (k, n)
+
+
+def test_scan_runs_horner_on_few_points(monkeypatch):
+    # the program's own count of fixed-point Horner calls over criterion
+    # 09's grid: at most 3 a cell, where Horner on every head point made 4930
+    calls = []
+    horner = sp._horner_fixed
+
+    def counting(*args):
+        calls.append(1)
+        return horner(*args)
+
+    monkeypatch.setattr(sp, "_horner_fixed", counting)
+    for sign in (1, -1):
+        inv.counterexample_scan(range(1, 11), range(2, 31), sign=sign, precision_bits=512)
+    assert len(calls) <= 3 * 580, len(calls)
 
 
 def test_scan_validation():

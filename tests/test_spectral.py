@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from pelltrib import circulant as circ
 from pelltrib import spectral as sp
+from pelltrib.invertibility import _critical_magnitude
 from pelltrib.sequence import _GUARD, char_roots, recip_poly, term, terms_upto
 from pelltrib.errors import DegenerateCase, ZeroR
 
@@ -415,6 +416,53 @@ def test_direct_spectrum_evaluates_every_point_for_complex_typed_r():
         assert len(points) == len(values) == n
         for m, (x, y) in enumerate(points):
             assert values[m] == sp._horner_fixed(coeffs, x, y, frac), (r, n, m)
+
+
+def _same_extremes(k, n, r, bits):
+    got = sp._modulus_extremes(k, n, r, bits)
+    want = ref.modulus_extremes_exhaustive(k, n, r, bits)
+    return (got[0]._mpf_, got[1], got[2]._mpf_) == (want[0]._mpf_, want[1], want[2]._mpf_)
+
+
+EXTREMES_R = (1, -1, 1j, 2, -3, Fraction(3, 7), 2**200, Fraction(1, 2**200), -(2**200),
+              Fraction(-1, 2**200))
+
+
+@pytest.mark.parametrize("bits", [64, 512])
+def test_modulus_extremes_match_the_exhaustive_oracle(bits):
+    # Horner on the double prefilter's candidates only returns the same
+    # (min, index, max), bit for bit, as Horner on every point; at n = 2
+    # with r > 0 the two |lambda| tie and the first index must win
+    for r, n in itertools.product(EXTREMES_R, (2, 3, 4, 7, 16, 31)):
+        for k in (1, 4):
+            assert _same_extremes(k, n, r, bits), (k, n, r)
+    assert sp._modulus_extremes(1, 2, 2, bits)[1] == 0
+    # the singular cell: -1/2 is a root of T and (-1/2)^3 = r
+    assert _same_extremes(1, 3, Fraction(-1, 8), bits)
+    assert sp._modulus_extremes(1, 3, Fraction(-1, 8), bits)[0] < mpf(2) ** -bits
+
+
+def test_modulus_extremes_match_the_oracle_on_critical_values():
+    # a slice of criterion 09's scan grid: r* = sign (P(n)/P(n-1))^(n/2)
+    for k, n, sign in itertools.product((1, 5, 10), range(2, 31), (1, -1)):
+        with mp.workprec(512 + _GUARD):
+            r_star = sign * _critical_magnitude(k, n)
+        assert _same_extremes(k, n, r_star, 512), (k, n, sign)
+
+
+@pytest.mark.parametrize("k,n,r", [
+    (10**6, 60, 1),                   # a coefficient beyond 1000 bits
+    (1, 2, mpf(2) ** -2000),          # R = 2^-1000, below 2^-900
+    (1, 2, mpf(2) ** 2010),           # Pbar(R') = R' > 2^1000
+    (1, 2, mpf(2) ** 3000),           # a point beyond double range
+])
+def test_modulus_extremes_fall_back_to_every_point(k, n, r):
+    # where the doubles cannot decide, the prefilter says so instead of
+    # raising, and every head point is a candidate
+    frac, _, points = sp._fixed_grid(n, r, 128)
+    head, _ = sp._conjugate_half(n, r)
+    assert sp._extreme_candidates(terms_upto(k, n - 1), points[:head], frac) is None
+    assert _same_extremes(k, n, r, 128)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 21, 64, 200])
