@@ -25,14 +25,20 @@ Three layers, strongest first:
 * counterexample_scan: probes the uncertified critical values r* cell by
   cell at high precision, deciding singularity twice over (quadratic-root
   phase alignment vs. smallest eigenvalue magnitude) and reporting
-  "undetermined" when the two routes disagree.  spectral._modulus_extremes
-  evaluates every head point of the grid in doubles first, keeps the points
-  that a proved error bound leaves as candidates for the smallest and the
-  largest modulus (usually one or two), and runs the fixed-point Horner on
-  those only, comparing their moduli squared on the kernel's integers; a
-  cell takes two square roots whatever n is.  r* is real, so the grid's
-  other half mirrors the head, and complex quadratic roots are an exact
-  conjugate pair: the closed residual takes one power per pair.
+  "undetermined" when the two routes disagree.  r* = +-(p/q)^(n/2) with
+  p = P(n) and q = P(n-1), so the grid's principal root is sqrt(p/q), times
+  exp(pi i / n) for r* < 0: spectral._fixed_grid takes it from math.isqrt
+  and one expjpi, and its points are the roots of the exact r*.
+  spectral._modulus_extremes evaluates every head point of the grid in
+  doubles first, keeps the points that a proved error bound leaves as
+  candidates for the smallest and the largest modulus (usually one or
+  two), and runs the fixed-point Horner on those only, comparing their
+  moduli squared on the kernel's integers; a cell takes two square roots,
+  on math.isqrt, whatever n is.  r* is real, so the grid's other half
+  mirrors the head, and complex quadratic roots are an exact conjugate
+  pair: the closed residual takes one fixed-point power per pair.  The
+  three logarithms are taken at 120 bits, with the full-precision one as
+  the fallback where the double could depend on the difference.
 """
 
 from __future__ import annotations
@@ -40,14 +46,17 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import from_int, mpf_div, mpf_log, round_nearest, to_float
 
 from .circulant import _resultants, is_exact
 from .errors import ZeroR
 from .sequence import _GUARD, char_roots, check_bits, check_int, check_k, term
-from .spectral import _modulus_extremes, _quadratic_roots, _r_to_mp
+from .spectral import (_from_fixed, _modulus, _modulus_extremes, _pow_fixed, _quadratic_roots,
+                       _r_to_mp, _to_fixed)
 
 GUARANTEED_INVERTIBLE = "guaranteed_invertible"
 EXCLUDED_PARAMETER = "excluded_parameter"
@@ -190,16 +199,49 @@ class ScanCell:
     verdict: str
 
 
+@cache
+def _ln10() -> tuple:
+    return mpf_log(from_int(10), 120, round_nearest)
+
+
+def _log10_double(x: mpf) -> float:
+    """float(mpmath.log10(x)) for a positive mpf x at the working
+    precision, which is at least 96 bits, mostly from a 120-bit logarithm.
+
+    Proof: L~ = mpf_log(x) / ln 10 at 120 bits, each rounded to nearest,
+    is within 2^-116 |L| of L = log10(x), and mpmath's log10 at p >= 96
+    bits, which divides two logarithms taken at p + 20 bits, within 2^-93
+    |L|.  Where L~ lies more than 2^-80 |L~| from every midpoint between
+    two doubles, L lies strictly between the same two midpoints, and so do
+    both values: both round to the same double.  Otherwise, and outside the
+    normal double range, the full-precision value is returned."""
+    log = mpf_log(x._mpf_, 120, round_nearest)
+    if not log[1]:
+        return 0.0  # log(1) is exactly zero
+    _, man, exp, bc = value = mpf_div(log, _ln10(), 120, round_nearest)
+    # the 67 bits below a double's 53, measured from the midpoint 2^66
+    tail = ((man << (120 - bc)) & ((1 << 67) - 1)) - (1 << 66)
+    if -1021 <= exp + bc < 1024 and abs(tail) >= 1 << 40:
+        return to_float(value, rnd=round_nearest)
+    return float(mpmath.log10(x))
+
+
 def _scan_cell(k: int, n: int, sign: int, precision_bits: int) -> ScanCell:
     with mp.workprec(precision_bits + _GUARD):
         tol = mpf(2) ** (-precision_bits // 2)
         r_star = sign * _critical_magnitude(k, n)
         r1, r2 = _quadratic_roots(k, n, r_star)
-        # r* is real: complex roots are an exact conjugate pair, one |r^n - r*|
+        # r* is real: complex roots are an exact conjugate pair, one |r^n - r*|.
+        # z^n in fixed point errs by less than 3 n max(1, |z|)^n 2^-frac
+        # (_pow_fixed), z and r* by 2^-frac per part when they are scaled.
         pair = (r1,) if r2 == r1.conjugate() else (r1, r2)
-        closed_res = min(abs(z**n - r_star) for z in pair) / abs(r_star)
+        frac = precision_bits + _GUARD + 24
+        rx, _ = _to_fixed(r_star, frac)
+        powers = (_pow_fixed(*_to_fixed(z, frac), n, frac) for z in pair)
+        closed_res = min(_modulus(_from_fixed(x - rx, y, frac)) for x, y in powers) / abs(r_star)
         closed_singular = bool(closed_res <= tol)
-        min_mag, _, max_mag = _modulus_extremes(k, n, r_star, precision_bits)
+        root_sq = Fraction(term(k, n), term(k, n - 1))
+        min_mag, _, max_mag = _modulus_extremes(k, n, r_star, precision_bits, root_sq)
         eigen_singular = bool(min_mag <= tol * max(mpf(1), max_mag))
         if closed_singular == eigen_singular:
             verdict = "singular" if closed_singular else "invertible"
@@ -207,9 +249,9 @@ def _scan_cell(k: int, n: int, sign: int, precision_bits: int) -> ScanCell:
             verdict = "undetermined"
         return ScanCell(
             k=k, n=n, sign=sign,
-            r_star_log10=float(mpmath.log10(abs(r_star))),
-            min_abs_lambda_log10=float(mpmath.log10(min_mag)) if min_mag > 0 else float("-inf"),
-            closed_residual_log10=float(mpmath.log10(closed_res)) if closed_res > 0 else float("-inf"),
+            r_star_log10=_log10_double(abs(r_star)),
+            min_abs_lambda_log10=_log10_double(min_mag) if min_mag > 0 else float("-inf"),
+            closed_residual_log10=_log10_double(closed_res) if closed_res > 0 else float("-inf"),
             closed_singular=closed_singular,
             eigen_singular=eigen_singular,
             verdict=verdict,

@@ -137,7 +137,8 @@ def norm_report(k: int, n: int, r) -> NormReport:
 # product of two pairs is shifted back by F bits, which rounds down again, so
 # each conversion and each product errs by less than 2^-F per part and
 # sqrt(2) 2^-F in modulus; sums of pairs are exact.  _from_fixed rounds the
-# result once to the working precision.
+# result once to the working precision, and _modulus takes its absolute
+# value on math.isqrt.
 
 def _to_fixed(z, frac_bits: int) -> tuple[int, int]:
     """(re, im) of an mpc or mpf as integers scaled by 2^frac_bits, each rounded down."""
@@ -150,6 +151,48 @@ def _from_fixed(x: int, y: int, frac_bits: int) -> mpc:
     prec = mp.prec
     return mp.make_mpc((from_man_exp(x, -frac_bits, prec, round_nearest),
                         from_man_exp(y, -frac_bits, prec, round_nearest)))
+
+
+def _modulus(z: mpc) -> mpf:
+    """abs(z) for an mpc z, bit for bit, at the working precision under
+    round-nearest: mpmath's mpf_hypot, whose sum of squares mpf_add rounds
+    down to prec + 4 bits (round_fast, its far-exponent shortcut included),
+    then mpf_sqrt's sqrtrem branch, with the C math.isqrt in place of
+    mpmath's pure-Python square root.  A zero or special part goes to
+    mpmath itself."""
+    prec = mp.prec
+    (_, xm, xe, _), (_, ym, ye, _) = z._mpc_
+    if not (xm and ym):
+        return abs(z)
+    width = prec + 4
+    sm, se, tm, te = xm * xm, 2 * xe, ym * ym, 2 * ye
+    if se < te:
+        sm, se, tm, te = tm, te, sm, se
+    offset = se - te
+    if offset > 100 and offset + sm.bit_length() - tm.bit_length() > width:
+        m, e = (sm << width) + 1, se - width
+    else:
+        m, e = (sm << offset) + tm, te
+    cut = m.bit_length() - width
+    if cut > 0:
+        m >>= cut
+        e += cut
+    zeros = (m & -m).bit_length() - 1
+    m >>= zeros
+    e += zeros
+    if e & 1:
+        m <<= 1
+        e -= 1
+    elif m == 1:
+        return mp.make_mpf((0, 1, e // 2, 1))
+    shift = max(4, 2 * prec - m.bit_length() + 4)
+    shift += shift & 1
+    m <<= shift
+    root = math.isqrt(m)
+    if root * root != m:
+        root = (root << 1) + 1
+        shift += 2
+    return mp.make_mpf(from_man_exp(root, (e - shift) // 2, prec, round_nearest))
 
 
 def _horner_fixed(coeffs, x: int, y: int, frac: int) -> tuple[int, int]:
@@ -165,6 +208,26 @@ def _horner_fixed(coeffs, x: int, y: int, frac: int) -> tuple[int, int]:
         t = x * (ax + ay)
         ax, ay = ((t - ay * s) >> frac) + a, (t + ax * d) >> frac
     return ax, ay
+
+
+def _pow_fixed(x: int, y: int, n: int, frac: int) -> tuple[int, int]:
+    """z^n for z = (x + i y) 2^-frac and n >= 1, by left-to-right binary
+    powering, as an integer pair scaled by 2^frac.
+
+    Error: with M = max(1, |z|) and n <= 2^((frac - 7) / 2), the result is
+    within 1.5 (2n - 1) M^n 2^-frac < 3 n M^n 2^-frac of the exact z^n.
+    With d_m the error of z^m in units of M^m 2^-frac, d_1 = 0; a squaring
+    gives d_2m <= d_m (2 + d_m 2^-frac) + sqrt(2) and a product by z gives
+    d_(m+1) <= d_m + sqrt(2), the sqrt(2) being each floor; by induction
+    d_m <= 1.5 (2m - 1) while 9 n^2 2^-frac <= 1.5 - sqrt(2)."""
+    px, py = x, y
+    s, d = x + y, y - x
+    for bit in bin(n)[3:]:
+        px, py = ((px + py) * (px - py)) >> frac, (px * py) >> (frac - 1)
+        if bit == "1":
+            t = x * (px + py)
+            px, py = (t - py * s) >> frac, (t + px * d) >> frac
+    return px, py
 
 
 # ---------------------------------------------------------------------------
@@ -245,39 +308,92 @@ def _conjugate_tail(head: list, n: int, s: int) -> list:
     return head + [(x, -y) for x, y in (head[s - m] for m in range(len(head), n))]
 
 
-def _fixed_grid(n: int, r, precision_bits: int) -> tuple[int, mpc, list]:
+def _closed_root(n: int, negative: bool, precision_bits: int,
+                 root_sq: Fraction) -> tuple[int, int, tuple, tuple]:
+    """(W, size, root, e): the principal n-th root of +-root_sq^(n/2),
+    minus when negative, and e = exp(pi i / n) as integer pairs scaled by
+    2^W, and size = mag(root).  The root is R = sqrt(root_sq), or R e when
+    negative; R comes from math.isqrt, rounded down, and e from one mpmath
+    expjpi.  When negative, size is 1 + the larger part's mag, mpmath's mag
+    of a complex number with two nonzero parts, as the root of
+    _principal_root has even at n = 2.
+
+    W = bits + _GUARD + 24 + bit_length(n) + 2 |mag(R)|.  size lies in
+    [mag(R), mag(R) + 2], so W >= G + max(0, mag(R)) + 4 for the G of
+    _fixed_grid.  R errs by less than 2^-W; each part of e by less than
+    1.07 2^-W (the floor, and mpmath's rounding at W + 4 bits); so the root
+    errs by less than (2.5 + 1.52 R) 2^-W <= 0.26 2^-G."""
+    p, q = root_sq.numerator, root_sq.denominator
+    e = p.bit_length() - q.bit_length()
+    e -= (p << max(0, -e)) < (q << max(0, e))  # floor(log2 root_sq)
+    mag_mod = e // 2 + 1  # mag(R)
+    wide = precision_bits + _GUARD + 24 + n.bit_length() + 2 * abs(mag_mod)
+    modulus = math.isqrt((p << 2 * wide) // q)
+    with mp.workprec(wide + 4):
+        ex, ey = _to_fixed(mpmath.expjpi(mpf(1) / n), wide)
+    if not negative:
+        return wide, modulus.bit_length() - wide, (modulus, 0), (ex, ey)
+    x, y = (modulus * ex) >> wide, (modulus * ey) >> wide
+    return wide, 1 + max(x.bit_length(), y.bit_length()) - wide, (x, y), (ex, ey)
+
+
+def _fixed_grid(n: int, r, precision_bits: int,
+                root_sq: Fraction | None = None) -> tuple[int, mpc, list]:
     """(F, root, points): the n-th roots of r as Gaussian integers scaled by
     2^F, F = bits + _GUARD + 8 + max(0, 3 - mag(root)), with root the
     principal n-th root of r.
 
-    mpmath computes root and omega = exp(2 pi i / n) once each, exact to
-    2^-G in absolute terms, G = F + bit_length(n) + 4 + max(0, mag(root));
-    the root's working precision also covers the factor |log(r) / n| by
-    which exp(log(r) / n) magnifies rounding.  The points are
-    rho_{m+1} = rho_m * omega, products on integers scaled by 2^G, each
-    shifted down to F bits.  For real r only the head of _conjugate_half is
-    computed so, about n/2 points; the others are the exact conjugates of
-    their mirror points' integer pairs.
+    Without root_sq, mpmath computes root and omega = exp(2 pi i / n) once
+    each, exact to 2^-G in absolute terms,
+    G = F + bit_length(n) + 4 + max(0, mag(root)); the root's working
+    precision also covers the factor |log(r) / n| by which exp(log(r) / n)
+    magnifies rounding.
+
+    root_sq, an exact Fraction, is for real r near +-root_sq^(n/2), such as
+    the scan's r* = +-(P(n)/P(n-1))^(n/2): the grid then holds the n-th
+    roots of the exact +-root_sq^(n/2), with the sign of r, not of r itself.
+    The scan passes r* rounded to bits + _GUARD bits, about 2^-540 away
+    (relative) at 512 bits, which moves the roots by more than the bound
+    below.  The root
+    comes from _closed_root, within 0.26 2^-G before its pair is shifted
+    down to G bits, so within 1.7 2^-G after; omega is the square of
+    e = exp(pi i / n), within 4.5 2^-G, so one expjpi serves both.
+
+    The points are rho_{m+1} = rho_m * omega, products on integers scaled
+    by 2^G, each shifted down to F bits.  For real r only the head of
+    _conjugate_half is computed so, about n/2 points; the others are the
+    exact conjugates of their mirror points' integer pairs.
 
     Error: each point lies within 2^(1-F) of the exact rho_m.  The G-bit
     products drift by less than 5 n max(1, |root|) 2^-G <= 2^-(F+1) over
-    the grid, and the shift to F bits adds less than sqrt(2) 2^-F.  A
-    mirrored point errs by exactly as much as its mirror, because the
-    exact rho_m are conjugates of each other too.
+    the grid; on the closed route each of the at most n/2 steps adds less
+    than (4.5 |root| + 1.42) 2^-G to the root's 1.7 2^-G.  The shift to F
+    bits adds less than sqrt(2) 2^-F.  A mirrored point errs by exactly as
+    much as its mirror, because the exact rho_m are conjugates of each
+    other too.
     """
-    mag_r = mpmath.mag(r)
-    top = -(-mag_r // n) + 2  # >= mag(root)
-    spread = ((abs(mag_r) + 5) // n + 2).bit_length() + 3  # 2^spread > 8 (|log(r) / n| + 1)
-    # G + mag(root) grows with mag(root), so top bounds it from above
-    with mp.workprec(precision_bits + _GUARD + 12 + n.bit_length()
-                     + max(3, top) + max(0, top) + spread):
-        root = _principal_root(n, _r_to_mp(r))
-    size = mpmath.mag(root)
+    if root_sq is None:
+        mag_r = mpmath.mag(r)
+        top = -(-mag_r // n) + 2  # >= mag(root)
+        spread = ((abs(mag_r) + 5) // n + 2).bit_length() + 3  # 2^spread > 8 (|log(r) / n| + 1)
+        # G + mag(root) grows with mag(root), so top bounds it from above
+        with mp.workprec(precision_bits + _GUARD + 12 + n.bit_length()
+                         + max(3, top) + max(0, top) + spread):
+            root = _principal_root(n, _r_to_mp(r))
+        size = mpmath.mag(root)
+    else:
+        wide, size, (x, y), (ex, ey) = _closed_root(n, r < 0, precision_bits, root_sq)
     frac = precision_bits + _GUARD + 8 + max(0, 3 - size)
     guard = frac + n.bit_length() + 4 + max(0, size)
-    with mp.workprec(guard + 4):
-        wx, wy = _to_fixed(mpmath.expjpi(mpf(2) / n), guard)
-    x, y = _to_fixed(root, guard)
+    if root_sq is None:
+        with mp.workprec(guard + 4):
+            wx, wy = _to_fixed(mpmath.expjpi(mpf(2) / n), guard)
+        x, y = _to_fixed(root, guard)
+    else:
+        drop = wide - guard
+        x, y, ex, ey = x >> drop, y >> drop, ex >> drop, ey >> drop
+        wx, wy = ((ex + ey) * (ex - ey)) >> guard, (ex * ey) >> (guard - 1)
+        root = mp.make_mpc((from_man_exp(x, -guard), from_man_exp(y, -guard)))
     head, s = _conjugate_half(n, r)
     points = [(x, y)]
     for _ in range(head - 1):
@@ -358,15 +474,17 @@ def _horner_mpc(k: int, n: int, rhos) -> list:
     return lams
 
 
-def _direct_fixed(k: int, n: int, r, precision_bits: int) -> tuple[int, mpc, list, list]:
-    """(F, root, points, values): the points of _fixed_grid and the order-n
-    generator polynomial at each of them, all as integer pairs scaled by
-    2^F; see eigenvalues_direct for F and the error.  _horner_fixed runs on
-    the head of _conjugate_half only, and for real r the other values are
-    conjugates, since the generator's coefficients are integers."""
+def _direct_fixed(k: int, n: int, r, precision_bits: int,
+                  root_sq: Fraction | None = None) -> tuple[int, mpc, list, list]:
+    """(F, root, points, values): the points of _fixed_grid (root_sq goes
+    to it) and the order-n generator polynomial at each of them, all as
+    integer pairs scaled by 2^F; see eigenvalues_direct for F and the
+    error.  _horner_fixed runs on the head of _conjugate_half only, and for
+    real r the other values are conjugates, since the generator's
+    coefficients are integers."""
     check_k(k)
     _check_grid(n, r, precision_bits)
-    frac, root, points = _fixed_grid(n, r, precision_bits)
+    frac, root, points = _fixed_grid(n, r, precision_bits, root_sq)
     head, s = _conjugate_half(n, r)
     coeffs = [a << frac for a in reversed(terms_upto(k, n - 1))]
     values = [_horner_fixed(coeffs, x, y, frac) for x, y in points[:head]]
@@ -379,26 +497,36 @@ def _extreme_candidates(terms: list, head: list, frac: int) -> tuple[list, list]
     double-precision Horner at every point of head; None when the doubles
     cannot decide.  See _modulus_extremes for the proof.
 
-    terms are the generator row a_0 .. a_(n-1) and head the points of
-    _fixed_grid (integer pairs scaled by 2^frac) that the kernel evaluates.
-    With w_m the double Psi at point m, R' = |z_0| (1 + 2^-48) and
-    Pbar(t) = sum_l a_l t^l in doubles, index m is a low when
-    |w_m| <= min |w| + 2E and a high when |w_m| >= max |w| - 2E, with
-    E = 2^-40 n Pbar(R').  None when some a_l has more than 1000 bits,
-    R' < 2^-900, Pbar(R') > 2^1000, a double overflows or some |w_m| is not
-    finite."""
-    if max(terms).bit_length() > 1000:
-        return None
+    terms are the generator row a_0 .. a_(n-1), with a_0 = 0 and a_l >= 1
+    for l >= 1, and head the points of _fixed_grid (integer pairs scaled by
+    2^frac) that the kernel evaluates.  With R' = |z_0| (1 + 2^-48), one
+    power of two 2^-S brings the largest term a_l R'^l to about 2^900:
+    c_l = a_l 2^-S rounded to a double, w_m the double Horner value of
+    sum_l c_l z_m^l and Pbar_S(t) = sum_l c_l t^l in doubles.  Index m is a
+    low when |w_m| <= min |w| + 2E and a high when |w_m| >= max |w| - 2E,
+    with E = 2^-40 n Pbar_S(R').  None when a point or a c_l is past double
+    range, R' < 2^-900, S > 1000 + min(0, log2 R') (the terms spread past
+    double range), Pbar_S(R') > 2^1000 or some |w_m| is not finite."""
     scale = 1 << frac
-    coeffs = [float(a) for a in reversed(terms)]
     try:
-        # int / int rounds each part correctly, and raises OverflowError
+        # int / int rounds correctly, subnormals included, and raises
+        # OverflowError past double range
         points = [complex(x / scale, y / scale) for x, y in head]
         radius = abs(points[0]) * (1 + 2.0 ** -48)
+        if not radius >= 2.0 ** -900:
+            return None
+        log_radius = math.log2(radius)
+        # above log2 of the largest term a_l R'^l, by at most about 1
+        top = max(a.bit_length() + l * log_radius for l, a in enumerate(terms) if a)
+        shift = max(0, math.ceil(top) - 900)
+        if shift > 1000 + min(0.0, log_radius):
+            return None
+        unit = 1 << shift
+        coeffs = [a / unit for a in reversed(terms)]
         pbar = 0.0
         for c in coeffs:
             pbar = pbar * radius + c
-        if not (radius >= 2.0 ** -900 and pbar <= 2.0 ** 1000):
+        if not pbar <= 2.0 ** 1000:
             return None
         mods = []
         for z in points:
@@ -416,13 +544,16 @@ def _extreme_candidates(terms: list, head: list, frac: int) -> tuple[list, list]
             [m for m, a in enumerate(mods) if a >= high])
 
 
-def _modulus_extremes(k: int, n: int, r, precision_bits: int) -> tuple[mpf, int, mpf]:
+def _modulus_extremes(k: int, n: int, r, precision_bits: int,
+                      root_sq: Fraction | None = None) -> tuple[mpf, int, mpf]:
     """(smallest |lambda_m|, its index m, largest |lambda_m|) over the direct
     eigenvalues, bit for bit the exhaustive answer: the first index m whose
     kernel value lambda~_m has the smallest squared modulus x^2 + y^2 on
     the kernel's integers, and the first with the largest.  Only the two
     extremes are rounded to bits + _GUARD bits, as eigenvalues_direct
-    rounds every lambda, and take a square root.
+    rounds every lambda, and _modulus takes their absolute values.  The
+    grid is _fixed_grid's with root_sq, so with it the eigenvalues are
+    those of the exact +-root_sq^(n/2), not of r.
 
     _horner_fixed runs only on the candidates of _extreme_candidates,
     usually one or two points, on the same integer points as
@@ -432,7 +563,9 @@ def _modulus_extremes(k: int, n: int, r, precision_bits: int) -> tuple[mpf, int,
 
     Proof that the exhaustive argmin lo* and argmax hi* are candidates, with
     u = 2^-53, R = |r|^(1/n) the common modulus of the exact rho_m,
-    P = Pbar(R') and lambda~_m the kernel value at head point p_m:
+    P = Pbar(R') = sum_l a_l R'^l, P_S = 2^-S P and lambda~_m the kernel
+    value at head point p_m.  Every value below is taken in units of 2^S;
+    only underflow does not scale, and S <= 1000 + min(0, log2 R') bounds it.
     - Head suffices.  A mirrored index m >= h (_conjugate_half) has the
       exact conjugate value of its mirror s - m < m, so the same squared
       modulus; the first index on ties is never a mirrored one.
@@ -446,29 +579,33 @@ def _modulus_extremes(k: int, n: int, r, precision_bits: int) -> tuple[mpf, int,
       double z_m is within u |p_m| + 2^-1074 of p_m; the check R' >= 2^-900
       makes 2^-1074 < 2^-173 R, so |z_m - rho_m| <= 1.01 u R.  abs() errs
       by at most 2u, so R' >= R (1 + 2^-49) >= max(|z_m|, |p_m|, R).  Each
-      a_l < 2^1000 rounds to c_l within u a_l.  Hence
-      |sum c_l z_m^l - Psi(rho_m)| <= u P + sum_l a_l l R'^(l-1) 1.01 u R
-      <= 1.01 u n P.
+      c_l is within u a_l 2^-S + 2^-1075 of a_l 2^-S; the 2^-1075 terms,
+      below the normal range, add at most 2^-1075 sum_(l>=1) R'^l
+      <= 2^(S-1075) P_S.  Hence
+      |sum c_l z_m^l - 2^-S Psi(rho_m)| <= u P_S + 2^(S-1075) P_S
+      + sum_l a_l 2^-S l R'^(l-1) 1.01 u R <= 1.02 u n P_S.
     - Double Horner.  Each complex product errs by less than 3u |x| |y|,
       with or without a fused multiply-add, and adding the real c_l rounds
       the real part once (u).  A finite |w_m| means no step overflowed:
       an inf or nan never turns finite again.  So Horner errs by less than
-      ((1 + 3u)^(2n) - 1) (1 + u) P <= 6.1 n u P (n < 2^40), plus
-      underflow: below 2^-1073 per product, carried by later products at
-      most R'^j times, in all at most 2^-1072 Pbar(R') / R' < 2^-171 P.
-    - Together |w_m - lambda~_m| < 2^-49 n P, and with abs() (2u |w_m|,
-      |w_m| <= 1.01 P) the computed |w_m| is within 2^-47 n P of
-      |lambda~_m|.  So |w_(lo*)| <= |w_m| + 2^-46 n P for every m, and
-      |w_(hi*)| >= |w_m| - 2^-46 n P.
-    - The thresholds.  Pbar in doubles sums positive terms, so it is at
-      least P (1 - 3nu), and 2E >= 2^-39.1 n P.  Rounding
-      min |w| + 2E and max |w| - 2E moves them by at most u (1.01 P + 2E),
-      so the thresholds stay more than 2^-46 n P beyond min |w| and
+      ((1 + 3u)^(2n) - 1) (1 + u) P_S <= 6.1 n u P_S (n < 2^40), plus
+      underflow: below 2^-1072 per product, carried by later products at
+      most R'^j times, in all at most 2^-1072 sum_(l>=1) R'^(l-1)
+      <= 2^(S-1072) P_S / R' <= 2^-72 P_S.
+    - Together |w_m - 2^-S lambda~_m| < 2^-49 n P_S, and with abs()
+      (2u |w_m|, |w_m| <= 1.01 P_S) the computed |w_m| is within
+      2^-47 n P_S of 2^-S |lambda~_m|.  So |w_(lo*)| <= |w_m| + 2^-46 n P_S
+      for every m, and |w_(hi*)| >= |w_m| - 2^-46 n P_S.
+    - The thresholds.  Pbar_S in doubles sums positive terms, so with the
+      same underflow bounds it is at least P_S (1 - 3nu - 2^-71), and
+      2E >= 2^-39.1 n P_S.  Rounding
+      min |w| + 2E and max |w| - 2E moves them by at most u (1.01 P_S + 2E),
+      so the thresholds stay more than 2^-46 n P_S beyond min |w| and
       max |w|: lo* is a low and hi* a high.
     """
     check_k(k)
     _check_grid(n, r, precision_bits)
-    frac, _, points = _fixed_grid(n, r, precision_bits)
+    frac, _, points = _fixed_grid(n, r, precision_bits, root_sq)
     head, _ = _conjugate_half(n, r)
     terms = terms_upto(k, n - 1)
     found = _extreme_candidates(terms, points[:head], frac)
@@ -479,7 +616,8 @@ def _modulus_extremes(k: int, n: int, r, precision_bits: int) -> tuple[mpf, int,
     lo = min(lows, key=sq.__getitem__)
     hi = max(highs, key=sq.__getitem__)
     with mp.workprec(precision_bits + _GUARD):
-        return abs(_from_fixed(*values[lo], frac)), lo, abs(_from_fixed(*values[hi], frac))
+        return (_modulus(_from_fixed(*values[lo], frac)), lo,
+                _modulus(_from_fixed(*values[hi], frac)))
 
 
 def eigenvalues_direct(k: int, n: int, r, precision_bits: int = 256) -> EigenSpectrum:
@@ -712,9 +850,9 @@ def _quadratic_roots(k: int, n: int, r_mp) -> tuple[mpc, mpc]:
     disc = mpmath.sqrt(mpc(s * s - 4 * q))
     r1, r2 = (s + disc) / 2, (s - disc) / 2
     tiny = abs(s) * mpf(2) ** -_GUARD
-    if abs(s + disc) < tiny:
+    if _modulus(s + disc) < tiny:
         r1 = q / r2
-    elif abs(s - disc) < tiny:
+    elif _modulus(s - disc) < tiny:
         r2 = q / r1
     return r1, r2
 

@@ -99,13 +99,16 @@ def binet_term(k: int, n: int, precision_bits: int = 256) -> mpf:
         return mpf((w_a * mpc(alpha) ** n + w_b * beta**n + w_c * gamma**n).real)
 
 
-def modulus_extremes_exhaustive(k: int, n: int, r, precision_bits: int) -> tuple[mpf, int, mpf]:
+def modulus_extremes_exhaustive(k: int, n: int, r, precision_bits: int,
+                                root_sq=None) -> tuple[mpf, int, mpf]:
     """(smallest |lambda_m|, its index m, largest |lambda_m|) over all n
-    direct kernel values, mirrored ones included: the first index of the
-    smallest and of the largest squared modulus on the kernel's integers,
-    the two rounded to bits + _GUARD bits.  The oracle for
-    spectral._modulus_extremes, which runs Horner on candidates only."""
-    frac, _, _, values = _direct_fixed(k, n, r, precision_bits)
+    direct kernel values, mirrored ones included, on the grid of
+    spectral._fixed_grid with root_sq: the first index of the smallest and
+    of the largest squared modulus on the kernel's integers, the two
+    rounded to bits + _GUARD bits and taken in mpmath's own abs.  The
+    oracle for spectral._modulus_extremes, which runs Horner on candidates
+    only and takes the moduli on math.isqrt."""
+    frac, _, _, values = _direct_fixed(k, n, r, precision_bits, root_sq)
     sq = [x * x + y * y for x, y in values]
     lo = min(range(n), key=sq.__getitem__)
     hi = max(range(n), key=sq.__getitem__)

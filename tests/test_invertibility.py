@@ -1,5 +1,8 @@
+import math
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import mp, mpf
 from hypothesis import given, settings, strategies as st
@@ -230,6 +233,91 @@ def test_scan_runs_horner_on_few_points(monkeypatch):
     for sign in (1, -1):
         inv.counterexample_scan(range(1, 11), range(2, 31), sign=sign, precision_bits=512)
     assert len(calls) <= 3 * 580, len(calls)
+
+
+def test_scan_prefilter_covers_coefficients_past_1000_bits(monkeypatch):
+    # a_399 has about 1090 bits at k = 3; one power of two brings the
+    # terms into double range, so the prefilter still picks the candidates
+    calls = []
+    horner = sp._horner_fixed
+
+    def counting(*args):
+        calls.append(1)
+        return horner(*args)
+
+    monkeypatch.setattr(sp, "_horner_fixed", counting)
+    (cell,) = inv.counterexample_scan([3], [400], sign=1, precision_bits=128)
+    assert len(calls) <= 3, len(calls)
+    assert cell.min_abs_lambda_log10 == 485.1091599437309
+
+
+def test_scan_counts_no_principal_root_and_no_log_fallback(monkeypatch):
+    # the program's own counts over criterion 09's grid: the grid root
+    # comes from math.isqrt, never from _principal_root's mpmath power, and
+    # none of the 1740 logarithms needs the full-precision fallback
+    roots, logs = [], []
+    principal_root, log10 = sp._principal_root, mpmath.log10
+
+    def counting_root(*args):
+        roots.append(args)
+        return principal_root(*args)
+
+    def counting_log10(*args):
+        logs.append(args)
+        return log10(*args)
+
+    monkeypatch.setattr(sp, "_principal_root", counting_root)
+    monkeypatch.setattr(mpmath, "log10", counting_log10)
+    for sign in (1, -1):
+        inv.counterexample_scan(range(1, 11), range(2, 31), sign=sign, precision_bits=512)
+    assert len(roots) == 0, len(roots)
+    assert len(logs) == 0, len(logs)
+
+
+def _log10_cases():
+    rng = random.Random(544)
+    yield mpf(1)
+    for j in range(-30, 31):
+        yield mpf(10) ** j
+    yield from (mpf("1e300"), mpf("1e-300"), mpf(2) ** 3000, mpf(2) ** -3000)
+    for _ in range(400):
+        yield mpf((rng.getrandbits(544) | 1 << 543, rng.randrange(-4000, 3000)))
+    for _ in range(50):  # near 1, where log10 is small
+        yield 1 + mpf((rng.getrandbits(64) | 1, -rng.randrange(70, 500)))
+
+
+def test_log10_double_is_the_full_precision_double():
+    with mp.workprec(512 + 32):
+        for x in _log10_cases():
+            assert inv._log10_double(x) == float(mpmath.log10(x)), x
+
+
+def test_log10_double_falls_back_near_a_midpoint(monkeypatch):
+    # x = 10^mu with mu halfway between two doubles, to 2^-540: the 120-bit
+    # value cannot tell which way mu rounds, so the full-precision one does
+    rng = random.Random(90)
+    cases = []
+    for _ in range(40):
+        d = rng.uniform(-300, 300)
+        with mp.workprec(1000):
+            mu = mpf(d) + mpf(math.ulp(d)) / 2
+            cases.append(mpf(10) ** mu)
+    want = []
+    with mp.workprec(512 + 32):
+        cases = [+x for x in cases]
+        want = [float(mpmath.log10(x)) for x in cases]
+    calls = []
+    log10 = mpmath.log10
+
+    def counting(*args):
+        calls.append(args)
+        return log10(*args)
+
+    monkeypatch.setattr(mpmath, "log10", counting)
+    with mp.workprec(512 + 32):
+        got = [inv._log10_double(x) for x in cases]
+    assert got == want
+    assert len(calls) == len(cases)
 
 
 def test_scan_validation():

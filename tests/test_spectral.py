@@ -418,9 +418,9 @@ def test_direct_spectrum_evaluates_every_point_for_complex_typed_r():
             assert values[m] == sp._horner_fixed(coeffs, x, y, frac), (r, n, m)
 
 
-def _same_extremes(k, n, r, bits):
-    got = sp._modulus_extremes(k, n, r, bits)
-    want = ref.modulus_extremes_exhaustive(k, n, r, bits)
+def _same_extremes(k, n, r, bits, root_sq=None):
+    got = sp._modulus_extremes(k, n, r, bits, root_sq)
+    want = ref.modulus_extremes_exhaustive(k, n, r, bits, root_sq)
     return (got[0]._mpf_, got[1], got[2]._mpf_) == (want[0]._mpf_, want[1], want[2]._mpf_)
 
 
@@ -451,10 +451,10 @@ def test_modulus_extremes_match_the_oracle_on_critical_values():
 
 
 @pytest.mark.parametrize("k,n,r", [
-    (10**6, 60, 1),                   # a coefficient beyond 1000 bits
-    (1, 2, mpf(2) ** -2000),          # R = 2^-1000, below 2^-900
-    (1, 2, mpf(2) ** 2010),           # Pbar(R') = R' > 2^1000
-    (1, 2, mpf(2) ** 3000),           # a point beyond double range
+    pytest.param(2**2100, 3, 1, id="2^2100-3-1"),        # a_l from 1 to 2^2101
+    (1, 2, mpf(2) ** -2000),                              # R = 2^-1000, below 2^-900
+    pytest.param(1, 3, mpf(2) ** 2850, id="1-3-2^2850"),  # a_l R'^l from 2^950 to 2^1901
+    (1, 2, mpf(2) ** 3000),                               # a point beyond double range
 ])
 def test_modulus_extremes_fall_back_to_every_point(k, n, r):
     # where the doubles cannot decide, the prefilter says so instead of
@@ -463,6 +463,77 @@ def test_modulus_extremes_fall_back_to_every_point(k, n, r):
     head, _ = sp._conjugate_half(n, r)
     assert sp._extreme_candidates(terms_upto(k, n - 1), points[:head], frac) is None
     assert _same_extremes(k, n, r, 128)
+
+
+def _exact_critical_grid(k, n, sign, bits):
+    # r* = sign (P(n)/P(n-1))^(n/2) and its n-th roots, both to bits + 160
+    with mp.workprec(bits + _GUARD + 160):
+        r_exact = sign * (mpf(term(k, n)) / term(k, n - 1)) ** (mpf(n) / 2)
+    return sp.eigen_grid(n, r_exact, bits + 160)
+
+
+CLOSED_N = (*range(2, 31), 200)
+
+
+@pytest.mark.parametrize("bits", [64, 512])
+def test_closed_grid_within_stated_error_of_exact_roots(bits):
+    # with root_sq = P(n)/P(n-1), the points are the n-th roots of the exact
+    # r*, not of r* rounded to bits + _GUARD bits, each within 2^(1-F), with
+    # F = bits + _GUARD + 8 + max(0, 3 - mag(root)) as without root_sq
+    for k, n, sign in itertools.product((1, 4, 10), CLOSED_N, (1, -1)):
+        with mp.workprec(bits + _GUARD):
+            r_star = sign * _critical_magnitude(k, n)
+        frac, _, points = sp._fixed_grid(n, r_star, bits, Fraction(term(k, n), term(k, n - 1)))
+        exact = _exact_critical_grid(k, n, sign, bits)
+        assert frac == bits + _GUARD + 8 + max(0, 3 - mpmath.mag(exact.root)), (k, n, sign)
+        with mp.workprec(bits + _GUARD + 160):
+            tol = mpf(2) ** (1 - frac)
+            for m, ((x, y), rho) in enumerate(zip(points, exact.rhos)):
+                assert abs(sp._from_fixed(x, y, frac) - rho) <= tol, (k, n, sign, m)
+
+
+@pytest.mark.parametrize("bits", [64, 512])
+def test_modulus_extremes_match_the_oracle_on_the_closed_grid(bits):
+    # the scan's call: r* rounded, with root_sq = P(n)/P(n-1)
+    for k, n, sign in itertools.product((1, 4, 10), CLOSED_N, (1, -1)):
+        with mp.workprec(bits + _GUARD):
+            r_star = sign * _critical_magnitude(k, n)
+        root_sq = Fraction(term(k, n), term(k, n - 1))
+        assert _same_extremes(k, n, r_star, bits, root_sq), (k, n, sign)
+
+
+def test_modulus_is_mpmaths_abs_bit_for_bit():
+    # far exponents take mpf_add's shortcut; equal ones, zeros and exact
+    # squares (the sqrtrem remainder 0) the other branches
+    rng = np.random.default_rng(7)
+    for prec in (96, 288, 544):
+        with mp.workprec(prec):
+            values = [mpc(3, 4), mpc(0, -5), mpc(2, 0), mpc(0, 0), mpc(1, 1),
+                      mpc(mpf(2) ** -300, 1), mpc(1, mpf(2) ** 300), mpc(-7, mpf(3) / 2 ** 200)]
+            for _ in range(300):
+                parts = [from_man_exp(int(rng.integers(1, 2**62)) << prec, int(e) - prec, prec,
+                                      round_nearest)
+                         for e in rng.integers(-400, 400, size=2)]
+                values.append(mp.make_mpc(tuple(parts)) * mpc(0, 1) ** int(rng.integers(4)))
+            for z in values:
+                assert sp._modulus(z)._mpf_ == abs(z)._mpf_, (prec, z)
+
+
+@pytest.mark.parametrize("frac", [128, 600])
+def test_pow_fixed_within_stated_bound(frac):
+    # |result - z^n| < 3 n max(1, |z|)^n 2^-frac, z^n taken in mpc at
+    # frac + 160 bits from the exact dyadic z
+    rng = np.random.default_rng(frac)
+    for n in (1, 2, 3, 7, 30, 200, 1001):
+        for scale in (-8, 0, 1, 40):
+            x, y = (int(v) << max(0, scale + frac - 60) >> max(0, 60 - frac - scale)
+                    for v in rng.integers(-2**60, 2**60, size=2))
+            px, py = sp._pow_fixed(x, y, n, frac)
+            with mp.workprec(frac + 160 + 64 * n.bit_length()):
+                z = mpc(mpf(x), mpf(y)) / mpf(2) ** frac
+                want = z ** n
+                bound = 3 * n * max(1, abs(z)) ** n * mpf(2) ** -frac
+                assert abs(mpc(px, py) / mpf(2) ** frac - want) < bound, (n, scale)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 21, 64, 200])
