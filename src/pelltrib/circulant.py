@@ -17,23 +17,29 @@ The exact determinant of the sequence matrix never builds the matrix: it is
 the resultant Res(x^n - r, f) of the generator polynomial f, which the
 telescoping identity psi f = T mod (x^n - r) splits into two resultants with
 a quadratic and a cubic, each an integer expression in O(log n) big-integer
-products (see _resultants).
+products and sequence terms up to P(2n+1), from term's cache (see _resultants).
 """
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 
 import numpy as np
 from mpmath import mpc
 
-from .sequence import check_int, check_k, terms_upto
+from .sequence import check_order, t_integers, term, terms_upto
 
 EXACT_TYPES = (int, Fraction)
 
 
 def is_exact(x) -> bool:
     return isinstance(x, EXACT_TYPES)
+
+
+def is_real(x) -> bool:
+    """True for int, Fraction, float, mpf and numpy reals; never complex or mpc."""
+    return isinstance(x, numbers.Real)
 
 
 def abs_sq(x):
@@ -63,43 +69,19 @@ def build(r, entries) -> np.ndarray:
 
 def build_pell(k: int, n: int, r) -> np.ndarray:
     """Dense r-circulant generated by the first n sequence terms."""
-    check_k(k)
-    check_int(n, 2, "matrix order n")
+    check_order(k, n)
     return build(r, terms_upto(k, n - 1))
 
 
 def build_pell_complex(k: int, n: int, r) -> np.ndarray:
     """to_complex_list(build_pell(k, n, r)), bit for bit, converting only
     the 2n entries of the doubled row."""
-    check_k(k)
-    check_int(n, 2, "matrix order n")
+    check_order(k, n)
     return _layout(to_complex_list(_doubled(r, terms_upto(k, n - 1))))
 
 
 # ---------------------------------------------------------------------------
 # exact determinant from two resultants
-
-def _matmul_int(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
-def _matpow(m, e: int):
-    """m^e for a square integer matrix given as a sequence of rows, e >= 0."""
-    size = len(m)
-    out = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
-    while e:
-        if e & 1:
-            out = _matmul_int(out, m)
-        e >>= 1
-        if e:
-            m = _matmul_int(m, m)
-    return out
-
-
-def _trace(m) -> int:
-    return sum(m[i][i] for i in range(len(m)))
-
 
 def _lucas_v(a1: int, b: int, n: int) -> int:
     """X^n + Y^n for the roots X, Y of y^2 + a1 y + b, by index doubling."""
@@ -114,21 +96,36 @@ def _lucas_v(a1: int, b: int, n: int) -> int:
     return u
 
 
+def _power_sums(k: int, n: int) -> tuple[int, int]:
+    """(s_n, t_n): the n-th power sums of the roots alpha, beta, gamma of
+    x^3 - 2k x^2 - k x - 1 and of their reciprocals, the roots of
+    x^3 + k x^2 + 2k x - 1; n >= 1.
+
+    s_m = 3 P(m+1) - 4k P(m) - k P(m-1) for m >= 1: both sides satisfy the
+    sequence recurrence x_m = 2k x_(m-1) + k x_(m-2) + x_(m-3) (each root
+    does), and they agree at m = 1, 2, 3, where s_m is 2k, 4k^2 + 2k and
+    8k^3 + 6k^2 + 3.  alpha beta gamma = 1, so alpha^-n = beta^n gamma^n and
+    t_n is the second elementary symmetric function of alpha^n, beta^n,
+    gamma^n: t_n = (s_n^2 - s_2n) / 2, an exact division.
+    """
+    s_n, s_2n = (3 * term(k, m + 1) - 4 * k * term(k, m) - k * term(k, m - 1) for m in (n, 2 * n))
+    return s_n, (s_n * s_n - s_2n) // 2
+
+
 def _resultants(k: int, n: int, r) -> tuple[int, int, int]:
     """(q^(n+2) Res(x^n - r, T), q^3 Res(x^n - r, psi), q) for r = p/q in lowest terms.
 
-    psi = 1 - 2k x - k x^2 - x^3 and T = x - r P(n) - r (k P(n-1) + P(n-2)) x
-    - r P(n-1) x^2.  psi times the generator polynomial f telescopes to
-    T mod (x^n - r) (tests/reference.py checks it coefficient by
-    coefficient, psi_times_Psi), so det Circ_r = Res(x^n - r, f)
-    = Res(x^n - r, T) / Res(x^n - r, psi).
+    psi = 1 - 2k x - k x^2 - x^3 and T = x - r (c0 + c1 x + c2 x^2) with
+    (c0, c1, c2) = sequence.t_integers(k, n).  psi times the generator
+    polynomial f telescopes to T mod (x^n - r) (tests/reference.py checks it
+    coefficient by coefficient, psi_times_Psi), so det Circ_r
+    = Res(x^n - r, f) = Res(x^n - r, T) / Res(x^n - r, psi).
 
     With q T = a0 + a1 x + a2 x^2 and U_n = X^n + Y^n for the roots X, Y of
     y^2 + a1 y + a0 a2, the first value is q^2 a0^n - p q U_n + p^2 a2^n.
-    With s_n and t_n the n-th power sums of the roots of x^3 - 2k x^2 - k x - 1
-    and of x^3 + k x^2 + 2k x - 1 (the traces of the n-th powers of their
-    companion matrices), the second is q^3 - p q^2 s_n + p^2 q t_n - p^3.
-    All integer; O(log n) big-integer products.
+    With (s_n, t_n) = _power_sums(k, n), the second is
+    q^3 - p q^2 s_n + p^2 q t_n - p^3.  All integer: O(log n) big-integer
+    products, plus sequence.term's cache filled up to P(2n+1).
 
     The second value is never 0.  Res(x^n - r, psi) is the product of
     (alpha_j^-n - r) over the roots alpha, beta, gamma of x^3 - 2k x^2 - k x - 1.
@@ -139,20 +136,14 @@ def _resultants(k: int, n: int, r) -> tuple[int, int, int]:
     |beta| and |gamma| below 1.  A zero value is raised as ArithmeticError
     rather than divided by.
     """
-    check_k(k)
-    check_int(n, 2, "matrix order n")
+    c0, c1, c2 = t_integers(k, n)  # checks k and n
     if not is_exact(r):
         raise ValueError(f"exact resultants need int or Fraction r, got {r!r}")
     r = Fraction(r)
     p, q = r.numerator, r.denominator
-    # column 3 of C^n is (P(n), P(n-1), P(n-2)) for C the companion matrix
-    # of x^3 - 2k x^2 - k x - 1
-    cn = _matpow(((2 * k, k, 1), (1, 0, 0), (0, 1, 0)), n)
-    pn, pn1, pn2 = (row[2] for row in cn)
-    a0, a1, a2 = -p * pn, q - p * (k * pn1 + pn2), -p * pn1
+    a0, a1, a2 = -p * c0, q - p * c1, -p * c2
     res_t = q * q * a0**n - p * q * _lucas_v(a1, a0 * a2, n) + p * p * a2**n
-    s_n = _trace(cn)
-    t_n = _trace(_matpow(((-k, -2 * k, 1), (1, 0, 0), (0, 1, 0)), n))
+    s_n, t_n = _power_sums(k, n)
     res_psi = q**3 - p * q * q * s_n + p * p * q * t_n - p**3
     if res_psi == 0:
         raise ArithmeticError(f"Res(x^n - r, psi) = 0 at k={k}, n={n}, r={r}")

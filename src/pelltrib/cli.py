@@ -149,9 +149,6 @@ def _fmt(value):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, float):
         return value
-    if isinstance(value, complex):
-        sign = "+" if value.imag >= 0 else "-"
-        return f"{value.real!r}{sign}{abs(value.imag)!r}i"
     return str(value)
 
 
@@ -272,7 +269,7 @@ def _cmd_det(config: CliConfig) -> Report:
 
 def _cmd_invert(config: CliConfig) -> Report:
     r = _parse_r(config)
-    if isinstance(r, complex):
+    if not circulant.is_real(r):
         verdict = invertibility.InvertibilityVerdict(
             status="not_covered", reason="sufficient condition applies to real r only")
     else:

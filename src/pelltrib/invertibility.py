@@ -52,7 +52,7 @@ import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import from_int, mpf_div, mpf_log, round_nearest, to_float
 
-from .circulant import _resultants, is_exact
+from .circulant import _resultants, is_exact, is_real
 from .errors import ZeroR
 from .sequence import _GUARD, char_roots, check_bits, check_int, check_k, term
 from .spectral import (_from_fixed, _modulus, _modulus_extremes, _pow_fixed, _quadratic_roots,
@@ -136,12 +136,13 @@ def sufficient_condition(k: int, n: int, r, precision_bits: int = 256) -> Invert
     r=-1/8 is one).  For int and Fraction r the verdict carries the exact
     decision of invertible_exact, and a guarantee the exact decision
     contradicts becomes excluded_parameter with a reason naming exact
-    singularity.  Float and mpf r get the theorem's verdict unchecked.
+    singularity.  Float and mpf r get the theorem's verdict unchecked.  An r
+    that is not circulant.is_real raises ValueError, even mpc(2, 0).
     """
     check_k(k)
     check_bits(precision_bits)
     check_int(n, 2, "matrix order n")
-    if isinstance(r, complex) or (hasattr(r, "imag") and r.imag != 0):
+    if not is_real(r):
         raise ValueError("sufficient_condition covers real r only")
     if r == 0:
         raise ZeroR("r must be nonzero")

@@ -46,6 +46,12 @@ def check_k(k) -> int:
     return check_int(k, 1, "k")
 
 
+def check_order(k, n) -> int:
+    """n itself if k >= 1 and n is a matrix order >= 2; checks k first."""
+    check_k(k)
+    return check_int(n, 2, "matrix order n")
+
+
 def check_bits(precision_bits) -> int:
     if not isinstance(precision_bits, int) or isinstance(precision_bits, bool):
         raise ValueError(f"precision_bits must be an int, got {precision_bits!r}")
@@ -71,6 +77,15 @@ def terms_upto(k: int, n: int) -> list[int]:
     """Terms P(k, 0) .. P(k, n) inclusive, as a fresh list."""
     term(k, n)
     return _terms_cache[k][: n + 1]
+
+
+def t_integers(k: int, n: int) -> tuple[int, int, int]:
+    """(P(n), k P(n-1) + P(n-2), P(n-1)), the integers of the quadratic
+    T = x - r (P(n) + (k P(n-1) + P(n-2)) x + P(n-1) x^2) that recip_poly
+    times the order-n generator polynomial telescopes to modulo x^n - r."""
+    check_order(k, n)
+    pn1 = term(k, n - 1)
+    return term(k, n), k * pn1 + term(k, n - 2), pn1
 
 
 def char_poly(k: int, x):

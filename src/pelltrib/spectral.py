@@ -31,10 +31,10 @@ import mpmath
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
-from .circulant import abs_sq, build_pell_complex, is_exact
+from .circulant import abs_sq, build_pell_complex, is_exact, is_real
 from .errors import DegenerateCase, ZeroR
-from .sequence import (_GUARD, char_roots, check_bits, check_int, check_k, recip_poly,
-                       term, terms_upto)
+from .sequence import (_GUARD, char_roots, check_bits, check_int, check_k, check_order,
+                       recip_poly, t_integers, term, terms_upto)
 from . import sums
 
 
@@ -43,8 +43,7 @@ from . import sums
 
 def frobenius_sq_closed(k: int, n: int, r):
     """Squared Frobenius norm; exact (int or Fraction) for exact rational r."""
-    check_k(k)
-    check_int(n, 2, "matrix order n")
+    check_order(k, n)
     return n * sums.s2_closed(k, n - 1) + (abs_sq(r) - 1) * sums.w2_closed(k, n - 1)
 
 
@@ -61,16 +60,14 @@ def frobenius_closed(k: int, n: int, r) -> float:
 
 def l1_closed(k: int, n: int, r):
     """Entrywise 1-norm; exact for exact rational r."""
-    check_k(k)
-    check_int(n, 2, "matrix order n")
+    check_order(k, n)
     return n * sums.s1_closed(k, n - 1) + (abs(r) - 1) * sums.w1_closed(k, n - 1)
 
 
 def spectral_bounds(k: int, n: int, r) -> tuple[float, float]:
     """(lower, upper) enclosure of the largest singular value, as doubles;
     OverflowError when either does not fit one."""
-    check_k(k)
-    check_int(n, 2, "matrix order n")
+    check_order(k, n)
     inner = sums.s2_closed(k, n - 1) + Fraction(1, n) * (abs_sq(r) - 1) * sums.w2_closed(k, n - 1) \
         if is_exact(r) else \
         sums.s2_closed(k, n - 1) + (abs_sq(r) - 1) / n * sums.w2_closed(k, n - 1)
@@ -103,7 +100,6 @@ class NormReport:
     n: int
     r: object
     frobenius: float
-    l1: float
     spectral_lower: float
     spectral_upper: float
     sigma: float
@@ -118,7 +114,6 @@ def norm_report(k: int, n: int, r) -> NormReport:
     return NormReport(
         k=k, n=n, r=r,
         frobenius=frobenius_closed(k, n, r),
-        l1=float(l1_closed(k, n, r)),
         spectral_lower=lower,
         spectral_upper=upper,
         sigma=spectral_numeric(a),
@@ -291,12 +286,12 @@ def _conjugate_half(n: int, r) -> tuple[int, int]:
     """(h, s): rho_0 .. rho_(h-1) are the grid points to compute, and
     rho_m = conj rho_(s-m) for h <= m < n.
 
-    For real r (an int, Fraction, float or mpf) the n-th roots of r are
-    closed under conjugation: with r > 0, rho_m = |r|^(1/n) omega^m and
-    s = n, so h = floor(n/2) + 1; with r < 0, rho_m = |r|^(1/n)
-    exp((2m + 1) pi i / n) and s = n - 1, so h = ceil(n/2).  Complex-typed
-    r, even with a zero imaginary part, gives h = s = n: every point."""
-    if not isinstance(r, (int, Fraction, float, mpf)):
+    For real r (circulant.is_real) the n-th roots of r are closed under
+    conjugation: with r > 0, rho_m = |r|^(1/n) omega^m and s = n, so
+    h = floor(n/2) + 1; with r < 0, rho_m = |r|^(1/n) exp((2m + 1) pi i / n)
+    and s = n - 1, so h = ceil(n/2).  Complex-typed r, even with a zero
+    imaginary part, gives h = s = n: every point."""
+    if not is_real(r):
         return n, n
     s = n if r > 0 else n - 1
     return s // 2 + 1, s
@@ -695,7 +690,7 @@ def _clearly_generic(k: int, rho) -> bool:
     z = complex(rho)
     if k >= 1 << 32 or not (abs(z.real) <= 2.0 ** 63 and abs(z.imag) <= 2.0 ** 63):
         return False
-    return abs(1 - z * (2 * k + z * (k + z))) > 2.0 ** -20 * (2 * k + 3) * (1 + abs(z)) ** 3
+    return abs(recip_poly(k, z)) > 2.0 ** -20 * (2 * k + 3) * (1 + abs(z)) ** 3
 
 
 def _degenerate(k: int, rho, tol) -> bool:
@@ -713,7 +708,7 @@ def eigenvalues_closed(k: int, n: int, r, precision_bits: int = 256) -> EigenSpe
     check_int(n, 3, "matrix order n")
     grid = eigen_grid(n, r, precision_bits)
     roots = char_roots(k, precision_bits)
-    pn, pn1, pn2 = term(k, n), term(k, n - 1), term(k, n - 2)
+    c0, c1, c2 = t_integers(k, n)
     tol = mpf(2) ** (-precision_bits // 2)
     lams, branches = [], []
     with mp.workprec(precision_bits + _GUARD):
@@ -726,7 +721,7 @@ def eigenvalues_closed(k: int, n: int, r, precision_bits: int = 256) -> EigenSpe
         )
         for rho in grid.rhos:
             if not _degenerate(k, rho, tol):
-                num = rho - r_mp * pn - r_mp * rho * (k * pn1 + pn2) - r_mp * rho**2 * pn1
+                num = rho - r_mp * c0 - r_mp * rho * c1 - r_mp * rho**2 * c2
                 lams.append(num / recip_poly(k, rho))
                 branches.append("generic")
             else:
@@ -844,9 +839,9 @@ def _quadratic_roots(k: int, n: int, r_mp) -> tuple[mpc, mpc]:
     For small |r|, |S| is large and one of S +- disc cancels: it falls
     below 2^-_GUARD |S|, and that root is taken as Q over the other one
     (Vieta), not from the difference."""
-    pn, pn1, pn2 = term(k, n), term(k, n - 1), term(k, n - 2)
-    s = (1 - r_mp * (k * pn1 + pn2)) / (r_mp * pn1)
-    q = mpf(pn) / pn1
+    c0, c1, c2 = t_integers(k, n)
+    s = (1 - r_mp * c1) / (r_mp * c2)
+    q = mpf(c0) / c2
     disc = mpmath.sqrt(mpc(s * s - 4 * q))
     r1, r2 = (s + disc) / 2, (s - disc) / 2
     tiny = abs(s) * mpf(2) ** -_GUARD

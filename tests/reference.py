@@ -5,7 +5,9 @@ as the object array circulant.build returns, the literal DFT, and the Binet
 form of the sequence terms from the characteristic roots: slow, obvious
 oracles for the closed forms in the package.  The telescoping product
 psi * Psi and the shift identity behind the resultant determinant
-(circulant._resultants), and mpmath's own mpc Horner, which
+(circulant._resultants, which takes T's integers from sequence.t_integers
+and its power sums from sequence.term), each with its own statement of T,
+and mpmath's own mpc Horner, which
 spectral._horner_mpc reproduces on integers.  Also the smallest eigenvalue
 modulus, which only the tests read, from the exhaustive comparison over
 every kernel value that spectral._modulus_extremes narrows to candidates,

@@ -11,6 +11,8 @@ from pelltrib.errors import ZeroR
 # (entry point, smallest accepted n, name in the message)
 ENTRY_POINTS = {
     "term": (lambda n: sequence.term(1, n), 0, "n"),
+    "check_order": (lambda n: sequence.check_order(1, n), 2, "matrix order n"),
+    "t_integers": (lambda n: sequence.t_integers(1, n), 2, "matrix order n"),
     "s1_closed": (lambda n: sums.s1_closed(1, n), 0, "n"),
     "sums_report": (lambda n: sums.sums_report(1, n), 0, "n"),
     "frobenius_sq_closed": (lambda n: spectral.frobenius_sq_closed(1, n, 2), 2, "matrix order n"),

@@ -3,11 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mpf
+from mpmath import mpc, mpf
 
 from pelltrib import circulant as circ
 from pelltrib.errors import DimensionMismatch
-from pelltrib.sequence import term
+from pelltrib.sequence import t_integers
 
 import reference as ref
 from det_oracle import det_dense
@@ -152,6 +152,13 @@ def test_det_exact_matches_bareiss(k):
             assert circ.det_exact(k, n, r) == det_dense(circ.build_pell(k, n, r)), (k, n, r)
 
 
+def test_is_real_takes_real_types_only():
+    for x in (2, True, Fraction(1, 3), 0.5, mpf(2), np.int64(2), np.float32(0.5)):
+        assert circ.is_real(x), x
+    for x in (complex(2, 0), 1j, mpc(2, 0), np.complex128(2)):
+        assert not circ.is_real(x), x
+
+
 def test_det_exact_singular_cell():
     # det Circ_r(0, 1, 2) = r (1 + 8 r): (-1/2)^3 = r zeroes the eigenvalue at rho = -1/2
     assert circ.det_exact(1, 3, Fraction(-1, 8)) == 0
@@ -167,8 +174,8 @@ def test_det_exact_rejects_small_order():
 
 
 def test_det_exact_refuses_zero_psi_resultant(monkeypatch):
-    # at r = 1, q^3 Res(x^n - r, psi) = t_n - s_n; equal traces would make it 0
-    monkeypatch.setattr(circ, "_trace", lambda m: 7)
+    # at r = 1, q^3 Res(x^n - r, psi) = t_n - s_n; equal power sums would make it 0
+    monkeypatch.setattr(circ, "_power_sums", lambda k, n: (7, 7))
     with pytest.raises(ArithmeticError):
         circ.det_exact(1, 5, 1)
 
@@ -181,17 +188,20 @@ def test_lucas_doubling_matches_recurrence(a1, b, n):
     assert circ._lucas_v(a1, b, n) == u[n]
 
 
-def test_companion_power_gives_terms_and_power_sums():
-    k, n = 3, 11
-    cn = circ._matpow(((2 * k, k, 1), (1, 0, 0), (0, 1, 0)), n)
-    assert [row[2] for row in cn] == [term(k, n), term(k, n - 1), term(k, n - 2)]
-    s = [3, 2 * k, 4 * k * k + 2 * k]
-    t = [3, -k, k * k - 4 * k]
-    while len(s) <= n:
-        s.append(2 * k * s[-1] + k * s[-2] + s[-3])
-        t.append(-k * t[-1] - 2 * k * t[-2] + t[-3])
-    assert circ._trace(cn) == s[n]
-    assert circ._trace(circ._matpow(((-k, -2 * k, 1), (1, 0, 0), (0, 1, 0)), n)) == t[n]
+def test_power_sums_and_t_integers_match_their_recurrences():
+    # s_n = 3 P(n+1) - 4k P(n) - k P(n-1) and t_n = (s_n^2 - s_2n) / 2 against
+    # the power sums' own recurrences, and T's integers against P's
+    for k in range(1, 11):
+        p = [0, 1, 2 * k]
+        s = [3, 2 * k, 4 * k * k + 2 * k]
+        t = [3, -k, k * k - 4 * k]
+        while len(s) <= 80:
+            p.append(2 * k * p[-1] + k * p[-2] + p[-3])
+            s.append(2 * k * s[-1] + k * s[-2] + s[-3])
+            t.append(-k * t[-1] - 2 * k * t[-2] + t[-3])
+        for n in range(2, 81):
+            assert circ._power_sums(k, n) == (s[n], t[n]), (k, n)
+            assert t_integers(k, n) == (p[n], k * p[n - 1] + p[n - 2], p[n - 1]), (k, n)
 
 
 @settings(max_examples=40)

@@ -182,6 +182,9 @@ def test_sufficient_condition_validation():
         inv.sufficient_condition(1, 4, 1j)
     with pytest.raises(ValueError):
         inv.sufficient_condition(1, 1, 1)
+    for r in (mpmath.mpc(2, 0), mpmath.mpc(-2, 0), complex(2, 0)):
+        with pytest.raises(ValueError, match="^sufficient_condition covers real r only$"):
+            inv.sufficient_condition(1, 5, r)
 
 
 def test_min_eigen_magnitude_frozen():
@@ -211,8 +214,7 @@ def test_scan_reports_published_counterexample_cells():
 
 
 def test_scan_cells_past_double_range_keep_their_verdict():
-    # coefficients beyond 1000 bits send the double prefilter of
-    # _modulus_extremes to its fallback, Horner on every head point
+    # pins the verdicts of cells whose coefficients go past double range
     for k, n, log10 in ((10**6, 60, 551.3401340120595), (3, 400, 485.1091599437309)):
         (cell,) = inv.counterexample_scan([k], [n], sign=1, precision_bits=128)
         assert cell.verdict == "invertible", (k, n)

@@ -136,7 +136,7 @@ def test_norm_report_fields():
     rep = sp.norm_report(1, 5, 2)
     # fro^2 = 5 * s2(4) + 3 * w2(4);  l1 = 5 * s1(4) + 1 * w1(4)
     assert rep.frobenius == pytest.approx(math.sqrt(5 * 199 + 3 * 760))
-    assert rep.l1 == pytest.approx(float(5 * 21 + 72))
+    assert sp.l1_closed(1, 5, 2) == 5 * 21 + 72
     assert rep.spectral_lower <= rep.sigma <= rep.spectral_upper * (1 + 1e-9)
 
 
