@@ -14,8 +14,8 @@ Three layers, strongest first:
 * sufficient_condition: the real-r sufficient theorem.  For r > 0 the
   guarantee excludes the reciprocal dominant root and the critical magnitude
   (P(n)/P(n-1))^(n/2); for r < 0 it excludes minus the critical magnitude.
-  Values inside a 2^(-bits/2) relative band around an excluded point return
-  an excluded verdict instead of a guarantee.  The band around the
+  Values inside a 2^-ceil(bits/2) relative band around an excluded point
+  return an excluded verdict instead of a guarantee.  The band around the
   reciprocal root is widened to cover alpha^(-n) as well: that is where the
   eigenvalue grid actually collides with the reciprocal root, so refusing to
   certify there is the conservative reading.  The theorem misses singular
@@ -23,22 +23,9 @@ Three layers, strongest first:
   (-1/2)^3 = r, so det = r (1 + 8r) = 0.  For int and Fraction r the exact
   decision overrides the guarantee; for float and mpf r the gap stays.
 * counterexample_scan: probes the uncertified critical values r* cell by
-  cell at high precision, deciding singularity twice over (quadratic-root
-  phase alignment vs. smallest eigenvalue magnitude) and reporting
-  "undetermined" when the two routes disagree.  r* = +-(p/q)^(n/2) with
-  p = P(n) and q = P(n-1), so the grid's principal root is sqrt(p/q), times
-  exp(pi i / n) for r* < 0: spectral._fixed_grid takes it from math.isqrt
-  and one expjpi, and its points are the roots of the exact r*.
-  spectral._modulus_extremes evaluates every head point of the grid in
-  doubles first, keeps the points that a proved error bound leaves as
-  candidates for the smallest and the largest modulus (usually one or
-  two), and runs the fixed-point Horner on those only, comparing their
-  moduli squared on the kernel's integers; a cell takes two square roots,
-  on math.isqrt, whatever n is.  r* is real, so the grid's other half
-  mirrors the head, and complex quadratic roots are an exact conjugate
-  pair: the closed residual takes one fixed-point power per pair.  The
-  three logarithms are taken at 120 bits, with the full-precision one as
-  the fallback where the double could depend on the difference.
+  cell, deciding singularity twice over (quadratic-root phase alignment vs.
+  smallest eigenvalue magnitude, both from spectral._critical_moduli) and
+  reporting "undetermined" when the two routes disagree.
 """
 
 from __future__ import annotations
@@ -46,17 +33,14 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_int, mpf_div, mpf_log, round_nearest, to_float
 
 from .circulant import _resultants, is_exact, is_real
 from .errors import ZeroR
-from .sequence import _GUARD, char_roots, check_bits, check_int, check_k, term
-from .spectral import (_from_fixed, _modulus, _modulus_extremes, _pow_fixed, _quadratic_roots,
-                       _r_to_mp, _to_fixed)
+from .sequence import _GUARD, char_roots, check_bits, check_int, check_k, tolerance_bits
+from .spectral import _critical_magnitude, _critical_moduli, _log10_double
 
 GUARANTEED_INVERTIBLE = "guaranteed_invertible"
 EXCLUDED_PARAMETER = "excluded_parameter"
@@ -118,19 +102,13 @@ def gcd_criterion(entries, r) -> bool:
 # ---------------------------------------------------------------------------
 # sufficient condition for real r
 
-def _critical_magnitude(k: int, n: int) -> mpf:
-    # (P(n)/P(n-1))^(n/2), always a positive real
-    ratio = mpf(term(k, n)) / term(k, n - 1)
-    return ratio ** (mpf(n) / 2)
-
-
 def _within_band(r_abs: mpf, value: mpf, tol: mpf) -> bool:
     return abs(r_abs - value) <= tol * max(abs(value), abs(r_abs))
 
 
 def sufficient_condition(k: int, n: int, r, precision_bits: int = 256) -> InvertibilityVerdict:
     """Real-r sufficient invertibility theorem with conservative exclusion
-    bands of relative width 2^(-precision_bits/2).
+    bands of relative width 2^-tolerance_bits(precision_bits).
 
     The theorem alone would certify some singular matrices (k=1, n=3,
     r=-1/8 is one).  For int and Fraction r the verdict carries the exact
@@ -160,8 +138,8 @@ def sufficient_condition(k: int, n: int, r, precision_bits: int = 256) -> Invert
 
 def _theorem_verdict(k: int, n: int, r, precision_bits: int) -> InvertibilityVerdict:
     with mp.workprec(precision_bits + _GUARD):
-        r_mp = _r_to_mp(r)
-        tol = mpf(2) ** (-precision_bits // 2)
+        r_mp = mpmath.mpmathify(r)
+        tol = mpf(2) ** -tolerance_bits(precision_bits)
         r_star = _critical_magnitude(k, n)
         alpha = char_roots(k, precision_bits).alpha
         if r_mp > 0:
@@ -178,7 +156,7 @@ def _theorem_verdict(k: int, n: int, r, precision_bits: int) -> InvertibilityVer
             if _within_band(r_mp, value, tol):
                 return InvertibilityVerdict(
                     status=EXCLUDED_PARAMETER,
-                    reason=f"r within 2^-{precision_bits // 2} band of {label}",
+                    reason=f"r within 2^-{tolerance_bits(precision_bits)} band of {label}",
                     witness=value,
                 )
         return InvertibilityVerdict(status=GUARANTEED_INVERTIBLE, reason=away)
@@ -200,49 +178,11 @@ class ScanCell:
     verdict: str
 
 
-@cache
-def _ln10() -> tuple:
-    return mpf_log(from_int(10), 120, round_nearest)
-
-
-def _log10_double(x: mpf) -> float:
-    """float(mpmath.log10(x)) for a positive mpf x at the working
-    precision, which is at least 96 bits, mostly from a 120-bit logarithm.
-
-    Proof: L~ = mpf_log(x) / ln 10 at 120 bits, each rounded to nearest,
-    is within 2^-116 |L| of L = log10(x), and mpmath's log10 at p >= 96
-    bits, which divides two logarithms taken at p + 20 bits, within 2^-93
-    |L|.  Where L~ lies more than 2^-80 |L~| from every midpoint between
-    two doubles, L lies strictly between the same two midpoints, and so do
-    both values: both round to the same double.  Otherwise, and outside the
-    normal double range, the full-precision value is returned."""
-    log = mpf_log(x._mpf_, 120, round_nearest)
-    if not log[1]:
-        return 0.0  # log(1) is exactly zero
-    _, man, exp, bc = value = mpf_div(log, _ln10(), 120, round_nearest)
-    # the 67 bits below a double's 53, measured from the midpoint 2^66
-    tail = ((man << (120 - bc)) & ((1 << 67) - 1)) - (1 << 66)
-    if -1021 <= exp + bc < 1024 and abs(tail) >= 1 << 40:
-        return to_float(value, rnd=round_nearest)
-    return float(mpmath.log10(x))
-
-
 def _scan_cell(k: int, n: int, sign: int, precision_bits: int) -> ScanCell:
     with mp.workprec(precision_bits + _GUARD):
-        tol = mpf(2) ** (-precision_bits // 2)
-        r_star = sign * _critical_magnitude(k, n)
-        r1, r2 = _quadratic_roots(k, n, r_star)
-        # r* is real: complex roots are an exact conjugate pair, one |r^n - r*|.
-        # z^n in fixed point errs by less than 3 n max(1, |z|)^n 2^-frac
-        # (_pow_fixed), z and r* by 2^-frac per part when they are scaled.
-        pair = (r1,) if r2 == r1.conjugate() else (r1, r2)
-        frac = precision_bits + _GUARD + 24
-        rx, _ = _to_fixed(r_star, frac)
-        powers = (_pow_fixed(*_to_fixed(z, frac), n, frac) for z in pair)
-        closed_res = min(_modulus(_from_fixed(x - rx, y, frac)) for x, y in powers) / abs(r_star)
+        tol = mpf(2) ** -tolerance_bits(precision_bits)
+        r_star, closed_res, min_mag, max_mag = _critical_moduli(k, n, sign, precision_bits)
         closed_singular = bool(closed_res <= tol)
-        root_sq = Fraction(term(k, n), term(k, n - 1))
-        min_mag, _, max_mag = _modulus_extremes(k, n, r_star, precision_bits, root_sq)
         eigen_singular = bool(min_mag <= tol * max(mpf(1), max_mag))
         if closed_singular == eigen_singular:
             verdict = "singular" if closed_singular else "invertible"

@@ -63,6 +63,11 @@ def check_bits(precision_bits) -> int:
     return precision_bits
 
 
+def tolerance_bits(precision_bits: int) -> int:
+    """t = ceil(bits / 2): every check decided at bits bits accepts a relative error 2^-t."""
+    return -(-precision_bits // 2)
+
+
 def term(k: int, n: int) -> int:
     """Exact n-th sequence term for parameter k."""
     check_k(k)
@@ -190,12 +195,12 @@ def _rel_residual(k: int, x) -> mpf:
 def char_roots(k: int, precision_bits: int = 256) -> CubicRoots:
     """All three characteristic roots, cross-checked against the radical path.
 
-    Raises PrecisionExhausted if either the residual target 2^(-bits/2) or
-    the radical cross-check cannot be met.
+    Raises PrecisionExhausted if either the residual target
+    2^-tolerance_bits(bits) or the radical cross-check cannot be met.
     """
     check_k(k)
     check_bits(precision_bits)
-    tol = mpf(2) ** (-precision_bits // 2)
+    tol = mpf(2) ** -tolerance_bits(precision_bits)
     with mp.workprec(precision_bits + _GUARD):
         alpha = _newton_alpha(k)
         # Synthetic division by (x - alpha): quotient x^2 + b x + c.
@@ -209,7 +214,7 @@ def char_roots(k: int, precision_bits: int = 256) -> CubicRoots:
         for root in (alpha, beta, gamma):
             if _rel_residual(k, root) > tol:
                 raise PrecisionExhausted(
-                    f"root residual above 2^-{precision_bits // 2} for k={k}"
+                    f"root residual above 2^-{tolerance_bits(precision_bits)} for k={k}"
                 )
         radical = cardano(k, precision_bits).roots
         for root in (mpc(alpha), beta, gamma):

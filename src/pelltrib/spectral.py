@@ -25,16 +25,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import mpmath
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_log, round_nearest, to_fixed, to_float
 
 from .circulant import abs_sq, build_pell_complex, is_exact, is_real
 from .errors import DegenerateCase, ZeroR
 from .sequence import (_GUARD, char_roots, check_bits, check_int, check_k, check_order,
-                       recip_poly, t_integers, term, terms_upto)
+                       recip_poly, t_integers, term, terms_upto, tolerance_bits)
 from . import sums
 
 
@@ -125,10 +126,11 @@ def norm_report(k: int, n: int, r) -> NormReport:
 # ---------------------------------------------------------------------------
 # fixed-point Gaussian-integer kernel
 #
-# eigenvalues_direct, eigenpair_residuals and the invertibility scan (through
-# _modulus_extremes) run on complex numbers held as integer pairs scaled by
-# 2^F, and all three take the generator polynomial from _horner_fixed.  No
-# other module sees these pairs.  _to_fixed rounds each part down, and every
+# eigenvalues_direct, eigenpair_residuals and _critical_moduli, which
+# answers the invertibility scan, run on complex numbers held as integer
+# pairs scaled by 2^F, and all three take the generator polynomial from
+# _horner_fixed.  These pairs and mpmath.libmp stay in this module: other
+# modules get mpf and mpc values.  _to_fixed rounds each part down, and every
 # product of two pairs is shifted back by F bits, which rounds down again, so
 # each conversion and each product errs by less than 2^-F per part and
 # sqrt(2) 2^-F in modulus; sums of pairs are exact.  _from_fixed rounds the
@@ -257,13 +259,6 @@ def _check_grid(n: int, r, precision_bits: int) -> None:
         raise ValueError(f"r must be finite, got {r!r}")
 
 
-def _r_to_mp(r):
-    # Convert under the active precision context.
-    if isinstance(r, complex):
-        return mpc(r)
-    return mpmath.mpmathify(r)
-
-
 def _principal_root(n: int, r_mp) -> mpc:
     """The principal n-th root of r_mp at the working precision."""
     if isinstance(r_mp, mpf) and r_mp > 0:
@@ -277,7 +272,7 @@ def eigen_grid(n: int, r, precision_bits: int = 256) -> EigenGrid:
     det reports depend on these exact bytes."""
     _check_grid(n, r, precision_bits)
     with mp.workprec(precision_bits + _GUARD):
-        root = _principal_root(n, _r_to_mp(r))
+        root = _principal_root(n, mpmath.mpmathify(r))
         rhos = tuple(root * mpmath.expjpi(mpf(2 * m) / n) for m in range(n))
     return EigenGrid(n=n, r=r, precision_bits=precision_bits, root=root, rhos=rhos)
 
@@ -349,10 +344,9 @@ def _fixed_grid(n: int, r, precision_bits: int,
     roots of the exact +-root_sq^(n/2), with the sign of r, not of r itself.
     The scan passes r* rounded to bits + _GUARD bits, about 2^-540 away
     (relative) at 512 bits, which moves the roots by more than the bound
-    below.  The root
-    comes from _closed_root, within 0.26 2^-G before its pair is shifted
-    down to G bits, so within 1.7 2^-G after; omega is the square of
-    e = exp(pi i / n), within 4.5 2^-G, so one expjpi serves both.
+    below.  The root comes from _closed_root, within 0.26 2^-G before its
+    pair is shifted down to G bits, so within 1.7 2^-G after; omega is the
+    square of e = exp(pi i / n), within 4.5 2^-G, so one expjpi serves both.
 
     The points are rho_{m+1} = rho_m * omega, products on integers scaled
     by 2^G, each shifted down to F bits.  For real r only the head of
@@ -374,7 +368,7 @@ def _fixed_grid(n: int, r, precision_bits: int,
         # G + mag(root) grows with mag(root), so top bounds it from above
         with mp.workprec(precision_bits + _GUARD + 12 + n.bit_length()
                          + max(3, top) + max(0, top) + spread):
-            root = _principal_root(n, _r_to_mp(r))
+            root = _principal_root(n, mpmath.mpmathify(r))
         size = mpmath.mag(root)
     else:
         wide, size, (x, y), (ex, ey) = _closed_root(n, r < 0, precision_bits, root_sq)
@@ -469,17 +463,15 @@ def _horner_mpc(k: int, n: int, rhos) -> list:
     return lams
 
 
-def _direct_fixed(k: int, n: int, r, precision_bits: int,
-                  root_sq: Fraction | None = None) -> tuple[int, mpc, list, list]:
-    """(F, root, points, values): the points of _fixed_grid (root_sq goes
-    to it) and the order-n generator polynomial at each of them, all as
-    integer pairs scaled by 2^F; see eigenvalues_direct for F and the
-    error.  _horner_fixed runs on the head of _conjugate_half only, and for
-    real r the other values are conjugates, since the generator's
-    coefficients are integers."""
+def _direct_fixed(k: int, n: int, r, precision_bits: int) -> tuple[int, mpc, list, list]:
+    """(F, root, points, values): the points of _fixed_grid and the order-n
+    generator polynomial at each of them, all as integer pairs scaled by
+    2^F; see eigenvalues_direct for F and the error.  _horner_fixed runs on
+    the head of _conjugate_half only, and for real r the other values are
+    conjugates, since the generator's coefficients are integers."""
     check_k(k)
     _check_grid(n, r, precision_bits)
-    frac, root, points = _fixed_grid(n, r, precision_bits, root_sq)
+    frac, root, points = _fixed_grid(n, r, precision_bits)
     head, s = _conjugate_half(n, r)
     coeffs = [a << frac for a in reversed(terms_upto(k, n - 1))]
     values = [_horner_fixed(coeffs, x, y, frac) for x, y in points[:head]]
@@ -683,7 +675,7 @@ def _clearly_generic(k: int, rho) -> bool:
       (1 + R)(1 - 2^-51) each round by a few u, so True gives
       |psi(rho)| > 2^-20 (1 - 2^-23) (2k + 3) (1 + R)^3.
     - At the mpc test's precision, bits + _GUARD >= 96 (bits >= 64 also
-      gives tol = 2^-(bits // 2) <= 2^-32), psi(rho), |psi| and
+      gives tol = 2^-tolerance_bits(bits) <= 2^-32), psi(rho), |psi| and
       (1 + |rho|)^3 err by less than 2^-90 (2k + 3) (1 + R)^3, so it finds
       |psi| > 2^-18 (1 + R)^3 > tol (1 + |rho|)^3: generic.
     """
@@ -703,16 +695,17 @@ def _degenerate(k: int, rho, tol) -> bool:
 
 def eigenvalues_closed(k: int, n: int, r, precision_bits: int = 256) -> EigenSpectrum:
     """lambda_m from the rational closed form, with degenerate-branch dispatch
-    when rho_m falls within 2^(-bits/2) of a reciprocal characteristic root."""
+    when rho_m falls within 2^-tolerance_bits(bits) of a reciprocal
+    characteristic root."""
     check_k(k)
     check_int(n, 3, "matrix order n")
     grid = eigen_grid(n, r, precision_bits)
     roots = char_roots(k, precision_bits)
     c0, c1, c2 = t_integers(k, n)
-    tol = mpf(2) ** (-precision_bits // 2)
+    tol = mpf(2) ** -tolerance_bits(precision_bits)
     lams, branches = [], []
     with mp.workprec(precision_bits + _GUARD):
-        r_mp = _r_to_mp(r)
+        r_mp = mpmath.mpmathify(r)
         alpha, beta, gamma = mpc(roots.alpha), roots.beta, roots.gamma
         branch_table = (
             (1 / alpha, "alpha", (alpha, beta, gamma)),
@@ -778,7 +771,7 @@ def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum | None = None
     bits = spectrum.grid.precision_bits
     terms = terms_upto(k, n - 1)
     with mp.workprec(bits + _GUARD + 16):
-        r_mp = _r_to_mp(r)
+        r_mp = mpmath.mpmathify(r)
         frac = bits + _GUARD + 8 + max(0, 3 - mpmath.mag(r_mp))
         fro = mpmath.sqrt(mpmath.mpmathify(frobenius_sq_closed(k, n, abs(r_mp))))
         coeffs = [a << frac for a in reversed(terms)]
@@ -866,13 +859,13 @@ def determinant_closed(k: int, n: int, r, precision_bits: int = 256) -> DetRepor
     grid = eigen_grid(n, r, precision_bits)
     roots = char_roots(k, precision_bits)
     pn1 = term(k, n - 1)
-    tol = mpf(2) ** (-precision_bits // 2)
+    tol = mpf(2) ** -tolerance_bits(precision_bits)
     with mp.workprec(precision_bits + _GUARD):
         if any(_degenerate(k, rho, tol) for rho in grid.rhos):
             raise DegenerateCase(
                 f"rho grid hits a reciprocal characteristic root at k={k}, n={n}, r={r!r}"
             )
-        r_mp = _r_to_mp(r)
+        r_mp = mpmath.mpmathify(r)
         r1, r2 = _quadratic_roots(k, n, r_mp)
         alpha, beta, gamma = mpc(roots.alpha), roots.beta, roots.gamma
         denom = (alpha**-n - r_mp) * (beta**-n - r_mp) * (gamma**-n - r_mp)
@@ -890,6 +883,68 @@ def determinant_closed(k: int, n: int, r, precision_bits: int = 256) -> DetRepor
         det_closed, r1, r2 = mpc(det), mpc(r1), mpc(r2)
     return DetReport(k=k, n=n, r=r, precision_bits=precision_bits,
                      det_closed=det_closed, det_oracle=oracle, r1=r1, r2=r2)
+
+
+# ---------------------------------------------------------------------------
+# critical values of the invertibility scan
+
+def _critical_magnitude(k: int, n: int) -> mpf:
+    # (P(n)/P(n-1))^(n/2), always a positive real
+    ratio = mpf(term(k, n)) / term(k, n - 1)
+    return ratio ** (mpf(n) / 2)
+
+
+def _critical_moduli(k: int, n: int, sign: int, precision_bits: int) -> tuple[mpf, mpf, mpf, mpf]:
+    """(r*, closed residual, smallest |lambda_m|, largest |lambda_m|) at
+    bits + _GUARD bits for r* = sign (p/q)^(n/2), p = P(n), q = P(n-1),
+    which the sufficient theorem leaves uncertified: the scan's two signals.
+    The closed residual is min |r_i^n - r*| / |r*| over the roots r_i of
+    _quadratic_roots; complex r_i are an exact conjugate pair (r* is real)
+    and take one fixed-point power.  The moduli are _modulus_extremes' on
+    the grid of _fixed_grid with root_sq = p/q, the roots of the exact r*;
+    Horner runs only on the candidates that its proved double-precision
+    pass leaves, usually one or two points, and a cell takes two square
+    roots whatever n is."""
+    with mp.workprec(precision_bits + _GUARD):
+        r_star = sign * _critical_magnitude(k, n)
+        r1, r2 = _quadratic_roots(k, n, r_star)
+        # z^n in fixed point errs by less than 3 n max(1, |z|)^n 2^-frac
+        # (_pow_fixed), z and r* by 2^-frac per part when they are scaled.
+        pair = (r1,) if r2 == r1.conjugate() else (r1, r2)
+        frac = precision_bits + _GUARD + 24
+        rx, _ = _to_fixed(r_star, frac)
+        powers = (_pow_fixed(*_to_fixed(z, frac), n, frac) for z in pair)
+        closed_res = min(_modulus(_from_fixed(x - rx, y, frac)) for x, y in powers) / abs(r_star)
+        root_sq = Fraction(term(k, n), term(k, n - 1))
+        min_mag, _, max_mag = _modulus_extremes(k, n, r_star, precision_bits, root_sq)
+    return r_star, closed_res, min_mag, max_mag
+
+
+@cache
+def _ln10() -> tuple:
+    return mpf_log(from_int(10), 120, round_nearest)
+
+
+def _log10_double(x: mpf) -> float:
+    """float(mpmath.log10(x)) for a positive mpf x at the working
+    precision, which is at least 96 bits, mostly from a 120-bit logarithm.
+
+    Proof: L~ = mpf_log(x) / ln 10 at 120 bits, each rounded to nearest,
+    is within 2^-116 |L| of L = log10(x), and mpmath's log10 at p >= 96
+    bits, which divides two logarithms taken at p + 20 bits, within 2^-93
+    |L|.  Where L~ lies more than 2^-80 |L~| from every midpoint between
+    two doubles, L lies strictly between the same two midpoints, and so do
+    both values: both round to the same double.  Otherwise, and outside the
+    normal double range, the full-precision value is returned."""
+    log = mpf_log(x._mpf_, 120, round_nearest)
+    if not log[1]:
+        return 0.0  # log(1) is exactly zero
+    _, man, exp, bc = value = mpf_div(log, _ln10(), 120, round_nearest)
+    # the 67 bits below a double's 53, measured from the midpoint 2^66
+    tail = ((man << (120 - bc)) & ((1 << 67) - 1)) - (1 << 66)
+    if -1021 <= exp + bc < 1024 and abs(tail) >= 1 << 40:
+        return to_float(value, rnd=round_nearest)
+    return float(mpmath.log10(x))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from mpmath import mp, mpc, mpf, mpmathify
 from pelltrib.circulant import abs_sq, build, build_pell, is_exact
 from pelltrib.errors import DimensionMismatch
 from pelltrib.sequence import _GUARD, char_roots, check_int, check_k, term, terms_upto
-from pelltrib.spectral import _direct_fixed, _from_fixed
+from pelltrib.spectral import (_conjugate_half, _conjugate_tail, _fixed_grid, _from_fixed,
+                               _horner_fixed)
 
 
 # The direct oracles leave the checks of k and n to terms_upto.
@@ -105,12 +106,16 @@ def modulus_extremes_exhaustive(k: int, n: int, r, precision_bits: int,
                                 root_sq=None) -> tuple[mpf, int, mpf]:
     """(smallest |lambda_m|, its index m, largest |lambda_m|) over all n
     direct kernel values, mirrored ones included, on the grid of
-    spectral._fixed_grid with root_sq: the first index of the smallest and
-    of the largest squared modulus on the kernel's integers, the two
-    rounded to bits + _GUARD bits and taken in mpmath's own abs.  The
+    spectral._fixed_grid with root_sq, composed as spectral._direct_fixed
+    composes them: the first index of the smallest and of the largest
+    squared modulus on the kernel's integers, the two rounded to
+    bits + _GUARD bits and taken in mpmath's own abs.  The
     oracle for spectral._modulus_extremes, which runs Horner on candidates
     only and takes the moduli on math.isqrt."""
-    frac, _, _, values = _direct_fixed(k, n, r, precision_bits, root_sq)
+    frac, _, points = _fixed_grid(n, r, precision_bits, root_sq)
+    head, s = _conjugate_half(n, r)
+    coeffs = [a << frac for a in reversed(terms_upto(k, n - 1))]
+    values = _conjugate_tail([_horner_fixed(coeffs, x, y, frac) for x, y in points[:head]], n, s)
     sq = [x * x + y * y for x, y in values]
     lo = min(range(n), key=sq.__getitem__)
     hi = max(range(n), key=sq.__getitem__)

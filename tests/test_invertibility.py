@@ -168,6 +168,16 @@ def test_excluded_critical_magnitude_exact_even_n():
     assert verdict_neg.status == inv.EXCLUDED_PARAMETER
 
 
+def test_band_exponent_at_odd_bits():
+    # at 65 bits the band is 2^-ceil(65/2) = 2^-33, and the reason names it
+    verdict = inv.sufficient_condition(1, 2, 2, 65)  # r = (P(2)/P(1))^1 = 2
+    assert verdict.status == inv.EXCLUDED_PARAMETER
+    assert "2^-33 band" in verdict.reason
+    # 1.5 2^-33 away from 2 (relative) lies outside that band
+    far = inv.sufficient_condition(1, 2, 2 + Fraction(3, 2**33), 65)
+    assert far.status == inv.GUARANTEED_INVERTIBLE
+
+
 def test_excluded_value_need_not_be_singular():
     # the uncertified point is usually still invertible in truth
     assert inv.gcd_criterion((0, 1, 2, 5), Fraction(169, 25))
@@ -291,7 +301,7 @@ def _log10_cases():
 def test_log10_double_is_the_full_precision_double():
     with mp.workprec(512 + 32):
         for x in _log10_cases():
-            assert inv._log10_double(x) == float(mpmath.log10(x)), x
+            assert sp._log10_double(x) == float(mpmath.log10(x)), x
 
 
 def test_log10_double_falls_back_near_a_midpoint(monkeypatch):
@@ -317,7 +327,7 @@ def test_log10_double_falls_back_near_a_midpoint(monkeypatch):
 
     monkeypatch.setattr(mpmath, "log10", counting)
     with mp.workprec(512 + 32):
-        got = [inv._log10_double(x) for x in cases]
+        got = [sp._log10_double(x) for x in cases]
     assert got == want
     assert len(calls) == len(cases)
 

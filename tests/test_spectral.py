@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from pelltrib import circulant as circ
 from pelltrib import spectral as sp
-from pelltrib.invertibility import _critical_magnitude
+from pelltrib.spectral import _critical_magnitude
 from pelltrib.sequence import _GUARD, char_roots, recip_poly, term, terms_upto
 from pelltrib.errors import DegenerateCase, ZeroR
 
@@ -147,7 +149,7 @@ def test_grid_nth_powers_return_r():
     for n, r in ((3, 1), (5, -1), (4, Fraction(3, 7)), (6, 1j), (7, -2.5)):
         grid = sp.eigen_grid(n, r, 256)
         with mp.workprec(288):
-            r_mp = sp._r_to_mp(r)
+            r_mp = mpmath.mpmathify(r)
             for rho in grid.rhos:
                 assert abs(rho**n - r_mp) < mpf(2) ** -200 * (1 + abs(r_mp))
 
@@ -291,7 +293,7 @@ def _residuals_oracle(k, n, r, spectrum, extra_bits=0):
     wrapped part divided by rho^n row by row, at bits + _GUARD + extra_bits."""
     bits = spectrum.grid.precision_bits
     with mp.workprec(bits + _GUARD + extra_bits):
-        r_mp = sp._r_to_mp(r)
+        r_mp = mpmath.mpmathify(r)
         coeffs = [mpmath.mpmathify(t) for t in terms_upto(k, n - 1)]
         fro = mpmath.sqrt(mpmath.mpmathify(sp.frobenius_sq_closed(k, n, abs(r_mp))))
         out = []
@@ -337,7 +339,7 @@ def test_eigenpair_residuals_within_stated_bound_of_oracle(bits):
         want = _residuals_oracle(k, n, r, spectrum, extra_bits=64)
         with mp.workprec(bits + _GUARD + 64):
             fro = mpmath.sqrt(mpmath.mpmathify(sp.frobenius_sq_closed(k, n, abs(r))))
-            scale = max(1, abs(sp._r_to_mp(r))) * sum(terms_upto(k, n - 1)) / fro
+            scale = max(1, abs(mpmath.mpmathify(r))) * sum(terms_upto(k, n - 1)) / fro
             for g, w in zip(got, want):
                 assert abs(g - w) <= unit * n * (scale + w), (k, n, r, eigenvalues, g, w)
 
@@ -643,7 +645,7 @@ def test_root_product_identity():
             prod = mpc(1)
             for rho in grid.rhos:
                 prod *= rho - a
-            expect = (-1) ** n * (a**n - sp._r_to_mp(r))
+            expect = (-1) ** n * (a**n - mpmath.mpmathify(r))
             assert abs(prod - expect) < mpf(2) ** -200 * (1 + abs(expect))
 
 
@@ -695,7 +697,7 @@ def test_quadratic_roots_keep_vieta_at_small_r(r):
         for n in (2, 4, 24):
             pn, pn1, pn2 = term(k, n), term(k, n - 1), term(k, n - 2)
             with mp.workprec(prec):
-                r_mp = sp._r_to_mp(r)
+                r_mp = mpmath.mpmathify(r)
                 r1, r2 = sp._quadratic_roots(k, n, r_mp)
             with mp.workprec(4 * prec):
                 s = (1 - r_mp * (k * pn1 + pn2)) / (r_mp * pn1)
@@ -746,3 +748,26 @@ def test_table_known_erratum_and_mismatches():
         else:
             assert "upper_erratum" not in row.flags
         assert "sigma_mismatch" not in row.flags
+
+
+# ---------------------------------------------------------------------------
+# module boundary
+
+def test_only_spectral_touches_fixed_point_pairs_and_libmp():
+    # the Gaussian-integer pairs and mpmath's internals have one home
+    private = {"_to_fixed", "_from_fixed", "_pow_fixed", "_horner_fixed", "_modulus",
+               "_fixed_grid"}
+    leaks = []
+    for path in sorted(Path(sp.__file__).parent.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names} & private
+                if names or (node.module or "").startswith("mpmath.libmp"):
+                    leaks.append((path.name, node.module, sorted(names)))
+            elif isinstance(node, ast.Import):
+                leaks += [(path.name, a.name) for a in node.names if a.name.startswith("mpmath.libmp")]
+            elif isinstance(node, ast.Attribute) and (node.attr in private or node.attr == "libmp"):
+                leaks.append((path.name, node.attr))
+    assert not leaks, leaks
