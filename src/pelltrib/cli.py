@@ -24,7 +24,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp
@@ -114,28 +113,16 @@ def _parse_complex(s: str, original: str) -> complex:
     return value
 
 
-def _parse_r(config: "CliConfig"):
+def _parse_r(args: argparse.Namespace):
     """The command's --r at the requested precision; ZeroR when it is 0."""
-    value = parse_scalar(config.r, config.precision_bits)
+    value = parse_scalar(args.r, args.bits)
     if value == 0:
         raise ZeroR("r must be nonzero for this command")
     return value
 
 
 # ---------------------------------------------------------------------------
-# config and serialization
-
-@dataclass
-class CliConfig:
-    command: str
-    k: int | None = None
-    n: int | None = None
-    r: str | None = None
-    precision_bits: int = _DEFAULT_BITS
-    output: str = "plain"
-    out_path: str | None = None
-    options: dict = field(default_factory=dict)
-
+# serialization
 
 def _fmt(value):
     """Convert any computed value into a JSON- and CSV-safe atom."""
@@ -161,10 +148,12 @@ def _csv_cell(value) -> str:
 
 
 class Report:
-    """One command's output in all three serializations.
+    """One command's params and result, rendered in the --format of its args.
 
-    For a dict result, plain and csv default to one `name = value` line per
-    entry and a one-row table of the params followed by the result.
+    For a dict result, such as a library record passed through
+    dataclasses.asdict, plain and csv default to one `name = value` line per
+    entry and a one-row table of the params followed by the result, both in
+    the dict's order; a command with a list result passes its own lines.
     """
 
     def __init__(self, params: dict, result, plain: list[str] | None = None,
@@ -174,17 +163,17 @@ class Report:
         self.plain = plain
         self.csv = csv
 
-    def render(self, config: CliConfig) -> str:
-        if config.output == "json":
+    def render(self, args: argparse.Namespace) -> str:
+        if args.format == "json":
             envelope = {
-                "command": config.command,
-                "precision_bits": config.precision_bits,
+                "command": args.command,
+                "precision_bits": args.bits,
                 "formula_version": _formula_fingerprint(),
                 "params": self.params,
                 "result": self.result,
             }
             return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
-        if config.output == "csv":
+        if args.format == "csv":
             lines = self.csv
             if lines is None:
                 values = [*self.params.values(), *self.result.values()]
@@ -199,47 +188,38 @@ class Report:
 # ---------------------------------------------------------------------------
 # command handlers
 
-def _cmd_seq(config: CliConfig) -> Report:
-    value = sequence.term(config.k, config.n)
-    return Report({"k": config.k, "n": config.n}, {"term": value}, plain=[str(value)])
+def _cmd_seq(args: argparse.Namespace) -> Report:
+    value = sequence.term(args.k, args.n)
+    return Report({"k": args.k, "n": args.n}, {"term": value}, plain=[str(value)])
 
 
-def _cmd_sums(config: CliConfig) -> Report:
-    rep = sums.sums_report(config.k, config.n)
-    return Report({"k": config.k, "n": config.n},
-                  {"s1": rep.s1, "w1": rep.w1, "s2": rep.s2, "w2": rep.w2})
+def _cmd_sums(args: argparse.Namespace) -> Report:
+    rep = sums.sums_report(args.k, args.n)
+    return Report({"k": args.k, "n": args.n}, dataclasses.asdict(rep))
 
 
-def _knr(config: CliConfig) -> dict:
+def _knr(args: argparse.Namespace) -> dict:
     """The params of a command that takes k, n and r, with r as typed."""
-    return {"k": config.k, "n": config.n, "r": config.r}
+    return {"k": args.k, "n": args.n, "r": args.r}
 
 
-def _cmd_norms(config: CliConfig) -> Report:
-    k, n, r = config.k, config.n, _parse_r(config)
+def _cmd_norms(args: argparse.Namespace) -> Report:
+    k, n, r = args.k, args.n, _parse_r(args)
     fro_sq = spectral.frobenius_sq_closed(k, n, r)
     result = {"frobenius": spectral.frobenius_closed(k, n, r),
               "frobenius_sq": _fmt(fro_sq),
               "l1": _fmt(spectral.l1_closed(k, n, r))}
-    return Report(_knr(config), result)
+    return Report(_knr(args), result)
 
 
-def _cmd_bounds(config: CliConfig) -> Report:
-    rep = spectral.norm_report(config.k, config.n, _parse_r(config))
-    return Report(_knr(config), {
-        "lower": rep.spectral_lower,
-        "upper": rep.spectral_upper,
-        "sigma": rep.sigma,
-        "frobenius": rep.frobenius,
-        "frobenius_over_sqrt_n": rep.frobenius / config.n ** 0.5,
-        "row_length_norm": rep.row_length_norm,
-        "col_length_norm": rep.col_length_norm,
-    })
+def _cmd_bounds(args: argparse.Namespace) -> Report:
+    rep = spectral.norm_report(args.k, args.n, _parse_r(args))
+    return Report(_knr(args), dataclasses.asdict(rep))
 
 
-def _cmd_eig(config: CliConfig) -> Report:
-    n, bits = config.n, config.precision_bits
-    spectrum = spectral.eigenvalues_closed(config.k, n, _parse_r(config), bits)
+def _cmd_eig(args: argparse.Namespace) -> Report:
+    n, bits = args.n, args.bits
+    spectrum = spectral.eigenvalues_closed(args.k, n, _parse_r(args), bits)
     entries = [
         {"m": m, "branch": spectrum.branches[m], "value": str(spectrum.lambdas[m])}
         for m in range(n)
@@ -249,15 +229,15 @@ def _cmd_eig(config: CliConfig) -> Report:
         for m in range(n)
     ]
     plain = [f"m={e['m']} branch={e['branch']} value={e['value']}" for e in entries]
-    return Report(_knr(config), entries, plain, csv)
+    return Report(_knr(args), entries, plain, csv)
 
 
-def _cmd_det(config: CliConfig) -> Report:
-    k, n, bits = config.k, config.n, config.precision_bits
-    r = _parse_r(config)
+def _cmd_det(args: argparse.Namespace) -> Report:
+    k, n, bits = args.k, args.n, args.bits
+    r = _parse_r(args)
     rep = spectral.determinant_closed(k, n, r, bits)
     det_exact = circulant.det_exact(k, n, r) if circulant.is_exact(r) else None
-    return Report(_knr(config), {
+    return Report(_knr(args), {
         "det_closed": str(rep.det_closed),
         "det_product_of_eigenvalues": str(rep.det_oracle),
         "det_exact": _fmt(det_exact),
@@ -267,13 +247,13 @@ def _cmd_det(config: CliConfig) -> Report:
     })
 
 
-def _cmd_invert(config: CliConfig) -> Report:
-    r = _parse_r(config)
+def _cmd_invert(args: argparse.Namespace) -> Report:
+    r = _parse_r(args)
     if not circulant.is_real(r):
         verdict = invertibility.InvertibilityVerdict(
             status="not_covered", reason="sufficient condition applies to real r only")
     else:
-        verdict = invertibility.sufficient_condition(config.k, config.n, r, config.precision_bits)
+        verdict = invertibility.sufficient_condition(args.k, args.n, r, args.bits)
     result = {
         "status": verdict.status,
         "reason": verdict.reason,
@@ -282,21 +262,20 @@ def _cmd_invert(config: CliConfig) -> Report:
     }
     # the CSV row leaves out the witness and quotes the reason
     csv = ["k,n,r,status,reason,gcd_invertible",
-           f"{config.k},{config.n},{config.r},{verdict.status},\"{verdict.reason}\","
+           f"{args.k},{args.n},{args.r},{verdict.status},\"{verdict.reason}\","
            f"{_csv_cell(verdict.exact_invertible)}"]
-    return Report(_knr(config), result, csv=csv)
+    return Report(_knr(args), result, csv=csv)
 
 
 _SCAN_FIELDS = tuple(f.name for f in dataclasses.fields(invertibility.ScanCell))
 
 
-def _cmd_scan(config: CliConfig) -> Report:
-    opts = config.options
+def _cmd_scan(args: argparse.Namespace) -> Report:
     cells = invertibility.counterexample_scan(
-        range(opts["kmin"], opts["kmax"] + 1),
-        range(opts["nmin"], opts["nmax"] + 1),
-        sign=opts["sign"],
-        precision_bits=config.precision_bits,
+        range(args.kmin, args.kmax + 1),
+        range(args.nmin, args.nmax + 1),
+        sign=args.sign,
+        precision_bits=args.bits,
     )
     rows = [dataclasses.asdict(cell) for cell in cells]
     csv = [",".join(_SCAN_FIELDS)]
@@ -307,26 +286,25 @@ def _cmd_scan(config: CliConfig) -> Report:
         f"min|lambda| 1e{row['min_abs_lambda_log10']:.1f}"
         for row in rows
     ]
-    params = {name: opts[name] for name in ("kmin", "kmax", "nmin", "nmax", "sign")}
+    params = {name: vars(args)[name] for name in ("kmin", "kmax", "nmin", "nmax", "sign")}
     return Report(params, rows, plain, csv)
 
 
-def _cmd_bench(config: CliConfig) -> Report:
-    sizes = config.options["sizes"]
-    rows = fastops.bench_matvec(sizes, config.k, complex(_parse_r(config)))
+def _cmd_bench(args: argparse.Namespace) -> Report:
+    rows = fastops.bench_matvec(args.sizes, args.k, complex(_parse_r(args)))
     dicts = [dataclasses.asdict(row) for row in rows]
     csv = ["n,path,mean_ns,rel_err"] + [
         f"{row.n},{row.path},{row.mean_ns:.1f},{row.rel_err:.3e}" for row in rows]
     plain = [f"n={row.n} {row.path}: {row.mean_ns / 1e3:.1f} us (rel_err {row.rel_err:.2e})"
              for row in rows]
-    return Report({"k": config.k, "r": config.r, "sizes": list(sizes)}, dicts, plain, csv)
+    return Report({"k": args.k, "r": args.r, "sizes": args.sizes}, dicts, plain, csv)
 
 
 _TABLE_FIELDS = ("n", "r", "lower_published", "lower_ours", "sigma_published",
                  "sigma_ours", "upper_published", "upper_ours", "flags")
 
 
-def _cmd_table1(config: CliConfig) -> Report:
+def _cmd_table1(args: argparse.Namespace) -> Report:
     rows = []
     for row in spectral.table1_report():
         entry = dataclasses.asdict(row)
@@ -354,22 +332,8 @@ def _cmd_table1(config: CliConfig) -> Report:
     return Report({}, rows, plain, csv)
 
 
-_HANDLERS = {
-    "seq": _cmd_seq,
-    "sums": _cmd_sums,
-    "norms": _cmd_norms,
-    "bounds": _cmd_bounds,
-    "eig": _cmd_eig,
-    "det": _cmd_det,
-    "invert": _cmd_invert,
-    "scan": _cmd_scan,
-    "bench": _cmd_bench,
-    "table1": _cmd_table1,
-}
-
-
-def run(config: CliConfig) -> tuple[int, str]:
-    """Execute one command; returns (exit code, serialized report).
+def run(args: argparse.Namespace) -> str:
+    """Run the command of parse_args' namespace and return its rendered report.
 
     The command runs and renders in one mpmath context of bits + _GUARD
     bits, so a value computed or printed outside the library's own
@@ -378,15 +342,12 @@ def run(config: CliConfig) -> tuple[int, str]:
     lifted while the command runs and renders, and restored afterwards;
     argument parsing keeps the default.
     """
-    sequence.check_bits(config.precision_bits)
-    if config.output not in ("json", "csv", "plain"):
-        raise ValueError(f"unknown output format {config.output!r}")
+    sequence.check_bits(args.bits)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        with mp.workprec(config.precision_bits + sequence._GUARD):
-            report = _HANDLERS[config.command](config)
-            return 0, report.render(config)
+        with mp.workprec(args.bits + sequence._GUARD):
+            return args.handler(args).render(args)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -401,23 +362,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _default_bits() -> int:
-    raw = os.environ.get(PRECISION_ENV)
-    if raw is None:
-        return _DEFAULT_BITS
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from exc
-
-
 @functools.cache
 def build_parser() -> _Parser:
     """The argument tree, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="pelltrib", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, k=False, n=False, r=False):
+    def common(p, handler, k=False, n=False, r=False):
+        p.set_defaults(handler=handler)
         if k:
             p.add_argument("--k", type=int, required=True)
         if n:
@@ -429,13 +381,13 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
         p.add_argument("--out", type=str, default=None)
 
-    common(sub.add_parser("seq"), k=True, n=True)
-    common(sub.add_parser("sums"), k=True, n=True)
-    common(sub.add_parser("norms"), k=True, n=True, r=True)
-    common(sub.add_parser("bounds"), k=True, n=True, r=True)
-    common(sub.add_parser("eig"), k=True, n=True, r=True)
-    common(sub.add_parser("det"), k=True, n=True, r=True)
-    common(sub.add_parser("invert"), k=True, n=True, r=True)
+    common(sub.add_parser("seq"), _cmd_seq, k=True, n=True)
+    common(sub.add_parser("sums"), _cmd_sums, k=True, n=True)
+    common(sub.add_parser("norms"), _cmd_norms, k=True, n=True, r=True)
+    common(sub.add_parser("bounds"), _cmd_bounds, k=True, n=True, r=True)
+    common(sub.add_parser("eig"), _cmd_eig, k=True, n=True, r=True)
+    common(sub.add_parser("det"), _cmd_det, k=True, n=True, r=True)
+    common(sub.add_parser("invert"), _cmd_invert, k=True, n=True, r=True)
 
     scan = sub.add_parser("scan")
     scan.add_argument("--kmin", type=int, default=1)
@@ -443,44 +395,41 @@ def build_parser() -> _Parser:
     scan.add_argument("--nmin", type=int, default=2)
     scan.add_argument("--nmax", type=int, required=True)
     scan.add_argument("--sign", type=int, choices=(1, -1), default=1)
-    common(scan)
+    common(scan, _cmd_scan)
 
     bench = sub.add_parser("bench")
     bench.add_argument("--sizes", type=str, required=True,
                        help="comma-separated list of n values")
-    common(bench, k=True, r=True)
+    common(bench, _cmd_bench, k=True, r=True)
 
-    common(sub.add_parser("table1"))
+    common(sub.add_parser("table1"), _cmd_table1)
     return parser
 
 
-def parse_args(argv=None) -> CliConfig:
-    ns = build_parser().parse_args(argv)
-    options: dict = {}
-    if ns.command == "scan":
-        if ns.kmin > ns.kmax:
-            raise ValueError(f"--kmin {ns.kmin} exceeds --kmax {ns.kmax}")
-        if ns.nmin > ns.nmax:
-            raise ValueError(f"--nmin {ns.nmin} exceeds --nmax {ns.nmax}")
-        options = {"kmin": ns.kmin, "kmax": ns.kmax,
-                   "nmin": ns.nmin, "nmax": ns.nmax, "sign": ns.sign}
-    elif ns.command == "bench":
+def parse_args(argv=None) -> argparse.Namespace:
+    """The validated namespace: scan ranges checked, --sizes as a list of
+    ints, and bits from KPT_PRECISION_BITS (else 256) when --bits is absent."""
+    args = build_parser().parse_args(argv)
+    if args.command == "scan":
+        if args.kmin > args.kmax:
+            raise ValueError(f"--kmin {args.kmin} exceeds --kmax {args.kmax}")
+        if args.nmin > args.nmax:
+            raise ValueError(f"--nmin {args.nmin} exceeds --nmax {args.nmax}")
+    elif args.command == "bench":
         try:
-            options = {"sizes": [int(s) for s in ns.sizes.split(",") if s]}
+            sizes = [int(s) for s in args.sizes.split(",") if s]
         except ValueError as exc:
-            raise ValueError(f"--sizes must be comma-separated integers, got {ns.sizes!r}") from exc
-        if not options["sizes"]:
+            raise ValueError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from exc
+        if not sizes:
             raise ValueError("--sizes must name at least one n")
-    return CliConfig(
-        command=ns.command,
-        k=getattr(ns, "k", None),
-        n=getattr(ns, "n", None),
-        r=getattr(ns, "r", None),
-        precision_bits=ns.bits if ns.bits is not None else _default_bits(),
-        output=ns.format,
-        out_path=ns.out,
-        options=options,
-    )
+        args.sizes = sizes
+    if args.bits is None:
+        raw = os.environ.get(PRECISION_ENV, str(_DEFAULT_BITS))
+        try:
+            args.bits = int(raw)
+        except ValueError as exc:
+            raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from exc
+    return args
 
 
 def _emit_error(exc: BaseException) -> None:
@@ -490,24 +439,24 @@ def _emit_error(exc: BaseException) -> None:
 
 def main(argv=None) -> int:
     try:
-        config = parse_args(argv)
-        code, text = run(config)
+        args = parse_args(argv)
+        text = run(args)
     except (ValueError, TypeError) as exc:
         _emit_error(exc)
         return 2
     except ArithmeticError as exc:
         _emit_error(exc)
         return 3
-    if config.out_path:
+    if args.out:
         try:
-            with open(config.out_path, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             _emit_error(exc)
             return 2
     else:
         sys.stdout.write(text)
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ from mpmath import mp, mpf
 
 from .circulant import _resultants, is_exact, is_real
 from .errors import ZeroR
-from .sequence import _GUARD, char_roots, check_bits, check_int, check_k, tolerance_bits
+from .sequence import _GUARD, char_roots, check_bits, check_int, check_k, check_r, tolerance_bits
 from .spectral import _critical_magnitude, _critical_moduli, _log10_double
 
 GUARANTEED_INVERTIBLE = "guaranteed_invertible"
@@ -115,15 +115,15 @@ def sufficient_condition(k: int, n: int, r, precision_bits: int = 256) -> Invert
     decision of invertible_exact, and a guarantee the exact decision
     contradicts becomes excluded_parameter with a reason naming exact
     singularity.  Float and mpf r get the theorem's verdict unchecked.  An r
-    that is not circulant.is_real raises ValueError, even mpc(2, 0).
+    that is not circulant.is_real raises ValueError, even mpc(2, 0), and so
+    does an infinite or NaN r; r = 0 raises ZeroR.
     """
     check_k(k)
     check_bits(precision_bits)
     check_int(n, 2, "matrix order n")
     if not is_real(r):
         raise ValueError("sufficient_condition covers real r only")
-    if r == 0:
-        raise ZeroR("r must be nonzero")
+    check_r(r)
     verdict = _theorem_verdict(k, n, r, precision_bits)
     if not is_exact(r):
         return verdict
@@ -204,7 +204,7 @@ def counterexample_scan(k_values, n_values, sign: int = 1,
     """Probe the uncertified critical value r* = sign * (P(n)/P(n-1))^(n/2)
     for every (k, n) cell.  Numeric failure in a cell is reported as an
     "undetermined" row, never raised."""
-    if sign not in (1, -1):
+    if not isinstance(sign, int) or isinstance(sign, bool) or sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     check_bits(precision_bits)
     cells = []

@@ -24,7 +24,7 @@ from functools import lru_cache
 from mpmath import mp, mpf, mpc
 import mpmath
 
-from .errors import PrecisionExhausted
+from .errors import PrecisionExhausted, ZeroR
 
 MIN_PRECISION_BITS = 64
 MAX_PRECISION_BITS = 4096
@@ -61,6 +61,15 @@ def check_bits(precision_bits) -> int:
             f" got {precision_bits}"
         )
     return precision_bits
+
+
+def check_r(r):
+    """r itself if it is nonzero (else ZeroR) and finite (else ValueError)."""
+    if r == 0:
+        raise ZeroR("r must be nonzero")
+    if not mpmath.isfinite(r):
+        raise ValueError(f"r must be finite, got {r!r}")
+    return r
 
 
 def tolerance_bits(precision_bits: int) -> int:

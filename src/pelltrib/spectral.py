@@ -33,8 +33,8 @@ from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_log, round_nearest, to_fixed, to_float
 
 from .circulant import abs_sq, build_pell_complex, is_exact, is_real
-from .errors import DegenerateCase, ZeroR
-from .sequence import (_GUARD, char_roots, check_bits, check_int, check_k, check_order,
+from .errors import DegenerateCase
+from .sequence import (_GUARD, char_roots, check_bits, check_int, check_k, check_order, check_r,
                        recip_poly, t_integers, term, terms_upto, tolerance_bits)
 from . import sums
 
@@ -97,30 +97,27 @@ def row_col_length_norms(a: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class NormReport:
-    k: int
-    n: int
-    r: object
-    frobenius: float
-    spectral_lower: float
-    spectral_upper: float
+    lower: float
+    upper: float
     sigma: float
+    frobenius: float
+    frobenius_over_sqrt_n: float
     row_length_norm: float
     col_length_norm: float
 
 
 def norm_report(k: int, n: int, r) -> NormReport:
+    """The bounds report's entries in its order, as doubles: the enclosure
+    lower <= sigma <= upper of the largest singular value sigma (from
+    LAPACK), the Frobenius norm and its quotient by sqrt(n), and the largest
+    row and column lengths."""
     lower, upper = spectral_bounds(k, n, r)
     a = build_pell_complex(k, n, r)
     r1, c1 = row_col_length_norms(a)
-    return NormReport(
-        k=k, n=n, r=r,
-        frobenius=frobenius_closed(k, n, r),
-        spectral_lower=lower,
-        spectral_upper=upper,
-        sigma=spectral_numeric(a),
-        row_length_norm=r1,
-        col_length_norm=c1,
-    )
+    frobenius = frobenius_closed(k, n, r)
+    return NormReport(lower=lower, upper=upper, sigma=spectral_numeric(a),
+                      frobenius=frobenius, frobenius_over_sqrt_n=frobenius / n ** 0.5,
+                      row_length_norm=r1, col_length_norm=c1)
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +250,7 @@ class EigenSpectrum:
 def _check_grid(n: int, r, precision_bits: int) -> None:
     check_int(n, 2, "matrix order n")
     check_bits(precision_bits)
-    if r == 0:
-        raise ZeroR("r must be nonzero")
-    if not mpmath.isfinite(r):
-        raise ValueError(f"r must be finite, got {r!r}")
+    check_r(r)
 
 
 def _principal_root(n: int, r_mp) -> mpc:
@@ -726,11 +720,10 @@ def eigenvalues_closed(k: int, n: int, r, precision_bits: int = 256) -> EigenSpe
     return EigenSpectrum(k=k, grid=grid, lambdas=tuple(lams), branches=tuple(branches))
 
 
-def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum | None = None,
+def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum,
                         precision_bits: int | None = None) -> list:
     """Relative residuals ||M v_m - lambda_m v_m|| / (||M||_F ||v_m||), v_m = (rho_m^i),
-    for the given spectrum or the direct one.  precision_bits defaults to
-    the spectrum's precision, or 256 without a spectrum; a value other than
+    for the given spectrum, at its precision; a precision_bits other than
     the spectrum's raises ValueError.
 
     With a_l the generator row and T = sum_l a_l rho^l, row i of
@@ -763,9 +756,7 @@ def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum | None = None
     n 2^(0.5-F) from the rounded rho, as much again from (T - lambda) dv,
     and 3.5 n 2^-F from the floors of the powering.
     """
-    if spectrum is None:
-        spectrum = eigenvalues_direct(k, n, r, 256 if precision_bits is None else precision_bits)
-    elif precision_bits not in (None, spectrum.grid.precision_bits):
+    if precision_bits not in (None, spectrum.grid.precision_bits):
         raise ValueError(f"precision_bits {precision_bits!r} differs from the spectrum's"
                          f" {spectrum.grid.precision_bits}")
     bits = spectrum.grid.precision_bits

@@ -86,8 +86,6 @@ def w2_closed(k: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class SumsReport:
-    k: int
-    n: int
     s1: int
     w1: int
     s2: int
@@ -113,4 +111,4 @@ def sums_report(k: int, n: int) -> SumsReport:
                 f" fails at k={k}, n={n}"
             )
         values[name] = value
-    return SumsReport(k=k, n=n, **values)
+    return SumsReport(**values)

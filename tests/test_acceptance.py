@@ -277,7 +277,7 @@ def test_criterion_10_fast_matvec(capsys):
         want = np.zeros(n, dtype=np.complex128)
         want[0] = r
         assert np.linalg.norm(y - want) <= 1e-8 * abs(r), (n, r)
-    rows = fo.bench_matvec([4096], 1, 2, reps_fast=10, reps_dense=3)
+    rows = fo.bench_matvec([4096], 1, 2)
     times = {row.path: row.mean_ns for row in rows}
     speedup = times["dense"] / times["fast"]
     _report(capsys, 10, "fast matvec", True,

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import json
 import os
@@ -121,6 +122,11 @@ def test_env_override_malformed(monkeypatch, capsys):
 
 # ---------------------------------------------------------------------------
 # JSON envelope
+
+def test_parser_commands_are_the_schema_commands():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == SCHEMA["properties"]["command"]["enum"]
+
 
 @pytest.mark.parametrize("argv", [
     ["seq", "--k", "2", "--n", "6"],

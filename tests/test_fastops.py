@@ -144,7 +144,7 @@ def test_bench_generator_bounded_and_deterministic():
 
 
 def test_bench_rows():
-    rows = fo.bench_matvec([2, 64], 1, 2, reps_fast=3, reps_dense=2)
+    rows = fo.bench_matvec([2, 64], 1, 2)
     assert len(rows) == 4
     by_path = {(row.n, row.path): row for row in rows}
     assert by_path[(64, "fast")].rel_err < 1e-9

@@ -195,6 +195,9 @@ def test_sufficient_condition_validation():
     for r in (mpmath.mpc(2, 0), mpmath.mpc(-2, 0), complex(2, 0)):
         with pytest.raises(ValueError, match="^sufficient_condition covers real r only$"):
             inv.sufficient_condition(1, 5, r)
+    for r in (float("nan"), float("inf"), float("-inf"), mpmath.mpf("inf"), mpmath.mpf("nan")):
+        with pytest.raises(ValueError, match="^r must be finite, got "):
+            inv.sufficient_condition(1, 4, r)
 
 
 def test_min_eigen_magnitude_frozen():
@@ -333,7 +336,8 @@ def test_log10_double_falls_back_near_a_midpoint(monkeypatch):
 
 
 def test_scan_validation():
-    with pytest.raises(ValueError):
-        inv.counterexample_scan([1], [4], sign=2)
+    for sign in (2, 0, True, False, 1.0):
+        with pytest.raises(ValueError, match=f"^sign must be \\+1 or -1, got {sign!r}$"):
+            inv.counterexample_scan([1], [4], sign=sign)
     with pytest.raises(ValueError):
         inv.counterexample_scan([1], [1])
