@@ -26,11 +26,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import mul
 
 import numpy as np
 import mpmath
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_log, round_nearest, to_fixed, to_float
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_div, mpf_log, mpf_pow_int, round_nearest,
+                          to_fixed, to_float)
 
 from .circulant import abs_sq, build_pell_complex, is_exact, is_real
 from .errors import DegenerateCase
@@ -125,14 +127,15 @@ def norm_report(k: int, n: int, r) -> NormReport:
 #
 # eigenvalues_direct, eigenpair_residuals and _critical_moduli, which
 # answers the invertibility scan, run on complex numbers held as integer
-# pairs scaled by 2^F, and all three take the generator polynomial from
-# _horner_fixed.  These pairs and mpmath.libmp stay in this module: other
-# modules get mpf and mpc values.  _to_fixed rounds each part down, and every
-# product of two pairs is shifted back by F bits, which rounds down again, so
-# each conversion and each product errs by less than 2^-F per part and
-# sqrt(2) 2^-F in modulus; sums of pairs are exact.  _from_fixed rounds the
-# result once to the working precision, and _modulus takes its absolute
-# value on math.isqrt.
+# pairs scaled by 2^F.  eigenvalues_direct and _critical_moduli take the
+# generator polynomial from _horner_fixed, eigenpair_residuals its
+# telescoped closed form.  These pairs and mpmath.libmp stay in this
+# module: other modules get mpf and mpc values.  _to_fixed rounds each part
+# down, and every product of two pairs is shifted back by F bits, which
+# rounds down again, so each conversion and each product errs by less than
+# 2^-F per part and sqrt(2) 2^-F in modulus; sums of pairs are exact.
+# _from_fixed rounds the result once to the working precision, and
+# _modulus takes its absolute value on math.isqrt.
 
 def _to_fixed(z, frac_bits: int) -> tuple[int, int]:
     """(re, im) of an mpc or mpf as integers scaled by 2^frac_bits, each rounded down."""
@@ -147,13 +150,30 @@ def _from_fixed(x: int, y: int, frac_bits: int) -> mpc:
                         from_man_exp(y, -frac_bits, prec, round_nearest)))
 
 
+def _sqrt_raw(man: int, exp: int, prec: int) -> tuple:
+    """mpf_sqrt(x, prec, round_nearest) for x = man 2^exp, man > 0 and odd
+    (mpmath's normal form): its sqrtrem branch, bit for bit, with the C
+    math.isqrt in place of mpmath's pure-Python square root; a raw mpf."""
+    if exp & 1:
+        man <<= 1
+        exp -= 1
+    elif man == 1:
+        return 0, 1, exp // 2, 1
+    shift = max(4, 2 * prec - man.bit_length() + 4)
+    shift += shift & 1
+    man <<= shift
+    root = math.isqrt(man)
+    if root * root != man:
+        root = (root << 1) + 1
+        shift += 2
+    return from_man_exp(root, (exp - shift) // 2, prec, round_nearest)
+
+
 def _modulus(z: mpc) -> mpf:
     """abs(z) for an mpc z, bit for bit, at the working precision under
     round-nearest: mpmath's mpf_hypot, whose sum of squares mpf_add rounds
     down to prec + 4 bits (round_fast, its far-exponent shortcut included),
-    then mpf_sqrt's sqrtrem branch, with the C math.isqrt in place of
-    mpmath's pure-Python square root.  A zero or special part goes to
-    mpmath itself."""
+    then _sqrt_raw.  A zero or special part goes to mpmath itself."""
     prec = mp.prec
     (_, xm, xe, _), (_, ym, ye, _) = z._mpc_
     if not (xm and ym):
@@ -172,21 +192,7 @@ def _modulus(z: mpc) -> mpf:
         m >>= cut
         e += cut
     zeros = (m & -m).bit_length() - 1
-    m >>= zeros
-    e += zeros
-    if e & 1:
-        m <<= 1
-        e -= 1
-    elif m == 1:
-        return mp.make_mpf((0, 1, e // 2, 1))
-    shift = max(4, 2 * prec - m.bit_length() + 4)
-    shift += shift & 1
-    m <<= shift
-    root = math.isqrt(m)
-    if root * root != m:
-        root = (root << 1) + 1
-        shift += 2
-    return mp.make_mpf(from_man_exp(root, (e - shift) // 2, prec, round_nearest))
+    return mp.make_mpf(_sqrt_raw(m >> zeros, e + zeros, prec))
 
 
 def _horner_fixed(coeffs, x: int, y: int, frac: int) -> tuple[int, int]:
@@ -720,26 +726,200 @@ def eigenvalues_closed(k: int, n: int, r, precision_bits: int = 256) -> EigenSpe
     return EigenSpectrum(k=k, grid=grid, lambdas=tuple(lams), branches=tuple(branches))
 
 
+def _pow_sum_fixed(x: int, y: int, n: int, frac: int) -> tuple[int, int, int]:
+    """(p_x, p_y, w): z^n as _pow_fixed computes it, the same floors in the
+    same order, and w = sum_{i<n} |z|^(2i), all scaled by 2^frac, for
+    z = (x + i y) 2^-frac and n >= 2.
+
+    Error: z^n as in _pow_fixed, and w within 9 n 2^-frac of the sum,
+    relative.  With W_m the sum to m and p_m = z^m, a squaring takes W_2m
+    = W_m (1 + |p_m|^2) and a step W_(m+1) = 1 + |z|^2 W_m.  |p_m|^2 errs
+    by less than 2 d_m M^m |z|^m 2^-frac <= 2 d_m (1 + |z|^(2m)) 2^-frac,
+    with d_m <= 1.5 (2m - 1) and M = max(1, |z|) from _pow_fixed, and each
+    floor by one unit, which W_m, W_(m+1) >= 1 and W_m <= W_(m+1) keep
+    below 2^-frac relative.  So a squaring adds less than
+    (3 (2m - 1) + 3) 2^-frac and a step 2.01 2^-frac to the relative
+    error; the m squared are below n/2 and at least double each time, so
+    the whole is below (6n + 5 log2 n) 2^-frac <= 9 n 2^-frac."""
+    one = 1 << frac
+    q = (x * x + y * y) >> frac
+    px, py, w = x, y, one
+    s, d = x + y, y - x
+    for bit in bin(n)[3:]:
+        w += (w * ((px * px + py * py) >> frac)) >> frac
+        px, py = ((px + py) * (px - py)) >> frac, (px * py) >> (frac - 1)
+        if bit == "1":
+            w = one + ((w * q) >> frac)
+            t = x * (px + py)
+            px, py = (t - py * s) >> frac, (t + px * d) >> frac
+    return px, py, w
+
+
+def _telescoped(k, high, mid, low) -> tuple:
+    """(P(p), k P(p-1) + P(p-2), P(p-1)) from high, mid, low = P(p),
+    P(p-1), P(p-2): the coefficients of L_p, lowest degree first, which
+    t_integers gives for p >= 2.  Like _boundary it takes any ring's
+    elements: the tests run both on symbols."""
+    return high, k * mid + low, mid
+
+
+def _boundary(k, below, at, above) -> tuple:
+    """(u_p, k u_p + u_(p-1), u_(p+1)) from below, at, above = u_(p-1),
+    u_p, u_(p+1): the coefficients, lowest degree first, of the boundary
+    polynomial beta_p of a sequence u with the recurrence (see
+    eigenpair_residuals)."""
+    return at, k * at + below, above
+
+
+def _residual_cell(k: int, n: int) -> tuple:
+    """The integers of eigenpair_residuals that depend on k and n alone:
+    C = t_integers(k, n), the coefficients of L_n; G = (G_00, 2 G_01,
+    G_11, 2 G_02, 2 G_12, G_22), G_ab = sum_{p=1..n} u_a u_b over the
+    coefficients (u_0, u_1, u_2) of L_p, so that
+    Q = sum_{a,b} G_ab rho^a z^b; and beta_n(z) = sum_{a,b} b_ab rho^a z^b,
+    beta_n of the sequence L_p(rho), from L_(n-1), L_n and L_(n+1), as
+    b_00, b_10 + b_01, b_11, b_20 + b_02, b_21 + b_12, b_22 (real part) and
+    b_10 - b_01, b_20 - b_02, b_21 - b_12 (imaginary part)."""
+    terms = terms_upto(k, n + 1)
+    pn1, pn, pm1, pm2 = terms[n + 1], terms[n], terms[n - 1], terms[n - 2]
+    pm3 = pn - 2 * k * pm1 - k * pm2  # P(n - 3), and P(-1) = 0 at n = 2
+    ells = (_telescoped(k, pm1, pm2, pm3), _telescoped(k, pn, pm1, pm2),
+            _telescoped(k, pn1, pn, pm1))
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = (
+        _boundary(k, *(ell[a] for ell in ells)) for a in range(3))
+    # sums over p = 1..n of P(p)^2, P(p) P(p-1) and P(p) P(p-2), P(-1) = 0
+    s00 = sum(map(mul, terms[1:n + 1], terms[1:n + 1]))
+    s01 = sum(map(mul, terms[1:n + 1], terms))
+    s02 = sum(map(mul, terms[2:n + 1], terms))
+    s11 = s00 - pn * pn  # of P(p-1)^2
+    s12 = s01 - pn * pm1  # of P(p-1) P(p-2)
+    s22 = s11 - pm1 * pm1  # of P(p-2)^2
+    return (ells[1],
+            (s00, 2 * (k * s01 + s02), k * k * s11 + 2 * k * s12 + s22, 2 * s01, 2 * (k * s11 + s12), s11),
+            (b00, b10 + b01, b11, b20 + b02, b21 + b12, b22, b10 - b01, b20 - b02, b21 - b12))
+
+
+def _residual_point(k: int, cell: tuple, x: int, y: int, lam: tuple, r: tuple, frac: int) -> tuple:
+    """(psi, chi, e_hat, q, beta_0, beta_n) at rho = (x + i y) 2^-frac,
+    z = conj(rho), lambda = lam 2^-frac and r = r 2^-frac (lam and r
+    pairs), exactly: psi(rho), chi(z) and beta_0(z) as pairs scaled by
+    2^(3 frac), E^ and beta_n(z) as pairs and Q(rho) as an integer scaled
+    by 2^(4 frac); cell is _residual_cell's.  chi(z) is conj(chi(rho)), and
+    chi(rho) = -psi(rho) - 3k (rho + rho^2).  See eigenpair_residuals."""
+    (c0, c1, c2), (g00, g01, g11, g02, g12, g22), (b00, b10, b11, b20, b21, b22, d10, d20, d21) = cell
+    xx, yy = x * x, y * y
+    m, re2, im2 = xx + yy, xx - yy, 2 * x * y  # |rho|^2 and rho^2
+    re3, im3 = x * re2 - y * im2, x * im2 + y * re2  # rho^3
+    mx, my, mm = m * x, m * y, m * m
+    psi_x = (1 << 3 * frac) - ((2 * k * x << frac) + k * re2 << frac) - re3
+    psi_y = -((2 * k * y << frac) + k * im2 << frac) - im3
+    chi = (-psi_x - ((3 * k * x << frac) + 3 * k * re2 << frac),
+           psi_y + ((3 * k * y << frac) + 3 * k * im2 << frac))
+    cr, ci = ((c0 << frac) + c1 * x << frac) + c2 * re2, (c1 * y << frac) + c2 * im2  # C(rho)
+    (lr, li), (rr, ri) = lam, r
+    e_hat = ((x << 3 * frac) - (rr * cr - ri * ci << frac) - (psi_x * lr - psi_y * li),
+             (y << 3 * frac) - (rr * ci + ri * cr << frac) - (psi_x * li + psi_y * lr))
+    # Horner in 2^frac over the terms of degree 0 .. 4 in (rho, z)
+    q = ((((g00 << frac) + g01 * x << frac) + g11 * m + g02 * re2 << frac) + g12 * mx << frac) + g22 * mm
+    beta_0 = ((x << 2 * frac) + (k * m + re2 << frac) + mx, (y << 2 * frac) - (im2 << frac) + my)
+    beta_n = (((((b00 << frac) + b10 * x << frac) + b11 * m + b20 * re2 << frac) + b21 * mx << frac)
+              + b22 * mm,
+              (((d10 * y << frac) + d20 * im2 << frac) + d21 * my) << frac)
+    return (psi_x, psi_y), chi, e_hat, q, beta_0, beta_n
+
+
+def _size(x: int, y: int = 0) -> int:
+    """b with 2^(b-1) <= |x + i y| < 2^(b+1/2) for a nonzero pair."""
+    return max(x.bit_length(), y.bit_length())  # bit_length ignores the sign
+
+
+def _shifted(v: int, shift: int) -> int:
+    """v 2^shift, rounded down."""
+    return v << shift if shift >= 0 else v >> -shift
+
+
+def _cut(x: int, y: int, keep: int) -> tuple[int, int, int]:
+    """(x', y', e): x + i y rounded down to keep bits below the leading bit
+    of the larger part, x + i y = (x' + i y') 2^e within 2^(1.5-keep)
+    relative; e = 0 for a pair that is already that short."""
+    e = max(0, _size(x, y) - keep)
+    return x >> e, y >> e, e
+
+
 def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum,
                         precision_bits: int | None = None) -> list:
     """Relative residuals ||M v_m - lambda_m v_m|| / (||M||_F ||v_m||), v_m = (rho_m^i),
-    for the given spectrum, at its precision; a precision_bits other than
-    the spectrum's raises ValueError.
+    for the given spectrum, at its precision, in O(log n) operations per
+    point.  A precision_bits other than the spectrum's, or an n other
+    than its order, raises ValueError; r = 0 raises ZeroR.
 
     With a_l the generator row and T = sum_l a_l rho^l, row i of
     M v - lambda v is exactly
 
-        e_i = rho^i (T - lambda) + (r - rho^n) h_i,   h_i = sum_{j<i} a_{n-i+j} rho^j,
+        e_i = rho^i (T - lambda) + c h_i,   c = r - rho^n,   h_i = sum_{j<i} a_{n-i+j} rho^j.
 
-    so e_0 = T - lambda and e_i = rho e_(i-1) + a_(n-i) (r - rho^n).  It all
-    runs on Gaussian integers scaled by 2^F', F' = F + max(0, 3 - mag(r))
-    with F = bits + _GUARD + 8; the extra bits for small |r| keep the
-    relative error of rho and of r below 2^(0.5-F).  T comes from
-    _horner_fixed, rho^n and ||v||^2 = sum_{i<n} |rho|^(2i) from one binary
-    powering, and the e_i are residual-sized, so each step of the recurrence
-    multiplies the F'-bit rho by small integers.  The square root and the
-    quotient by ||v|| are taken on integers too; mpmath divides once by
-    ||M||_F.
+    The telescoping identity.  With P(-1) = 0, P(-2) = 1 and
+    L_p(x) = P(p) + (k P(p-1) + P(p-2)) x + P(p-1) x^2 (_telescoped; L_n is
+    C, the quadratic of t_integers, L_0 = x and L_1 = 1), the recurrence
+    gives L_p - x L_(p+1) = psi P(p), psi(x) = 1 - 2k x - k x^2 - x^3, so
+    psi(x) sum_{l=p}^{n-1} a_l x^(l-p) = L_p - x^(n-p) C for 0 <= p <= n.
+    At p = 0 and p = n - i,
+
+        psi(rho) e_i = rho^i E^ + c L_(n-i)(rho),   E^ = rho - r C(rho) - psi(rho) lambda,
+
+    and summed over i < n, with z = conj(rho),
+
+        |psi|^2 sum_i |e_i|^2 = |E^|^2 W + 2 Re(conj(E^) c S) + |c|^2 Q,
+
+    W = sum_{i<n} |rho|^(2i) = ||v||^2, Q = sum_{p=1..n} |L_p(rho)|^2 and
+    S = sum_{i<n} z^i L_(n-i)(rho).  Q is a Hermitian form in
+    (1, rho, rho^2) with six integer sums over p (_residual_cell).  For
+    S: any sequence u with the recurrence has z beta_p - beta_(p+1) =
+    chi(z) u_(p+1), chi(z) = z^3 - 2k z^2 - k z - 1 and beta_p(z) =
+    u_p + (k u_p + u_(p-1)) z + u_(p+1) z^2 (_boundary), so
+    chi(z) sum_{p=1..n} u_p z^(n-p) = z^n beta_0(z) - beta_n(z).  The
+    sequence L_p(rho) has the recurrence, with L_(-1) = rho^2, so
+    S = (z^n beta_0 - beta_n) / chi, beta_0 = rho + k |rho|^2 + |rho|^2 rho + z^2.
+    psi and chi vanish at no Gaussian rational: x^3 - 2k x^2 - k x - 1 has
+    no rational root (only +-1 could be one, where it is -3k and -k - 2),
+    so it is irreducible and has no root in Q(i), nor has
+    psi(x) = -x^3 chi(1/x).
+
+    Computation.  rho, lambda and r are rounded down to Gaussian integers
+    scaled by 2^F', F' = F + max(0, 3 - mag(r)), F = bits + _GUARD + 8; the
+    extra bits for small |r| keep the relative error of rho and of r
+    below 2^(0.5-F).  For these rho~, lambda~ and r~ the identity is
+    exact, and psi, chi, E^, Q, beta_0 and beta_n are exact integers
+    (_residual_point).  Only rho~^n and W come from one binary powering
+    (_pow_sum_fixed) at H >= F' fractional bits, rho~^n within
+    delta = 3 n M^n 2^-H, M = max(1, |rho~|), and W within 9 n 2^-H,
+    relative.  The sum X~ = |E^|^2 W~ + |c~|^2 Q + 2 Re(conj(E^) c~ S~),
+    S~ = B~ / chi, B~ = z~^n beta_0 - beta_n, and the denominator
+    |psi|^2 W~ ||M||_F^2, with ||M||_F^2 = n s2 + (|r~|^2 - 1) w2 at r~, are
+    formed from their factors, E^, B~, chi, psi, Q and ||M||_F^2 each cut
+    to K bits below its leading bit (_cut, within 2^(1.5-K) relative) and
+    c~ and W~ whole; then one integer division, one isqrt and one
+    rounding.
+
+    Guard bits.  With U = max(1, |r|) A, A = sum_l a_l: c~ = r~ - rho~^n
+    errs by at most delta, which moves the vector rho^i E^ + c L_(n-i) by
+    at most delta sqrt(Q); as sqrt(W) >= M^(n-1) that moves ||e|| / ||v||
+    by at most (1) 3 n M sqrt(Q) 2^-H / |psi|.  W~ and S~ (S~ - S =
+    (z~^n - z^n) beta_0 / chi) change the sum of squares by at most
+    |E^|^2 |W~ - W| + 2 |E^| |c~| delta |beta_0| / |chi|, which adds at
+    most (2) sqrt(9 n 2^-H) |E^| / |psi| and
+    (3) sqrt(13 n M^2 2^-H |E^| |beta_0| / |chi|) / |psi|, with
+    |c~| <= 2.1 M^n and W >= M^(2n-2) (|rho^n / r - 1| <= 2^-16, below).
+    H is the least integer >= F' that bounds each of (1) - (3) by
+    2^(-F-1) U, found from bit lengths before the powering.  Away from
+    the reciprocal characteristic roots it is F' plus about
+    log2(n^1.5 k) bits, for (1); near one, where |psi(rho)| is small, (2)
+    and (3) grow with 2 log2(1 / |psi|).  The cuts and the floors that
+    align the three terms change X~ by at most 2^(5-K) Y, Y a power of two
+    above |E^|^2 W~ + |c~|^2 Q + 2 |E^| |c~| |B~| / |chi|, which adds at
+    most (4) sqrt(2^(5-K) Y / W) / |psi|.  K is the least integer
+    >= F + 10 that bounds (4) by 2^(-F-2) U, from bit lengths after the
+    powering; the denominator's cuts err by less than 2^(3.2-K) relative.
 
     Error bound: for rho_m with |rho_m^n / r - 1| <= 2^-16 (every grid from
     eigen_grid and the grid of every spectrum from eigenvalues_direct meets
@@ -748,56 +928,84 @@ def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum,
         |returned_m - res_m| <= 2^(4-F) * n * (max(1, |r|) * A / ||M||_F + res_m).
 
     The first term bounds the error in ||M v - lambda v|| relative to
-    ||M||_F ||v||, in units of max(1, |r|) A / ||M||_F.  Rounding rho moves
-    v by n 2^(0.5-F) ||v||, and ||M - T|| <= 2 max(1, |r|) A, which gives
-    2^(1.5-F) n; the floors of T, lambda, r, rho^n
-    (|d rho^n| < 2^(1.5-F') n max(1, |rho|)^(n-1)) and of each step add less
-    than 2^(2.7-F) n.  The second term is the relative error of ||v||:
-    n 2^(0.5-F) from the rounded rho, as much again from (T - lambda) dv,
-    and 3.5 n 2^-F from the floors of the powering.
+    ||M||_F ||v||, in units of U / ||M||_F.  Rounding rho moves v by
+    n 2^(0.5-F) ||v||, and ||M - T|| <= 2U, which gives 2^(1.5-F) n;
+    rounding lambda and r (||dM|| <= |dr| A) adds 2^(0.5-F) each, and
+    (1) - (4) add 1.75 2^-F.  The second term is the relative error of
+    ||v|| and ||M||_F: n 2^(0.5-F) from the rounded rho, as much again
+    from (T - lambda) dv, 4.5 n 2^-H from W~, 2^(-F-1.5) from r~ in
+    ||M||_F, and 2^(-F-7) from the cuts and the final rounding.
     """
     if precision_bits not in (None, spectrum.grid.precision_bits):
         raise ValueError(f"precision_bits {precision_bits!r} differs from the spectrum's"
                          f" {spectrum.grid.precision_bits}")
+    if n != spectrum.grid.n:
+        raise ValueError(f"matrix order n {n!r} differs from the spectrum's {spectrum.grid.n}")
+    check_r(r)
     bits = spectrum.grid.precision_bits
-    terms = terms_upto(k, n - 1)
+    top = bits + _GUARD + 8  # F
     with mp.workprec(bits + _GUARD + 16):
         r_mp = mpmath.mpmathify(r)
-        frac = bits + _GUARD + 8 + max(0, 3 - mpmath.mag(r_mp))
-        fro = mpmath.sqrt(mpmath.mpmathify(frobenius_sq_closed(k, n, abs(r_mp))))
-        coeffs = [a << frac for a in reversed(terms)]
-        wrapped = terms[:0:-1]  # a_(n-i) for rows i = 1 .. n-1
+        frac = top + max(0, 3 - mpmath.mag(r_mp))
+        cell = _residual_cell(k, n)
         rx, ry = _to_fixed(r_mp, frac)
-        one = 1 << frac
-        bits_n = bin(n)[3:]
+        one2 = 1 << 2 * frac
+        # ||M||_F^2 at r~, scaled by 2^(2 frac), cut like the other factors
+        fro, _, fro_exp = _cut(n * sums.s2_closed(k, n - 1) * one2
+                               + (rx * rx + ry * ry - one2) * sums.w2_closed(k, n - 1), 0, top + 10)
+        fro_exp -= 2 * frac
+        log_u = term(k, n - 1).bit_length() - 1 + max(0, _size(rx, ry) - 2 - frac)  # <= log2 U
+        need_1 = top + 1 + (3 * n).bit_length() - log_u
+        need_2 = 2 * top + 2 + (9 * n).bit_length() - 2 * log_u
+        need_3 = 2 * top + 2 + (13 * n).bit_length() - 2 * log_u
+        need_4 = 2 * top + 10 - 2 * log_u
         prec = mp.prec
         out = []
         for rho, lam in zip(spectrum.grid.rhos, spectrum.lambdas):
-            x, y = _to_fixed(rho, frac)
-            s, d = x + y, y - x
-            # rho^m and w = sum_{i<m} |rho|^(2i) by binary powering up to m = n
-            q = (x * x + y * y) >> frac
-            px, py, w = x, y, one
-            for bit in bits_n:
-                w += (w * ((px * px + py * py) >> frac)) >> frac
-                px, py = (px * px - py * py) >> frac, (2 * px * py) >> frac
-                if bit == "1":
-                    w = one + ((w * q) >> frac)
-                    t = x * (px + py)
-                    px, py = (t - py * s) >> frac, (t + px * d) >> frac
-            cx, cy = rx - px, ry - py
-            tx, ty = _horner_fixed(coeffs, x, y, frac)
-            lx, ly = _to_fixed(lam, frac)
-            ex, ey = tx - lx, ty - ly
-            err_sq = ex * ex + ey * ey
-            for a in wrapped:
-                t = x * (ex + ey)
-                ex, ey = ((t - ey * s) >> frac) + a * cx, ((t + ex * d) >> frac) + a * cy
-                err_sq += ex * ex + ey * ey
-            # sqrt(err_sq 2^-frac / w) to about prec + 8 bits, on integers
-            shift = max(0, 2 * prec + 16 + w.bit_length() - err_sq.bit_length())
-            shift += (shift + frac) & 1
-            out.append(mpf((math.isqrt((err_sq << shift) // w), -(frac + shift) // 2)) / fro)
+            (rho_x, rho_y), (lam_x, lam_y) = rho._mpc_, lam._mpc_
+            x, y = to_fixed(rho_x, frac), to_fixed(rho_y, frac)
+            psi, chi, (ex, ey), q, beta_0, beta_n = _residual_point(
+                k, cell, x, y, (to_fixed(lam_x, frac), to_fixed(lam_y, frac)), (rx, ry), frac)
+            # bounds on log2 of M, sqrt(Q), E^ and beta_0 from above and of
+            # psi and chi from below
+            log_m = max(0, _size(x, y) + 1 - frac)
+            log_q = -((4 * frac - q.bit_length()) // 2)
+            log_e = _size(ex, ey) + 1 - 4 * frac
+            log_psi = _size(*psi) - 1 - 3 * frac
+            log_chi = _size(*chi) - 1 - 3 * frac
+            log_b = _size(*beta_0) + 1 - 3 * frac
+            wide = max(frac, need_1 + log_m + log_q - log_psi, need_2 + 2 * (log_e - log_psi),
+                       need_3 + 2 * log_m + log_e + log_b - log_chi - 2 * log_psi)
+            g = wide - frac
+            px, py, w = _pow_sum_fixed(x << g, y << g, n, wide)
+            cx, cy = (rx << g) - px, (ry << g) - py  # c~, scaled by 2^H
+            # B~ = z~^n beta_0 - beta_n, z~^n = conj(rho~^n), scaled by 2^(H + 3 frac)
+            bx = px * beta_0[0] + py * beta_0[1] - (beta_n[0] << g)
+            by = px * beta_0[1] - py * beta_0[0] - (beta_n[1] << g)
+            # keep bits per cut factor, from log2 Y and (4); X~ in units of 2^low
+            log_c = _size(cx, cy) + 1 - wide
+            log_y = 2 + max(2 * log_e + w.bit_length() - wide, 2 * log_c + q.bit_length() - 4 * frac,
+                            1 + log_e + log_c + _size(bx, by) + 1 - wide - 3 * frac - log_chi)
+            keep = max(top + 10, need_4 + log_y - 2 * log_psi - (w.bit_length() - 1 - wide))
+            low = log_y - keep - 4
+            ex, ey, e_exp = _cut(ex, ey, keep)
+            bx, by, b_exp = _cut(bx, by, keep)
+            hx, hy, h_exp = _cut(*chi, keep)
+            px, py, p_exp = _cut(*psi, keep)
+            q, _, q_exp = _cut(q, 0, keep)
+            e_exp -= 4 * frac
+            ux, uy = ex * cx + ey * cy, ex * cy - ey * cx  # conj(E^) c~
+            vx, vy = bx * hx + by * hy, by * hx - bx * hy  # B~ conj(chi)
+            cross = _shifted(ux * vx - uy * vy,
+                             1 + e_exp + b_exp - h_exp - 2 * wide - low) // (hx * hx + hy * hy)
+            num = max(0, _shifted((ex * ex + ey * ey) * w, 2 * e_exp - wide - low)
+                      + _shifted((cx * cx + cy * cy) * q, q_exp - 2 * wide - 4 * frac - low) + cross)
+            den = (px * px + py * py) * w * fro
+            low -= 2 * (p_exp - 3 * frac) - wide + fro_exp  # the ratio's exponent
+            shift = max(0, 2 * prec + 16 + den.bit_length() - num.bit_length())
+            shift += (shift - low) & 1
+            root = math.isqrt((num << shift) // den)
+            out.append(mp.make_mpf(from_man_exp(root, (low - shift) // 2, prec, round_nearest)))
     return out
 
 
@@ -826,7 +1034,14 @@ def _quadratic_roots(k: int, n: int, r_mp) -> tuple[mpc, mpc]:
     c0, c1, c2 = t_integers(k, n)
     s = (1 - r_mp * c1) / (r_mp * c2)
     q = mpf(c0) / c2
-    disc = mpmath.sqrt(mpc(s * s - 4 * q))
+    d = s * s - 4 * q
+    if isinstance(d, mpf) and d:
+        # mpc_sqrt of a real d: mpf_sqrt(|d|), real for d > 0, imaginary for d < 0
+        sign, man, exp, _ = d._mpf_
+        root = _sqrt_raw(man, exp, mp.prec)
+        disc = mp.make_mpc((fzero, root) if sign else (root, fzero))
+    else:
+        disc = mpmath.sqrt(mpc(d))
     r1, r2 = (s + disc) / 2, (s - disc) / 2
     tiny = abs(s) * mpf(2) ** -_GUARD
     if _modulus(s + disc) < tiny:
@@ -880,9 +1095,16 @@ def determinant_closed(k: int, n: int, r, precision_bits: int = 256) -> DetRepor
 # critical values of the invertibility scan
 
 def _critical_magnitude(k: int, n: int) -> mpf:
-    # (P(n)/P(n-1))^(n/2), always a positive real
+    """(P(n)/P(n-1))^(n/2), a positive real, bit for bit mpmath's
+    ratio ** (mpf(n) / 2) under round-nearest: mpf_pow_int(ratio, n/2) for
+    even n, and for odd n its half-integer branch,
+    mpf_pow_int(mpf_sqrt(ratio, prec + 10), n), with _sqrt_raw."""
     ratio = mpf(term(k, n)) / term(k, n - 1)
-    return ratio ** (mpf(n) / 2)
+    if n % 2 == 0:
+        return ratio ** (n // 2)
+    prec = mp.prec
+    _, man, exp, _ = ratio._mpf_
+    return mp.make_mpf(mpf_pow_int(_sqrt_raw(man, exp, prec + 10), n, prec, round_nearest))
 
 
 def _critical_moduli(k: int, n: int, sign: int, precision_bits: int) -> tuple[mpf, mpf, mpf, mpf]:

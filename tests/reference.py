@@ -8,23 +8,27 @@ psi * Psi and the shift identity behind the resultant determinant
 (circulant._resultants, which takes T's integers from sequence.t_integers
 and its power sums from sequence.term), each with its own statement of T,
 and mpmath's own mpc Horner, which
-spectral._horner_mpc reproduces on integers.  Also the smallest eigenvalue
+spectral._horner_mpc reproduces on integers, and the quadratic roots
+with mpmath's own complex square root.  Also the smallest eigenvalue
 modulus, which only the tests read, from the exhaustive comparison over
 every kernel value that spectral._modulus_extremes narrows to candidates,
-and the four partial sums of the sequence as literal O(n) loops.
+the four partial sums of the sequence as literal O(n) loops, and the
+eigenpair residual from its O(n) row recurrence, which
+spectral.eigenpair_residuals replaces by the telescoped closed form.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from mpmath import mp, mpc, mpf, mpmathify
 
 from pelltrib.circulant import abs_sq, build, build_pell, is_exact
 from pelltrib.errors import DimensionMismatch
-from pelltrib.sequence import _GUARD, char_roots, check_int, check_k, term, terms_upto
+from pelltrib.sequence import _GUARD, char_roots, check_int, check_k, t_integers, term, terms_upto
 from pelltrib.spectral import (_conjugate_half, _conjugate_tail, _fixed_grid, _from_fixed,
-                               _horner_fixed)
+                               _horner_fixed, _modulus, _to_fixed, frobenius_sq_closed)
 
 
 # The direct oracles leave the checks of k and n to terms_upto.
@@ -144,6 +148,23 @@ def horner_mpc(k: int, n: int, rhos) -> list:
     return lams
 
 
+def quadratic_roots_mpmath(k: int, n: int, r_mp) -> tuple:
+    """spectral._quadratic_roots with the discriminant's root from
+    mpmath.sqrt(mpc(...)): the oracle for its real-discriminant branch,
+    which takes that root on math.isqrt."""
+    c0, c1, c2 = t_integers(k, n)
+    s = (1 - r_mp * c1) / (r_mp * c2)
+    q = mpf(c0) / c2
+    disc = mpmath.sqrt(mpc(s * s - 4 * q))
+    r1, r2 = (s + disc) / 2, (s - disc) / 2
+    tiny = abs(s) * mpf(2) ** -_GUARD
+    if _modulus(s + disc) < tiny:
+        r1 = q / r2
+    elif _modulus(s - disc) < tiny:
+        r2 = q / r1
+    return r1, r2
+
+
 def psi_times_Psi(k: int, n: int) -> tuple:
     """Exact coefficients, lowest degree first, of the product of the
     reciprocal characteristic polynomial (1 - 2k x - k x^2 - x^3) with the
@@ -193,3 +214,54 @@ def shift_identity_check(k: int, n: int, r) -> bool:
     rhs, rhs_scale = _as_int_matrix(build(r, rhs_gen))
     # (a @ b) / (a_scale b_scale) must equal rhs / rhs_scale
     return bool(np.array_equal(rhs_scale * (a @ b), a_scale * b_scale * rhs))
+
+
+def eigenpair_residuals_recurrence(k: int, n: int, r, spectrum) -> list:
+    """Relative residuals ||M v_m - lambda_m v_m|| / (||M||_F ||v_m||),
+    v_m = (rho_m^i), from the row recurrence e_0 = T - lambda,
+    e_i = rho e_(i-1) + a_(n-i) (r - rho^n), O(n) per point, on Gaussian
+    integers scaled by 2^F', F' = bits + _GUARD + 8 + max(0, 3 - mag(r)):
+    T from _horner_fixed, rho^n and ||v||^2 = sum_{i<n} |rho|^(2i) from
+    one binary powering; the square root and the quotient by ||v|| on
+    integers, and one mpmath division by ||M||_F.  The oracle for
+    spectral.eigenpair_residuals, within the same stated error bound."""
+    bits = spectrum.grid.precision_bits
+    terms = terms_upto(k, n - 1)
+    with mp.workprec(bits + _GUARD + 16):
+        r_mp = mpmath.mpmathify(r)
+        frac = bits + _GUARD + 8 + max(0, 3 - mpmath.mag(r_mp))
+        fro = mpmath.sqrt(mpmath.mpmathify(frobenius_sq_closed(k, n, abs(r_mp))))
+        coeffs = [a << frac for a in reversed(terms)]
+        wrapped = terms[:0:-1]  # a_(n-i) for rows i = 1 .. n-1
+        rx, ry = _to_fixed(r_mp, frac)
+        one = 1 << frac
+        bits_n = bin(n)[3:]
+        prec = mp.prec
+        out = []
+        for rho, lam in zip(spectrum.grid.rhos, spectrum.lambdas):
+            x, y = _to_fixed(rho, frac)
+            s, d = x + y, y - x
+            # rho^m and w = sum_{i<m} |rho|^(2i) by binary powering up to m = n
+            q = (x * x + y * y) >> frac
+            px, py, w = x, y, one
+            for bit in bits_n:
+                w += (w * ((px * px + py * py) >> frac)) >> frac
+                px, py = (px * px - py * py) >> frac, (2 * px * py) >> frac
+                if bit == "1":
+                    w = one + ((w * q) >> frac)
+                    t = x * (px + py)
+                    px, py = (t - py * s) >> frac, (t + px * d) >> frac
+            cx, cy = rx - px, ry - py
+            tx, ty = _horner_fixed(coeffs, x, y, frac)
+            lx, ly = _to_fixed(lam, frac)
+            ex, ey = tx - lx, ty - ly
+            err_sq = ex * ex + ey * ey
+            for a in wrapped:
+                t = x * (ex + ey)
+                ex, ey = ((t - ey * s) >> frac) + a * cx, ((t + ex * d) >> frac) + a * cy
+                err_sq += ex * ex + ey * ey
+            # sqrt(err_sq 2^-frac / w) to about prec + 8 bits, on integers
+            shift = max(0, 2 * prec + 16 + w.bit_length() - err_sq.bit_length())
+            shift += (shift + frac) & 1
+            out.append(mpf((math.isqrt((err_sq << shift) // w), -(frac + shift) // 2)) / fro)
+    return out

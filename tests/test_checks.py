@@ -56,3 +56,16 @@ def test_grids_reject_non_finite_r(r):
         spectral.eigen_grid(4, r)
     with pytest.raises(ValueError, match=r"^r must be finite, got "):
         spectral.eigenvalues_direct(1, 4, r)
+
+
+def test_eigenpair_residuals_reject_an_order_other_than_the_spectrums():
+    spectrum = spectral.eigenvalues_direct(1, 5, 2, 64)
+    for n in (4, 6):
+        with pytest.raises(ValueError, match=rf"^matrix order n {n} differs from the spectrum's 5$"):
+            spectral.eigenpair_residuals(1, n, 2, spectrum)
+
+
+def test_eigenpair_residuals_reject_zero_r():
+    spectrum = spectral.eigenvalues_direct(1, 5, 2, 64)
+    with pytest.raises(ZeroR):
+        spectral.eigenpair_residuals(1, 5, 0, spectrum)

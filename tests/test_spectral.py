@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import itertools
 import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,13 +10,14 @@ import numpy as np
 import pytest
 import mpmath
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import from_man_exp, mpf_mul, mpf_sub, normalize, round_nearest
+from mpmath.libmp import from_man_exp, mpf_mul, mpf_sqrt, mpf_sub, normalize, round_nearest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from pelltrib import circulant as circ
 from pelltrib import spectral as sp
 from pelltrib.spectral import _critical_magnitude
-from pelltrib.sequence import _GUARD, char_roots, recip_poly, term, terms_upto
+from pelltrib.sequence import _GUARD, char_poly, char_roots, recip_poly, t_integers, term, terms_upto
 from pelltrib.errors import DegenerateCase, ZeroR
 
 import reference as ref
@@ -321,24 +323,224 @@ def _residuals_oracle(k, n, r, spectrum, extra_bits=0):
 RESIDUAL_R = (1, -1, 2, Fraction(-3, 2), Fraction(3, 7), 1j, 2 - 3j, 10**40, mpf("1e-300"))
 
 
+def _root_grids(sign):
+    """Criterion 06's degenerate grids (sign -1), r = root^-n for the three
+    characteristic roots at k in {1, 2} and n in {4, 6, 8}, where psi(rho)
+    nearly vanishes, or the grids r = root^n (sign 1), where chi(conj rho)
+    does."""
+    for k in (1, 2):
+        roots = char_roots(k, 256)
+        for n in (4, 6, 8):
+            for root in (roots.alpha, roots.beta, roots.gamma):
+                with mp.workprec(256 + _GUARD):
+                    yield k, n, root ** (sign * n)
+
+
+def _residual_cases():
+    """(k, n, r, eigenvalues): the grid of RESIDUAL_R on direct and closed
+    spectra, the grids of _root_grids on both, and direct spectra at n = 2."""
+    yield from itertools.product((1, 2, 3), (3, 5, 8, 13, 21), RESIDUAL_R,
+                                 (sp.eigenvalues_direct, sp.eigenvalues_closed))
+    for sign in (-1, 1):
+        for k, n, r in _root_grids(sign):
+            yield k, n, r, sp.eigenvalues_direct
+            yield k, n, r, sp.eigenvalues_closed
+    for k, r in itertools.product((1, 2, 3), RESIDUAL_R):
+        yield k, 2, r, sp.eigenvalues_direct
+
+
+def _residual_unit(k, n, r, bits):
+    """(2^(4-F) n, max(1, |r|) A / ||M||_F), F = bits + _GUARD + 8: the
+    stated bound is unit * (scale + residual)."""
+    with mp.workprec(bits + _GUARD + 64):
+        fro = mpmath.sqrt(mpmath.mpmathify(sp.frobenius_sq_closed(k, n, abs(mpmath.mpmathify(r)))))
+        scale = max(1, abs(mpmath.mpmathify(r))) * sum(terms_upto(k, n - 1)) / fro
+        return mpf(2) ** (4 - (bits + _GUARD + 8)) * n, scale
+
+
 @pytest.mark.parametrize("bits", [64, 256])
 def test_eigenpair_residuals_within_stated_bound_of_oracle(bits):
     # 2^(4-F) n (max(1,|r|) A / ||M||_F + res), F = bits + _GUARD + 8, on
-    # direct and closed spectra; the oracle runs 64 bits higher so its own
-    # rounding stays far below the bound
-    with mp.workprec(bits + _GUARD + 64):
-        unit = mpf(2) ** (4 - (bits + _GUARD + 8))
-    for k, n, r, eigenvalues in itertools.product(
-            (1, 2, 3), (3, 5, 8, 13, 21), RESIDUAL_R,
-            (sp.eigenvalues_direct, sp.eigenvalues_closed)):
+    # _residual_cases; the oracle runs 64 bits higher so its own rounding
+    # stays far below the bound
+    for k, n, r, eigenvalues in _residual_cases():
         spectrum = eigenvalues(k, n, r, bits)
         got = sp.eigenpair_residuals(k, n, r, spectrum)
         want = _residuals_oracle(k, n, r, spectrum, extra_bits=64)
+        unit, scale = _residual_unit(k, n, r, bits)
         with mp.workprec(bits + _GUARD + 64):
-            fro = mpmath.sqrt(mpmath.mpmathify(sp.frobenius_sq_closed(k, n, abs(r))))
-            scale = max(1, abs(mpmath.mpmathify(r))) * sum(terms_upto(k, n - 1)) / fro
             for g, w in zip(got, want):
-                assert abs(g - w) <= unit * n * (scale + w), (k, n, r, eigenvalues, g, w)
+                assert abs(g - w) <= unit * (scale + w), (k, n, r, eigenvalues, g, w)
+
+
+def test_eigenpair_residuals_at_large_n():
+    # at n = 200 and 512 bits the closed form against the O(n) row
+    # recurrence of tests/reference.py; each is within the stated bound of
+    # the exact residual, so they differ by at most twice the bound.  At
+    # n = 1000 the recurrence took about 7 s of CPU for the timed call and
+    # the closed form about 0.1 s (2-core Xeon, CPython 3.11).
+    for k, r, eigenvalues in ((1, Fraction(-3, 2), sp.eigenvalues_direct), (2, 1j, sp.eigenvalues_direct),
+                              (3, 2, sp.eigenvalues_closed)):
+        spectrum = eigenvalues(k, 200, r, 512)
+        got = sp.eigenpair_residuals(k, 200, r, spectrum)
+        want = ref.eigenpair_residuals_recurrence(k, 200, r, spectrum)
+        unit, scale = _residual_unit(k, 200, r, 512)
+        with mp.workprec(512 + _GUARD + 64):
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 2 * unit * (scale + w), (k, r, g, w)
+    spectrum = sp.eigenvalues_direct(1, 1000, Fraction(-3, 2), 256)
+    start = time.process_time()
+    res = sp.eigenpair_residuals(1, 1000, Fraction(-3, 2), spectrum)
+    assert time.process_time() - start < 1.0
+    assert len(res) == 1000 and max(res) <= mpf(2) ** -64
+
+
+def _gauss(v, scale):
+    return Fraction(v[0], scale), Fraction(v[1], scale)
+
+
+def _gmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _gadd(*terms):
+    return sum(t[0] for t in terms), sum(t[1] for t in terms)
+
+
+def _gscale(a, c):
+    return a[0] * c, a[1] * c
+
+
+def _gpoly(coeffs, z):
+    """sum_j coeffs[j] z^j for Gaussian rationals as pairs."""
+    acc = (Fraction(0), Fraction(0))
+    for c in reversed(coeffs):
+        acc = _gadd(_gmul(acc, z), (Fraction(c), Fraction(0)))
+    return acc
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_residual_point_is_the_telescoped_sum_exactly(k):
+    # at random dyadic rho, lambda and r: _residual_point's psi, chi, E^, Q,
+    # beta_0 and beta_n against Gaussian rationals, and, with the exact
+    # rho^n and W, |E^|^2 W + |c|^2 Q + 2 Re(conj(E^) c B / chi) equal to
+    # |psi|^2 sum_i |e_i|^2 from the rows e_i = rho^i (T - lambda) + c h_i
+    rng = np.random.default_rng(k)
+    frac = 24
+    one = 1 << frac
+    for n in (2, 3, 4, 7, 12):
+        a = terms_upto(k, n + 2)
+        cell = sp._residual_cell(k, n)
+        for _ in range(4):
+            x, y, lx, ly, rx, ry = (int(v) for v in rng.integers(-2 * one, 2 * one, size=6))
+            psi, chi, e_hat, q, beta_0, beta_n = sp._residual_point(
+                k, cell, x, y, (lx, ly), (rx, ry), frac)
+            rho, lam, r = _gauss((x, y), one), _gauss((lx, ly), one), _gauss((rx, ry), one)
+            z = (rho[0], -rho[1])
+            powers = [(Fraction(1), Fraction(0))]
+            for _ in range(n + 2):
+                powers.append(_gmul(powers[-1], rho))
+            want_psi = _gpoly((1, -2 * k, -k, -1), rho)
+            want_chi = _gpoly((-1, -k, -2 * k, 1), z)
+            c_rho = _gpoly(t_integers(k, n), rho)
+            want_e = _gadd(rho, _gscale(_gmul(r, c_rho), -1), _gscale(_gmul(want_psi, lam), -1))
+            assert _gauss(psi, one ** 3) == want_psi
+            assert _gauss(chi, one ** 3) == want_chi
+            assert _gauss(e_hat, one ** 4) == want_e
+
+            def ell(p):  # L_p(rho), with P(-1) = 0 and P(-2) = 1
+                at = {-2: 1, -1: 0, **dict(enumerate(a))}
+                at[-3] = -k
+                return _gpoly(sp._telescoped(k, at[p], at[p - 1], at[p - 2]), rho)
+
+            def beta(p):
+                lo, mid, hi = ell(p - 1), ell(p), ell(p + 1)
+                return _gadd(mid, _gmul(_gadd(_gscale(mid, k), lo), z), _gmul(hi, _gmul(z, z)))
+
+            want_q = sum(v[0] ** 2 + v[1] ** 2 for v in map(ell, range(1, n + 1)))
+            assert Fraction(q, one ** 4) == want_q
+            assert _gauss(beta_0, one ** 3) == beta(0)
+            assert _gauss(beta_n, one ** 4) == beta(n)
+            c = _gadd(r, _gscale(powers[n], -1))
+            t = _gpoly(a[:n], rho)
+            rows = []
+            for i in range(n):
+                h = _gpoly(a[n - i:n], rho)
+                rows.append(_gadd(_gmul(powers[i], _gadd(t, _gscale(lam, -1))), _gmul(c, h)))
+            w = sum(v[0] ** 2 + v[1] ** 2 for v in powers[:n])
+            zn = (powers[n][0], -powers[n][1])
+            b = _gadd(_gmul(zn, beta(0)), _gscale(beta(n), -1))
+            chi_sq = want_chi[0] ** 2 + want_chi[1] ** 2
+            cross = _gmul(_gmul((want_e[0], -want_e[1]), c), _gmul(b, (want_chi[0], -want_chi[1])))[0]
+            telescoped = (want_e[0] ** 2 + want_e[1] ** 2) * w + (c[0] ** 2 + c[1] ** 2) * want_q \
+                + 2 * cross / chi_sq
+            psi_sq = want_psi[0] ** 2 + want_psi[1] ** 2
+            assert telescoped == psi_sq * sum(v[0] ** 2 + v[1] ** 2 for v in rows), (k, n)
+
+
+def _quadratic(coeffs, x):
+    return coeffs[0] + coeffs[1] * x + coeffs[2] * x**2
+
+
+def test_telescoping_identity_holds_for_every_n():
+    """psi(x) sum_{l=p}^{n-1} P(l) x^(l-p) = L_p - x^(n-p) L_n for every
+    n >= p >= 0, by induction on n: at n = p both sides vanish, and n -> n + 1
+    adds psi P(n) x^(n-p) on the left and x^(n-p) (L_n - x L_(n+1)) on the
+    right.  These agree because L_n - x L_(n+1) = psi P(n), shown with the
+    package's _telescoped on symbols P(n), P(n-1), P(n-2) and P(n+1) from
+    the recurrence, for symbolic k.  P(-3), P(-2), P(-1) = -k, 1, 0 extend
+    the recurrence to P(0) = 0 and P(1) = 1, and give L_n = t_integers(k, n),
+    L_1 = 1, L_0 = x and L_(-1) = x^2."""
+    k, x, p0, p1, p2 = sympy.symbols("k x p0 p1 p2")
+    ell = _quadratic(sp._telescoped(k, p0, p1, p2), x)
+    ell_next = _quadratic(sp._telescoped(k, 2 * k * p0 + k * p1 + p2, p0, p1), x)
+    assert sympy.expand(ell - x * ell_next - recip_poly(k, x) * p0) == 0
+    at = {-3: -k, -2: 1, -1: 0, 0: 0, 1: 1}
+    for m in (0, 1):
+        assert sympy.expand(at[m] - 2 * k * at[m - 1] - k * at[m - 2] - at[m - 3]) == 0
+    for m, want in ((1, 1), (0, x), (-1, x**2)):
+        assert sympy.expand(_quadratic(sp._telescoped(k, at[m], at[m - 1], at[m - 2]), x) - want) == 0
+    for kk, n in itertools.product((1, 2, 7), (2, 3, 10)):
+        assert sp._telescoped(kk, term(kk, n), term(kk, n - 1), term(kk, n - 2)) == t_integers(kk, n)
+
+
+def test_chi_boundary_identity_holds_for_every_n():
+    """chi(z) sum_{p=1..n} u_p z^(n-p) = z^n beta_0(z) - beta_n(z) for every
+    n >= 0 and every sequence u with the recurrence, by induction on n: at
+    n = 0 both sides vanish, and n -> n + 1 multiplies the sum by z and adds
+    u_(n+1), so it needs z beta_n - beta_(n+1) = chi u_(n+1), shown with the
+    package's _boundary on symbols u_(n-1), u_n, u_(n+1) and u_(n+2) from
+    the recurrence.  With u_p = L_p(rho), the beta_0 of _residual_point,
+    rho + k rho z + rho^2 z + z^2, is _boundary on L_(-1), L_0 and L_1."""
+    k, z, rho, u0, u1, u2 = sympy.symbols("k z rho u0 u1 u2")
+    beta = _quadratic(sp._boundary(k, u0, u1, u2), z)
+    beta_next = _quadratic(sp._boundary(k, u1, u2, 2 * k * u2 + k * u1 + u0), z)
+    assert sympy.expand(z * beta - beta_next - char_poly(k, z) * u2) == 0
+    at = {-3: -k, -2: 1, -1: 0, 0: 0, 1: 1}
+    ells = [sp._telescoped(k, at[m], at[m - 1], at[m - 2]) for m in (-1, 0, 1)]
+    beta_0 = sum(rho**a * _quadratic(sp._boundary(k, *(e[a] for e in ells)), z) for a in range(3))
+    assert sympy.expand(beta_0 - (rho + k * rho * z + rho**2 * z + z**2)) == 0
+
+
+def test_row_identity_holds_for_every_row():
+    """psi e_i = rho^i E^ + c L_(n-i), E^ = rho - r C - psi lambda and
+    c = r - rho^n, for every row i, by induction on i, with e_0 = T - lambda
+    and e_i = rho e_(i-1) + a_(n-i) c: psi T = rho - rho^n C (the telescoping
+    at p = 0) gives psi e_0 = E^ + c C, and the step from row i - 1 to row i
+    needs rho L_(p+1) + psi P(p) = L_p at p = n - i.  rho^n and rho^(i-1)
+    are free symbols, and L and C come from the package's _telescoped."""
+    k, rho, lam, r, rho_n, rho_i, p0, p1, p2, q0, q1, q2 = sympy.symbols(
+        "k rho lambda r rho_n rho_i p0 p1 p2 q0 q1 q2")
+    psi = recip_poly(k, rho)
+    big_c = _quadratic(sp._telescoped(k, q0, q1, q2), rho)
+    e_hat = rho - r * big_c - psi * lam
+    c = r - rho_n
+    psi_t = rho - rho_n * big_c
+    assert sympy.expand(psi_t - psi * lam - (e_hat + c * big_c)) == 0
+    ell = _quadratic(sp._telescoped(k, p0, p1, p2), rho)
+    ell_next = _quadratic(sp._telescoped(k, 2 * k * p0 + k * p1 + p2, p0, p1), rho)
+    psi_e_prev = rho_i * e_hat + c * ell_next
+    assert sympy.expand(rho * psi_e_prev + psi * p0 * c - (rho * rho_i * e_hat + c * ell)) == 0
 
 
 def test_eigenpair_residuals_see_a_perturbed_lambda():
@@ -518,10 +720,50 @@ def test_modulus_is_mpmaths_abs_bit_for_bit():
                 assert sp._modulus(z)._mpf_ == abs(z)._mpf_, (prec, z)
 
 
+def test_sqrt_raw_is_mpf_sqrt_bit_for_bit():
+    # random odd mantissas of 1 to 1100 bits, exponents of both parities,
+    # 64 to 1000 bits of precision; exact squares and powers of two included
+    rng = np.random.default_rng(35)
+    cases = [(1, 0), (1, 1), (1, -7), (9, 0), (9, 3), (25, -2), (3**40, 0)]
+    for _ in range(10000):
+        size = int(rng.integers(1, 1100))
+        man = int.from_bytes(rng.bytes(size // 8 + 1), "little") >> (7 - size % 8) | 1
+        cases.append((man * man if rng.integers(8) == 0 else man, int(rng.integers(-3000, 3000))))
+    for i, (man, exp) in enumerate(cases):
+        prec = int(64 + i % 937)
+        want = mpf_sqrt((0, man, exp, man.bit_length()), prec, round_nearest)
+        assert sp._sqrt_raw(man, exp, prec) == want, (man, exp, prec)
+
+
+def test_critical_magnitude_is_mpmaths_power_bit_for_bit():
+    for bits in (64, 512):
+        with mp.workprec(bits + _GUARD):
+            for k in range(1, 11):
+                for n in range(2, 120):
+                    ratio = mpf(term(k, n)) / term(k, n - 1)
+                    assert _critical_magnitude(k, n)._mpf_ == (ratio ** (mpf(n) / 2))._mpf_, (k, n)
+
+
+def test_quadratic_roots_are_mpmaths_bit_for_bit():
+    # the roots as mpmath.sqrt(mpc(...)) gives them, real discriminants of
+    # both signs included
+    for bits in (64, 512):
+        with mp.workprec(bits + _GUARD):
+            for k, n in itertools.product((1, 2, 5), (2, 3, 4, 9, 30)):
+                r_star = _critical_magnitude(k, n)
+                for r in (r_star, -r_star, mpf(2), mpf(-1.5), mpf("1e-30"), mpf(3) / 7, mpc(0, 1)):
+                    got = sp._quadratic_roots(k, n, r)
+                    want = ref.quadratic_roots_mpmath(k, n, r)
+                    assert [z._mpc_ for z in got] == [z._mpc_ for z in want], (bits, k, n, r)
+
+
 @pytest.mark.parametrize("frac", [128, 600])
 def test_pow_fixed_within_stated_bound(frac):
     # |result - z^n| < 3 n max(1, |z|)^n 2^-frac, z^n taken in mpc at
-    # frac + 160 bits from the exact dyadic z
+    # frac + 160 bits from the exact dyadic z; for n >= 2 _pow_sum_fixed
+    # gives the same z^n, and its w lies within 9 n 2^-frac of
+    # sum_{i<n} |z|^(2i), relative, the sum taken by Horner in mpf at
+    # 2 frac + 400 bits
     rng = np.random.default_rng(frac)
     for n in (1, 2, 3, 7, 30, 200, 1001):
         for scale in (-8, 0, 1, 40):
@@ -533,6 +775,16 @@ def test_pow_fixed_within_stated_bound(frac):
                 want = z ** n
                 bound = 3 * n * max(1, abs(z)) ** n * mpf(2) ** -frac
                 assert abs(mpc(px, py) / mpf(2) ** frac - want) < bound, (n, scale)
+            if n == 1:
+                continue
+            sx, sy, w = sp._pow_sum_fixed(x, y, n, frac)
+            assert (sx, sy) == (px, py), (n, scale)
+            with mp.workprec(2 * frac + 400):
+                m = (mpf(x) ** 2 + mpf(y) ** 2) / mpf(2) ** (2 * frac)
+                total = mpf(0)
+                for _ in range(n):
+                    total = total * m + 1
+                assert abs(w / mpf(2) ** frac - total) <= 9 * n * mpf(2) ** -frac * total, (n, scale)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 21, 64, 200])
