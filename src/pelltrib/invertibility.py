@@ -39,7 +39,8 @@ from mpmath import mp, mpf
 
 from .circulant import _resultants, is_exact, is_real
 from .errors import ZeroR
-from .sequence import _GUARD, char_roots, check_bits, check_int, check_k, check_r, tolerance_bits
+from .sequence import (_GUARD, char_roots, check_bits, check_int, check_k, check_order, check_r,
+                       tolerance_bits)
 from .spectral import _critical_magnitude, _critical_moduli, _log10_double
 
 GUARANTEED_INVERTIBLE = "guaranteed_invertible"
@@ -118,9 +119,8 @@ def sufficient_condition(k: int, n: int, r, precision_bits: int = 256) -> Invert
     that is not circulant.is_real raises ValueError, even mpc(2, 0), and so
     does an infinite or NaN r; r = 0 raises ZeroR.
     """
-    check_k(k)
+    check_order(k, n)
     check_bits(precision_bits)
-    check_int(n, 2, "matrix order n")
     if not is_real(r):
         raise ValueError("sufficient_condition covers real r only")
     check_r(r)

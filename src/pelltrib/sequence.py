@@ -9,17 +9,15 @@ Terms are exact Python ints and are memoized per k.  The characteristic
 cubic x^3 - 2k x^2 - k x - 1 has one dominant real root alpha in (2k, 2k+1)
 and two further roots beta, gamma which form a complex-conjugate pair for
 small k and go real around k = 9.  High-precision roots are computed by
-bisection plus Newton refinement with quadratic deflation; an independent
-radical-formula evaluation (depressed cubic, principal cube roots) serves
-as a cross-check, not as the primary path, because the radical route loses
-its numerical innocence once the discriminant changes sign.
+bisection plus Newton refinement with quadratic deflation, and an exact
+integer certificate proves that they enclose the three distinct roots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from mpmath import mp, mpf, mpc
 import mpmath
@@ -127,51 +125,6 @@ class CubicRoots:
     gamma: mpc
 
 
-@dataclass(frozen=True)
-class CardanoWork:
-    """Radical-formula working values for the depressed characteristic cubic.
-
-    p, q and delta are exact rationals; roots are the three radical-formula
-    roots at the requested precision, in the formula's own order.
-    """
-
-    k: int
-    p: Fraction
-    q: Fraction
-    delta: Fraction
-    roots: tuple[mpc, mpc, mpc]
-
-
-def cardano(k: int, precision_bits: int = 256) -> CardanoWork:
-    """Solve the characteristic cubic by radicals at the given precision.
-
-    Principal complex cube roots are used throughout; this yields correct
-    roots on both sides of the discriminant sign change (delta > 0 gives one
-    real root and a conjugate pair, delta < 0 gives three real roots).
-    """
-    check_k(k)
-    check_bits(precision_bits)
-    # depressed cubic t^3 + p t + q, x = t + 2k/3, and its discriminant
-    p = Fraction(-(4 * k * k + 3 * k), 3)
-    q = Fraction(-(16 * k**3 + 18 * k * k + 27), 27)
-    delta = (q / 2) ** 2 + (p / 3) ** 3
-    with mp.workprec(precision_bits + _GUARD):
-        sqrt_delta = mpmath.sqrt(mpc(mpmath.mpmathify(delta)))
-        half_q = mpmath.mpmathify(q) / 2
-        u = (-half_q + sqrt_delta) ** (mpf(1) / 3)
-        v = (-half_q - sqrt_delta) ** (mpf(1) / 3)
-        shift = mpf(2 * k) / 3
-        s = u + v
-        t = mpmath.sqrt(mpf(3)) * (u - v) / 2
-        x1 = shift + s
-        x2 = shift - s / 2 + mpc(0, 1) * t
-        x3 = shift - s / 2 - mpc(0, 1) * t
-        # Wrap to mpc inside the precision block: the constructor rounds to
-        # the active context.
-        roots = (mpc(x1), mpc(x2), mpc(x3))
-    return CardanoWork(k=k, p=p, q=q, delta=delta, roots=roots)
-
-
 def _newton_alpha(k: int) -> mpf:
     # Bracket (2k, 2k+1) is guaranteed: char_poly(k, 2k) = -2k^2 - 1 < 0 and
     # char_poly(k, 2k+1) = 2k^2 + 3k > 0.  Bisection seeds Newton.
@@ -200,12 +153,57 @@ def _rel_residual(k: int, x) -> mpf:
     return abs(char_poly(k, x)) / (1 + abs(x)) ** 3
 
 
+def _certify_roots(k: int, precision_bits: int, roots) -> None:
+    """Raise PrecisionExhausted unless roots, three mpf or mpc values,
+    pass both comparisons of char_roots' proof, decided on integers."""
+    t = tolerance_bits(precision_bits)
+    e = max([0] + [-v.exp for z in roots for v in (z.real, z.imag) if v])
+    s = 1 << e
+    cells = []
+    for z in roots:
+        x, y = (int(mpmath.ldexp(v, e)) for v in (z.real, z.imag))
+        # P = S^3 p(z) and D = S^2 p'(z) by Horner on Gaussian integers
+        px, py = x - 2 * k * s, y
+        px, py = px * x - py * y - k * s * s, px * y + py * x
+        px, py = px * x - py * y - s**3, px * y + py * x
+        dx, dy = 3 * x - 4 * k * s, 3 * y
+        dx, dy = dx * x - dy * y - k * s * s, dx * y + dy * x
+        num, den = 9 * (px * px + py * py), dx * dx + dy * dy  # r_z^2 = num / (S^2 den)
+        if num << 2 * t > (s * s + x * x + y * y) * den:
+            raise PrecisionExhausted(
+                f"root enclosure wider than 2^-{t} sqrt(1 + |z|^2) for k={k}"
+            )
+        cells.append((x, y, num, den))
+    for (xi, yi, ni, di), (xj, yj, nj, dj) in combinations(cells, 2):
+        dist = (xi - xj) ** 2 + (yi - yj) ** 2
+        if dist * di <= 4 * ni or dist * dj <= 4 * nj:
+            raise PrecisionExhausted(
+                f"root enclosures overlap for k={k} at {precision_bits} bits"
+            )
+
+
 @lru_cache(maxsize=None)
 def char_roots(k: int, precision_bits: int = 256) -> CubicRoots:
-    """All three characteristic roots, cross-checked against the radical path.
+    """All three characteristic roots, each proved to lie within
+    2^-t (1 + |z|) of its own root, t = tolerance_bits(bits).
 
-    Raises PrecisionExhausted if either the residual target
-    2^-tolerance_bits(bits) or the radical cross-check cannot be met.
+    Raises PrecisionExhausted if a root's residual exceeds 2^-t or if the
+    proof below fails for the computed roots.
+
+    Proof.  With p = char_poly(k, .) and roots zeta_j, p'(z)/p(z) =
+    sum_j 1/(z - zeta_j), so the closed disc of radius r_z = 3|p(z)|/|p'(z)|
+    about z holds a root (z itself if p(z) = 0).  _certify_roots requires
+    r_z <= 2^-t sqrt(1 + |z|^2) <= 2^-t (1 + |z|) for each computed root,
+    and |z_i - z_j| > 2 max(r_i, r_j) >= r_i + r_j for each pair: the three
+    discs are disjoint and each holds a root, so they hold three distinct
+    roots, one each.  Every comparison is exact.  The six parts of the
+    roots, dyadic rationals, are scaled by one S = 2^e to integers X + iY;
+    P = S^3 p(z) and D = S^2 p'(z) are then Gaussian integers, r_z^2 =
+    9|P|^2 / (S^2 |D|^2), and both conditions become integer comparisons.
+    p'(z) = 0 fails the first, or the second if p(z) = 0 too, so a passing
+    root has a finite r_z.  The roots are simple for every k (the tests
+    prove that the discriminant has no integer zero), so only roots that
+    are not accurate enough fail.
     """
     check_k(k)
     check_bits(precision_bits)
@@ -225,10 +223,5 @@ def char_roots(k: int, precision_bits: int = 256) -> CubicRoots:
                 raise PrecisionExhausted(
                     f"root residual above 2^-{tolerance_bits(precision_bits)} for k={k}"
                 )
-        radical = cardano(k, precision_bits).roots
-        for root in (mpc(alpha), beta, gamma):
-            if min(abs(root - z) for z in radical) > tol * (1 + abs(root)):
-                raise PrecisionExhausted(
-                    f"radical cross-check failed for k={k} at {precision_bits} bits"
-                )
+    _certify_roots(k, precision_bits, (alpha, beta, gamma))
     return CubicRoots(k=k, precision_bits=precision_bits, alpha=alpha, beta=beta, gamma=gamma)

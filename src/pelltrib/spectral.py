@@ -210,26 +210,6 @@ def _horner_fixed(coeffs, x: int, y: int, frac: int) -> tuple[int, int]:
     return ax, ay
 
 
-def _pow_fixed(x: int, y: int, n: int, frac: int) -> tuple[int, int]:
-    """z^n for z = (x + i y) 2^-frac and n >= 1, by left-to-right binary
-    powering, as an integer pair scaled by 2^frac.
-
-    Error: with M = max(1, |z|) and n <= 2^((frac - 7) / 2), the result is
-    within 1.5 (2n - 1) M^n 2^-frac < 3 n M^n 2^-frac of the exact z^n.
-    With d_m the error of z^m in units of M^m 2^-frac, d_1 = 0; a squaring
-    gives d_2m <= d_m (2 + d_m 2^-frac) + sqrt(2) and a product by z gives
-    d_(m+1) <= d_m + sqrt(2), the sqrt(2) being each floor; by induction
-    d_m <= 1.5 (2m - 1) while 9 n^2 2^-frac <= 1.5 - sqrt(2)."""
-    px, py = x, y
-    s, d = x + y, y - x
-    for bit in bin(n)[3:]:
-        px, py = ((px + py) * (px - py)) >> frac, (px * py) >> (frac - 1)
-        if bit == "1":
-            t = x * (px + py)
-            px, py = (t - py * s) >> frac, (t + px * d) >> frac
-    return px, py
-
-
 # ---------------------------------------------------------------------------
 # eigenvalue grid
 
@@ -727,15 +707,21 @@ def eigenvalues_closed(k: int, n: int, r, precision_bits: int = 256) -> EigenSpe
 
 
 def _pow_sum_fixed(x: int, y: int, n: int, frac: int) -> tuple[int, int, int]:
-    """(p_x, p_y, w): z^n as _pow_fixed computes it, the same floors in the
-    same order, and w = sum_{i<n} |z|^(2i), all scaled by 2^frac, for
-    z = (x + i y) 2^-frac and n >= 2.
+    """(p_x, p_y, w): z^n by left-to-right binary powering and
+    w = sum_{i<n} |z|^(2i), all scaled by 2^frac, for z = (x + i y) 2^-frac
+    and n >= 1 (at n = 1 it returns x, y and 2^frac, exactly).
 
-    Error: z^n as in _pow_fixed, and w within 9 n 2^-frac of the sum,
-    relative.  With W_m the sum to m and p_m = z^m, a squaring takes W_2m
-    = W_m (1 + |p_m|^2) and a step W_(m+1) = 1 + |z|^2 W_m.  |p_m|^2 errs
-    by less than 2 d_m M^m |z|^m 2^-frac <= 2 d_m (1 + |z|^(2m)) 2^-frac,
-    with d_m <= 1.5 (2m - 1) and M = max(1, |z|) from _pow_fixed, and each
+    Error of z^n: with M = max(1, |z|) and n <= 2^((frac - 7) / 2), p is
+    within 1.5 (2n - 1) M^n 2^-frac < 3 n M^n 2^-frac of the exact z^n.
+    With d_m the error of z^m in units of M^m 2^-frac, d_1 = 0; a squaring
+    gives d_2m <= d_m (2 + d_m 2^-frac) + sqrt(2) and a product by z gives
+    d_(m+1) <= d_m + sqrt(2), the sqrt(2) being each floor; by induction
+    d_m <= 1.5 (2m - 1) while 9 n^2 2^-frac <= 1.5 - sqrt(2).
+
+    Error of w: within 9 n 2^-frac of the sum, relative.  With W_m the sum
+    to m and p_m = z^m, a squaring takes W_2m = W_m (1 + |p_m|^2) and a
+    step W_(m+1) = 1 + |z|^2 W_m.  |p_m|^2 errs by less than
+    2 d_m M^m |z|^m 2^-frac <= 2 d_m (1 + |z|^(2m)) 2^-frac, and each
     floor by one unit, which W_m, W_(m+1) >= 1 and W_m <= W_(m+1) keep
     below 2^-frac relative.  So a squaring adds less than
     (3 (2m - 1) + 3) 2^-frac and a step 2.01 2^-frac to the relative
@@ -1122,11 +1108,11 @@ def _critical_moduli(k: int, n: int, sign: int, precision_bits: int) -> tuple[mp
         r_star = sign * _critical_magnitude(k, n)
         r1, r2 = _quadratic_roots(k, n, r_star)
         # z^n in fixed point errs by less than 3 n max(1, |z|)^n 2^-frac
-        # (_pow_fixed), z and r* by 2^-frac per part when they are scaled.
+        # (_pow_sum_fixed), z and r* by 2^-frac per part when they are scaled.
         pair = (r1,) if r2 == r1.conjugate() else (r1, r2)
         frac = precision_bits + _GUARD + 24
         rx, _ = _to_fixed(r_star, frac)
-        powers = (_pow_fixed(*_to_fixed(z, frac), n, frac) for z in pair)
+        powers = (_pow_sum_fixed(*_to_fixed(z, frac), n, frac)[:2] for z in pair)
         closed_res = min(_modulus(_from_fixed(x - rx, y, frac)) for x, y in powers) / abs(r_star)
         root_sq = Fraction(term(k, n), term(k, n - 1))
         min_mag, _, max_mag = _modulus_extremes(k, n, r_star, precision_bits, root_sq)

@@ -1,8 +1,10 @@
 """Reference computations that only the tests use.
 
 Literal dense operations and entrywise norms of a square numpy array, such
-as the object array circulant.build returns, the literal DFT, and the Binet
-form of the sequence terms from the characteristic roots: slow, obvious
+as the object array circulant.build returns, the literal DFT, the
+characteristic roots by radicals (Cardano, principal cube roots), which
+sequence.char_roots finds by Newton's method and proves in place, and the
+Binet form of the sequence terms from those roots: slow, obvious
 oracles for the closed forms in the package.  The telescoping product
 psi * Psi and the shift identity behind the resultant determinant
 (circulant._resultants, which takes T's integers from sequence.t_integers
@@ -18,6 +20,7 @@ spectral.eigenpair_residuals replaces by the telescoped closed form.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -26,7 +29,8 @@ from mpmath import mp, mpc, mpf, mpmathify
 
 from pelltrib.circulant import abs_sq, build, build_pell, is_exact
 from pelltrib.errors import DimensionMismatch
-from pelltrib.sequence import _GUARD, char_roots, check_int, check_k, t_integers, term, terms_upto
+from pelltrib.sequence import (_GUARD, char_roots, check_bits, check_int, check_k, t_integers, term,
+                               terms_upto)
 from pelltrib.spectral import (_conjugate_half, _conjugate_tail, _fixed_grid, _from_fixed,
                                _horner_fixed, _modulus, _to_fixed, frobenius_sq_closed)
 
@@ -90,6 +94,51 @@ def dft_naive(x) -> np.ndarray:
     phases = np.outer(j, j) % n
     matrix = np.exp(2j * np.pi / n * phases)
     return matrix @ x
+
+
+@dataclass(frozen=True)
+class CardanoWork:
+    """Radical-formula working values for the depressed characteristic cubic.
+
+    p, q and delta are exact rationals; roots are the three radical-formula
+    roots at the requested precision, in the formula's own order.
+    """
+
+    k: int
+    p: Fraction
+    q: Fraction
+    delta: Fraction
+    roots: tuple[mpc, mpc, mpc]
+
+
+def cardano(k: int, precision_bits: int = 256) -> CardanoWork:
+    """Solve the characteristic cubic by radicals at the given precision.
+
+    Principal complex cube roots are used throughout; this yields correct
+    roots on both sides of the discriminant sign change (delta > 0 gives one
+    real root and a conjugate pair, delta < 0 gives three real roots).
+    """
+    check_k(k)
+    check_bits(precision_bits)
+    # depressed cubic t^3 + p t + q, x = t + 2k/3, and its discriminant
+    p = Fraction(-(4 * k * k + 3 * k), 3)
+    q = Fraction(-(16 * k**3 + 18 * k * k + 27), 27)
+    delta = (q / 2) ** 2 + (p / 3) ** 3
+    with mp.workprec(precision_bits + _GUARD):
+        sqrt_delta = mpmath.sqrt(mpc(mpmath.mpmathify(delta)))
+        half_q = mpmath.mpmathify(q) / 2
+        u = (-half_q + sqrt_delta) ** (mpf(1) / 3)
+        v = (-half_q - sqrt_delta) ** (mpf(1) / 3)
+        shift = mpf(2 * k) / 3
+        s = u + v
+        t = mpmath.sqrt(mpf(3)) * (u - v) / 2
+        x1 = shift + s
+        x2 = shift - s / 2 + mpc(0, 1) * t
+        x3 = shift - s / 2 - mpc(0, 1) * t
+        # Wrap to mpc inside the precision block: the constructor rounds to
+        # the active context.
+        roots = (mpc(x1), mpc(x2), mpc(x3))
+    return CardanoWork(k=k, p=p, q=q, delta=delta, roots=roots)
 
 
 def binet_term(k: int, n: int, precision_bits: int = 256) -> mpf:

@@ -21,6 +21,8 @@ ENTRY_POINTS = {
     "det_exact": (lambda n: circulant.det_exact(1, n, Fraction(3, 7)), 2, "matrix order n"),
     "counterexample_scan": (lambda n: invertibility.counterexample_scan([1], [n]), 2,
                             "matrix order n"),
+    "sufficient_condition": (lambda n: invertibility.sufficient_condition(1, n, 2, 64), 2,
+                             "matrix order n"),
 }
 
 

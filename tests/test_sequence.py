@@ -1,6 +1,8 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf, mpc
 
@@ -104,26 +106,26 @@ def test_reciprocals_solve_reciprocal_poly():
 
 
 def test_cardano_exact_working_values():
-    w = seq.cardano(1, 128)
+    w = ref.cardano(1, 128)
     assert w.p == Fraction(-7, 3)
     assert w.q == Fraction(-61, 27)
     assert w.delta == Fraction(29, 36)
-    assert seq.cardano(2).delta == Fraction(331, 108)
-    assert seq.cardano(8).delta == Fraction(283, 108)
-    assert seq.cardano(9).delta == Fraction(-107, 4)
+    assert ref.cardano(2).delta == Fraction(331, 108)
+    assert ref.cardano(8).delta == Fraction(283, 108)
+    assert ref.cardano(9).delta == Fraction(-107, 4)
 
 
 def test_discriminant_sign_change_at_nine():
     for k in range(1, 9):
-        assert seq.cardano(k, 64).delta > 0
+        assert ref.cardano(k, 64).delta > 0
     for k in range(9, 20):
-        assert seq.cardano(k, 64).delta < 0
+        assert ref.cardano(k, 64).delta < 0
 
 
 def test_discriminant_never_vanishes():
     # Exact rational scan; distinct-roots assumption holds on the whole range.
     for k in range(1, 10_001):
-        assert seq.cardano(k, 64).delta != 0
+        assert ref.cardano(k, 64).delta != 0
 
 
 def test_cardano_matches_newton_both_regimes():
@@ -132,10 +134,89 @@ def test_cardano_matches_newton_both_regimes():
         tol = mpf(2) ** (-bits // 2)
         roots = seq.char_roots(k, bits)
         newton = (roots.alpha, roots.beta, roots.gamma)
-        radical = seq.cardano(k, bits).roots
+        radical = ref.cardano(k, bits).roots
         with mp.workprec(bits + 16):
             for root in newton:
                 assert min(abs(root - z) for z in radical) <= tol * (1 + abs(root))
+
+
+def test_discriminant_has_no_integer_zero():
+    # -108 delta(k) is the discriminant of char_poly, and that quartic has
+    # no integer zero: by the rational-root theorem an integer zero divides
+    # the constant term -27, and none of +-1, +-3, +-9, +-27 is one.  So the
+    # roots are simple for every k, as char_roots' certificate needs.
+    k, x, t = sympy.symbols("k x t")
+    depressed = sympy.Poly(sympy.expand(seq.char_poly(k, t + 2 * k / 3)), t)
+    _, _, p, q = depressed.all_coeffs()
+    delta = (q / 2) ** 2 + (p / 3) ** 3
+    disc = sympy.discriminant(seq.char_poly(k, x), x)
+    assert sympy.expand(disc - (4 * k**4 - 28 * k**3 - 36 * k**2 - 27)) == 0
+    assert sympy.expand(-108 * delta - disc) == 0
+    for m in (1, 2, 8, 9):
+        assert ref.cardano(m, 64).delta == delta.subs(k, m)
+    assert sympy.Poly(disc, k).TC() == -27
+    for m in sympy.divisors(27):
+        assert disc.subs(k, m) != 0 and disc.subs(k, -m) != 0
+
+
+def _moved(roots, which, shift):
+    """roots with roots[which] moved by shift."""
+    return tuple(z + shift if i == which else z for i, z in enumerate(roots))
+
+
+def test_certificate_accepts_char_roots_own_roots():
+    for bits in (64, 256, 1024):
+        for k in [*range(1, 41), 1000]:
+            r = seq.char_roots(k, bits)
+            seq._certify_roots(k, bits, (r.alpha, r.beta, r.gamma))
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("k", [1, 5, 8, 9, 12, 1000])
+def test_certificate_rejects_a_moved_root(k, bits):
+    # a root moved by 8 2^-t (1 + |z|), above char_roots' 2^-t (1 + |z|)
+    r = seq.char_roots(k, bits)
+    roots = (r.alpha, r.beta, r.gamma)
+    with mp.workprec(bits + seq._GUARD):
+        eps = mpf(2) ** -seq.tolerance_bits(bits)
+        for which, z in enumerate(roots):
+            for direction in (1, -1, 1j):
+                moved = _moved(roots, which, direction * 8 * eps * (1 + abs(z)))
+                with pytest.raises(PrecisionExhausted):
+                    seq._certify_roots(k, bits, moved)
+
+
+@pytest.mark.parametrize("k", [1, 5, 9, 1000])
+def test_certificate_radius_is_three_residuals_over_the_derivative(k):
+    # a root moved by c/3 of 2^-t sqrt(1 + |z|^2) has r_z = 3|p|/|p'| near c
+    # times that bound: c = 0.9 passes and c = 1.1 fails, which pins r_z's
+    # factor 3
+    bits = 256
+    r = seq.char_roots(k, bits)
+    roots = (r.alpha, r.beta, r.gamma)
+    with mp.workprec(bits + seq._GUARD):
+        eps = mpf(2) ** -seq.tolerance_bits(bits)
+        for which, z in enumerate(roots):
+            bound = eps * mpmath.sqrt(1 + abs(z) ** 2)
+            seq._certify_roots(k, bits, _moved(roots, which, mpf("0.9") / 3 * bound))
+            with pytest.raises(PrecisionExhausted):
+                seq._certify_roots(k, bits, _moved(roots, which, mpf("1.1") / 3 * bound))
+
+
+def test_certificate_rejects_a_repeated_root():
+    # (alpha, gamma, gamma): each root lies within tolerance of some radical
+    # root, which is all the former cross-check asked; the discs overlap
+    for k in (1, 5, 9, 12):
+        for bits in (64, 256):
+            r = seq.char_roots(k, bits)
+            repeated = (r.alpha, r.gamma, r.gamma)
+            radical = ref.cardano(k, bits).roots
+            with mp.workprec(bits + seq._GUARD):
+                tol = mpf(2) ** -seq.tolerance_bits(bits)
+                for root in repeated:
+                    assert min(abs(root - z) for z in radical) <= tol * (1 + abs(root))
+            with pytest.raises(PrecisionExhausted, match="overlap"):
+                seq._certify_roots(k, bits, repeated)
 
 
 def test_binet_small_values():
