@@ -300,8 +300,7 @@ def _cmd_bench(args: argparse.Namespace) -> Report:
     return Report({"k": args.k, "r": args.r, "sizes": args.sizes}, dicts, plain, csv)
 
 
-_TABLE_FIELDS = ("n", "r", "lower_published", "lower_ours", "sigma_published",
-                 "sigma_ours", "upper_published", "upper_ours", "flags")
+_TABLE_FIELDS = tuple(f.name for f in dataclasses.fields(spectral.Table1Row))
 
 
 def _cmd_table1(args: argparse.Namespace) -> Report:
@@ -408,7 +407,7 @@ def build_parser() -> _Parser:
 
 def parse_args(argv=None) -> argparse.Namespace:
     """The validated namespace: scan ranges checked, --sizes as a list of
-    ints, and bits from KPT_PRECISION_BITS (else 256) when --bits is absent."""
+    positive ints, and bits from KPT_PRECISION_BITS (else 256) when --bits is absent."""
     args = build_parser().parse_args(argv)
     if args.command == "scan":
         if args.kmin > args.kmax:
@@ -422,6 +421,8 @@ def parse_args(argv=None) -> argparse.Namespace:
             raise ValueError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from exc
         if not sizes:
             raise ValueError("--sizes must name at least one n")
+        if min(sizes) < 1:
+            raise ValueError(f"--sizes must be positive, got {min(sizes)}")
         args.sizes = sizes
     if args.bits is None:
         raw = os.environ.get(PRECISION_ENV, str(_DEFAULT_BITS))

@@ -15,7 +15,6 @@ trades digits for speed.
 
 from __future__ import annotations
 
-import cmath
 import time
 from dataclasses import dataclass
 
@@ -63,10 +62,7 @@ def fast_operator(entries, r) -> FastCirculantOperator:
         raise ZeroR("r = 0 breaks the diagonal scaling")
     if not 0.25 <= abs(rc) <= 4:
         raise ValueError(f"|r| = {abs(rc)!r} lies outside [1/4, 4], the range of the fast path")
-    if rc.imag == 0 and rc.real > 0:
-        rho = complex(rc.real ** (1.0 / n))
-    else:
-        rho = cmath.exp(cmath.log(rc) / n)
+    rho = rc ** (1.0 / n)  # the principal root
     rho_scale = rho ** np.arange(n)
     spectrum = fft(a * rho_scale)
     return FastCirculantOperator(n=n, r=rc, scaled_spectrum=spectrum, rho_scale=rho_scale)

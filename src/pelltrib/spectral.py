@@ -31,8 +31,8 @@ from operator import mul
 import numpy as np
 import mpmath
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_div, mpf_log, mpf_pow_int, round_nearest,
-                          to_fixed, to_float)
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_div, mpf_log, mpf_pow_int, round_down,
+                          round_nearest, to_fixed, to_float)
 
 from .circulant import abs_sq, build_pell_complex, is_exact, is_real
 from .errors import DegenerateCase
@@ -135,7 +135,11 @@ def norm_report(k: int, n: int, r) -> NormReport:
 # rounds down again, so each conversion and each product errs by less than
 # 2^-F per part and sqrt(2) 2^-F in modulus; sums of pairs are exact.
 # _from_fixed rounds the result once to the working precision, and
-# _modulus takes its absolute value on math.isqrt.
+# _modulus takes its absolute value.  The bit-exact ports of mpmath in
+# this module (_horner_mpc, _modulus, _quadratic_roots and
+# _critical_magnitude) keep no rounding code of their own: each port of
+# mpf_add calls _add_round, with mpmath's rounding mode as an argument,
+# and each port of mpf_sqrt calls _sqrt_raw, on math.isqrt.
 
 def _to_fixed(z, frac_bits: int) -> tuple[int, int]:
     """(re, im) of an mpc or mpf as integers scaled by 2^frac_bits, each rounded down."""
@@ -171,28 +175,17 @@ def _sqrt_raw(man: int, exp: int, prec: int) -> tuple:
 
 def _modulus(z: mpc) -> mpf:
     """abs(z) for an mpc z, bit for bit, at the working precision under
-    round-nearest: mpmath's mpf_hypot, whose sum of squares mpf_add rounds
-    down to prec + 4 bits (round_fast, its far-exponent shortcut included),
-    then _sqrt_raw.  A zero or special part goes to mpmath itself."""
-    prec = mp.prec
+    round-nearest, built as mpmath builds mpf_hypot: _add_round adds the
+    two exact squares at prec + 4 bits with round_down (mpf_add's default
+    round_fast, its far-exponent shortcut included), and _sqrt_raw takes
+    the square root of that sum.  A zero or special part goes to mpmath
+    itself."""
     (_, xm, xe, _), (_, ym, ye, _) = z._mpc_
     if not (xm and ym):
         return abs(z)
-    width = prec + 4
-    sm, se, tm, te = xm * xm, 2 * xe, ym * ym, 2 * ye
-    if se < te:
-        sm, se, tm, te = tm, te, sm, se
-    offset = se - te
-    if offset > 100 and offset + sm.bit_length() - tm.bit_length() > width:
-        m, e = (sm << width) + 1, se - width
-    else:
-        m, e = (sm << offset) + tm, te
-    cut = m.bit_length() - width
-    if cut > 0:
-        m >>= cut
-        e += cut
-    zeros = (m & -m).bit_length() - 1
-    return mp.make_mpf(_sqrt_raw(m >> zeros, e + zeros, prec))
+    prec = mp.prec
+    m, e = _add_round(xm * xm, 2 * xe, ym * ym, 2 * ye, prec + 4, round_down)
+    return mp.make_mpf(_sqrt_raw(m, e, prec))
 
 
 def _horner_fixed(coeffs, x: int, y: int, frac: int) -> tuple[int, int]:
@@ -372,11 +365,14 @@ def _fixed_grid(n: int, r, precision_bits: int,
     return frac, root, _conjugate_tail([(x >> shift, y >> shift) for x, y in points], n, s)
 
 
-def _add_round(sm: int, se: int, tm: int, te: int, prec: int) -> tuple[int, int]:
-    """mpmath's mpf_add(s, t, prec, round_nearest) on s = sm 2^se and
-    t = tm 2^te, each mantissa signed and odd (or 0, for mpmath's fzero):
-    the sum rounded to prec bits, ties to even, as (odd mantissa or 0,
-    exponent).
+def _add_round(sm: int, se: int, tm: int, te: int, prec: int,
+               rnd: str = round_nearest) -> tuple[int, int]:
+    """mpmath's mpf_add(s, t, prec, rnd) on s = sm 2^se and t = tm 2^te,
+    each mantissa signed and odd (or 0, for mpmath's fzero): the sum
+    rounded to prec bits, as (odd mantissa or 0, exponent).  rnd is
+    round_nearest (ties to even), as _horner_mpc's mpc arithmetic rounds,
+    or round_down (toward zero), mpmath's round_fast, as mpf_hypot's sum
+    of squares in _modulus rounds.
 
     It keeps mpmath's shortcut: when the exponents differ by more than 100
     and the magnitudes by more than prec + 4 bits, the smaller operand
@@ -404,7 +400,7 @@ def _add_round(sm: int, se: int, tm: int, te: int, prec: int) -> tuple[int, int]
     cut = a.bit_length() - prec
     if cut > 0:
         t = a >> (cut - 1)
-        a = (t >> 1) + 1 if t & 1 and (t & 2 or a & ((1 << (cut - 1)) - 1)) else t >> 1
+        a = (t >> 1) + 1 if rnd == round_nearest and t & 1 and (t & 2 or a & ((1 << (cut - 1)) - 1)) else t >> 1
         e += cut
     if not a & 1:
         zeros = (a & -a).bit_length() - 1
@@ -1174,14 +1170,16 @@ SIGMA_TOL = 0.01
 
 @dataclass(frozen=True)
 class Table1Row:
+    """One row of table1_report, its fields in the order of the table1 CSV columns."""
+
     n: int
     r: str
-    lower_ours: float
     lower_published: float
-    sigma_ours: float
+    lower_ours: float
     sigma_published: float
-    upper_ours: float
+    sigma_ours: float
     upper_published: float
+    upper_ours: float
     flags: tuple
 
 

@@ -279,6 +279,18 @@ def test_bench_r_outside_fast_range_exits_2(capsys):
     assert err["kind"] == "ValueError" and "outside [1/4, 4]" in err["message"]
 
 
+@pytest.mark.parametrize("sizes", [["--sizes=-3"], ["--sizes", "0"], ["--sizes", "4,0,8"]],
+                         ids=["negative", "zero", "zero_in_list"])
+def test_bench_nonpositive_size_exits_2(sizes, capsys):
+    # rejected while parsing, before any matrix is built
+    argv = ["bench", *sizes, "--k", "1", "--r", "2"]
+    with pytest.raises(ValueError, match="--sizes"):
+        cli.parse_args(argv)
+    assert cli.main(argv) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "ValueError" and "--sizes" in err["message"]
+
+
 def test_eig_plain_lists_branches(capsys):
     out = _capture(["eig", "--k", "1", "--n", "3", "--r", "1", "--bits", "128"], capsys)
     assert out.count("branch=generic") == 3

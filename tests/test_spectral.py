@@ -703,10 +703,31 @@ def test_modulus_extremes_match_the_oracle_on_the_closed_grid(bits):
         assert _same_extremes(k, n, r_star, bits, root_sq), (k, n, sign)
 
 
+def _wide_parts(rng, prec: int, count: int) -> list:
+    """count mpc values whose parts are 1 to 200 bits wider than prec and
+    whose exact squares lie prec + 5 to prec + 8 bits apart in magnitude,
+    their exponents more than 100 apart.  mpf_hypot adds such squares
+    exactly: mpf_add at prec + 4 bits takes its far-exponent shortcut only
+    past prec + 8."""
+    values = []
+    while len(values) < count:
+        xm, ym = (int.from_bytes(rng.bytes(w // 8 + 1), "little") % (1 << w) | 1 << (w - 1) | 1
+                  for w in map(int, prec + rng.integers(1, 201, size=2)))
+        xe = int(rng.integers(-300, 300))
+        twice_ye = (2 * xe + (xm * xm).bit_length() - (ym * ym).bit_length()
+                    - prec - int(rng.integers(5, 9)))
+        if twice_ye & 1 or 2 * xe - twice_ye <= 100:
+            continue
+        parts = [from_man_exp(-m if rng.integers(2) else m, e) for m, e in ((xm, xe), (ym, twice_ye // 2))]
+        values.append(mp.make_mpc(tuple(parts[::-1] if rng.integers(2) else parts)))
+    return values
+
+
 def test_modulus_is_mpmaths_abs_bit_for_bit():
     # far exponents take mpf_add's shortcut; equal ones, zeros and exact
-    # squares (the sqrtrem remainder 0) the other branches
-    rng = np.random.default_rng(7)
+    # squares (the sqrtrem remainder 0) the other branches; wide parts at
+    # 288 and 544 bits the band just short of the shortcut
+    rng, wide_rng = np.random.default_rng(7), np.random.default_rng(29)
     for prec in (96, 288, 544):
         with mp.workprec(prec):
             values = [mpc(3, 4), mpc(0, -5), mpc(2, 0), mpc(0, 0), mpc(1, 1),
@@ -716,6 +737,8 @@ def test_modulus_is_mpmaths_abs_bit_for_bit():
                                       round_nearest)
                          for e in rng.integers(-400, 400, size=2)]
                 values.append(mp.make_mpc(tuple(parts)) * mpc(0, 1) ** int(rng.integers(4)))
+            if prec > 96:
+                values += _wide_parts(wide_rng, prec, 1500)
             for z in values:
                 assert sp._modulus(z)._mpf_ == abs(z)._mpf_, (prec, z)
 
