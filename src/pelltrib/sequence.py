@@ -182,7 +182,7 @@ def _certify_roots(k: int, precision_bits: int, roots) -> None:
             )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def char_roots(k: int, precision_bits: int = 256) -> CubicRoots:
     """All three characteristic roots, each proved to lie within
     2^-t (1 + |z|) of its own root, t = tolerance_bits(bits).

@@ -31,8 +31,8 @@ from operator import mul
 import numpy as np
 import mpmath
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_div, mpf_log, mpf_pow_int, round_down,
-                          round_nearest, to_fixed, to_float)
+from mpmath.libmp import (MPZ, from_int, fzero, mpf_cos_sin_pi, mpf_div, mpf_log, mpf_pow_int,
+                          round_down, round_nearest, to_fixed, to_float)
 
 from .circulant import abs_sq, build_pell_complex, is_exact, is_real
 from .errors import DegenerateCase
@@ -136,10 +136,15 @@ def norm_report(k: int, n: int, r) -> NormReport:
 # 2^-F per part and sqrt(2) 2^-F in modulus; sums of pairs are exact.
 # _from_fixed rounds the result once to the working precision, and
 # _modulus takes its absolute value.  The bit-exact ports of mpmath in
-# this module (_horner_mpc, _modulus, _quadratic_roots and
+# this module (eigen_grid's root product and 2m/n, the generic branch of
+# eigenvalues_closed, _horner_mpc, _modulus, _quadratic_roots and
 # _critical_magnitude) keep no rounding code of their own: each port of
 # mpf_add calls _add_round, with mpmath's rounding mode as an argument,
-# and each port of mpf_sqrt calls _sqrt_raw, on math.isqrt.
+# each port of mpf_div calls _div_round, and each port of mpf_sqrt calls
+# _sqrt_raw, on math.isqrt.  _cmul, _cadd and _cdiv are mpc_mul,
+# mpc_add or mpc_sub and mpc_div on complex numbers held as two _signed
+# pairs (signed odd mantissa, exponent); _raw_mpf turns a rounded pair
+# into mpmath's raw tuple, and _from_fixed's rounding is _add_round's too.
 
 def _to_fixed(z, frac_bits: int) -> tuple[int, int]:
     """(re, im) of an mpc or mpf as integers scaled by 2^frac_bits, each rounded down."""
@@ -150,8 +155,7 @@ def _from_fixed(x: int, y: int, frac_bits: int) -> mpc:
     """(x + i y) 2^-frac_bits as an mpc, each part rounded once to the
     working precision."""
     prec = mp.prec
-    return mp.make_mpc((from_man_exp(x, -frac_bits, prec, round_nearest),
-                        from_man_exp(y, -frac_bits, prec, round_nearest)))
+    return _to_mpc((_add_round(x, -frac_bits, 0, 0, prec), _add_round(y, -frac_bits, 0, 0, prec)))
 
 
 def _sqrt_raw(man: int, exp: int, prec: int) -> tuple:
@@ -170,7 +174,7 @@ def _sqrt_raw(man: int, exp: int, prec: int) -> tuple:
     if root * root != man:
         root = (root << 1) + 1
         shift += 2
-    return from_man_exp(root, (exp - shift) // 2, prec, round_nearest)
+    return _raw_mpf(*_add_round(root, (exp - shift) // 2, 0, 0, prec))
 
 
 def _modulus(z: mpc) -> mpf:
@@ -240,14 +244,32 @@ def _principal_root(n: int, r_mp) -> mpc:
 
 
 def eigen_grid(n: int, r, precision_bits: int = 256) -> EigenGrid:
-    """The grid at bits + _GUARD bits, each rho_m from its own expjpi.
+    """The grid at bits + _GUARD bits, each rho_m bit for bit
+    root * mpmath.expjpi(mpf(2 * m) / n) under round-nearest: x_m = 2m/n
+    from _div_round, (cos, sin)(pi x_m) from mpmath's own mpf_cos_sin_pi,
+    as expjpi takes them for a real argument, and the product from _cmul.
     eigenvalues_closed and determinant_closed evaluate on it, so the eig and
-    det reports depend on these exact bytes."""
+    det reports depend on these exact bytes.
+
+    The bytes follow mpmath's backend.  mpf_cos_sin_pi subtracts the
+    nearest half-integer from x_m and sizes its working precision from the
+    bitcount of the signed remainder.  mpmath 1.3's pure-Python bitcount
+    returns 0 for a negative integer, so wherever that remainder is
+    negative it works at about 2 prec + 10 bits instead of prec + 10 (at
+    prec 288 and n = 60, 23.3 against 11.1 us a call, 28 points of each
+    kind, with CPython 3.11).  gmpy's bit_length counts |n|, so under the
+    gmpy backend these points may round differently; that is unverified,
+    since the tests have run on the pure-Python backend only."""
     _check_grid(n, r, precision_bits)
     with mp.workprec(precision_bits + _GUARD):
+        prec = mp.prec
         root = _principal_root(n, mpmath.mpmathify(r))
-        rhos = tuple(root * mpmath.expjpi(mpf(2 * m) / n) for m in range(n))
-    return EigenGrid(n=n, r=r, precision_bits=precision_bits, root=root, rhos=rhos)
+        z, den = tuple(map(_signed, root._mpc_)), _int_pair(n)
+        rhos = []
+        for m in range(n):
+            x = _raw_mpf(*_div_round(*_int_pair(2 * m), *den, prec))  # mpf(2 * m) / n
+            rhos.append(_to_mpc(_cmul(z, map(_signed, mpf_cos_sin_pi(x, prec, round_nearest)), prec)))
+    return EigenGrid(n=n, r=r, precision_bits=precision_bits, root=root, rhos=tuple(rhos))
 
 
 def _conjugate_half(n: int, r) -> tuple[int, int]:
@@ -355,7 +377,7 @@ def _fixed_grid(n: int, r, precision_bits: int,
         drop = wide - guard
         x, y, ex, ey = x >> drop, y >> drop, ex >> drop, ey >> drop
         wx, wy = ((ex + ey) * (ex - ey)) >> guard, (ex * ey) >> (guard - 1)
-        root = mp.make_mpc((from_man_exp(x, -guard), from_man_exp(y, -guard)))
+        root = _to_mpc([(m, e - guard) for m, e in map(_int_pair, (x, y))])
     head, s = _conjugate_half(n, r)
     points = [(x, y)]
     for _ in range(head - 1):
@@ -369,10 +391,12 @@ def _add_round(sm: int, se: int, tm: int, te: int, prec: int,
                rnd: str = round_nearest) -> tuple[int, int]:
     """mpmath's mpf_add(s, t, prec, rnd) on s = sm 2^se and t = tm 2^te,
     each mantissa signed and odd (or 0, for mpmath's fzero): the sum
-    rounded to prec bits, as (odd mantissa or 0, exponent).  rnd is
-    round_nearest (ties to even), as _horner_mpc's mpc arithmetic rounds,
-    or round_down (toward zero), mpmath's round_fast, as mpf_hypot's sum
-    of squares in _modulus rounds.
+    rounded to prec bits, as (odd mantissa or 0, exponent).  With tm = 0
+    sm may be any integer, and the call rounds sm 2^se alone, as
+    from_man_exp does.  rnd is round_nearest (ties to even), as mpc
+    arithmetic rounds under the default context, or round_down (toward
+    zero), mpmath's round_fast, as mpf_hypot's sum of squares in _modulus
+    and mpc_div's three sums in _cdiv round.
 
     It keeps mpmath's shortcut: when the exponents differ by more than 100
     and the magnitudes by more than prec + 4 bits, the smaller operand
@@ -409,6 +433,82 @@ def _add_round(sm: int, se: int, tm: int, te: int, prec: int,
     return (a if m > 0 else -a), e
 
 
+def _div_round(sm: int, se: int, tm: int, te: int, prec: int,
+               rnd: str = round_nearest) -> tuple[int, int]:
+    """mpmath's mpf_div(s, t, prec, rnd) on s = sm 2^se and t = tm 2^te,
+    signed and odd, t nonzero, as a pair like _add_round's: |sm| 2^x over
+    |tm|, x = max(5, prec + 5 + bitlen(tm) - bitlen(sm)), with a sticky
+    last bit appended when the division leaves a remainder, rounded by
+    _add_round.  mpf_div's own branch for |tm| = 1 rounds sm 2^(se - te),
+    which this quotient, then exact, also gives; sm = 0 gives (0, 0)."""
+    extra = max(5, prec - sm.bit_length() + tm.bit_length() + 5)
+    quot, rem = divmod((-sm if sm < 0 else sm) << extra, -tm if tm < 0 else tm)
+    if rem:
+        quot = (quot << 1) + 1
+        extra += 1
+    return _add_round(-quot if (sm < 0) != (tm < 0) else quot, se - te - extra, 0, 0, prec, rnd)
+
+
+def _int_pair(a: int) -> tuple[int, int]:
+    """The integer a as an (odd mantissa, exponent) pair, or (0, 0): from_int(a)."""
+    if not a:
+        return 0, 0
+    zeros = (a & -a).bit_length() - 1
+    return a >> zeros, zeros
+
+
+def _signed(v: tuple) -> tuple[int, int]:
+    """A finite raw mpf as a (signed mantissa, exponent) pair."""
+    sign, man, exp, _ = v
+    return (-man if sign else man), exp
+
+
+def _raw_mpf(m: int, e: int) -> tuple:
+    """The raw mpf (sign, man, exp, bc) of m 2^e for m odd or 0, as
+    _add_round returns it; man is mpmath's MPZ, so the tuple equals
+    from_man_exp's under any backend."""
+    if not m:
+        return fzero
+    return int(m < 0), MPZ(abs(m)), e, m.bit_length()
+
+
+def _to_mpc(z) -> mpc:
+    """The mpc of a complex held as two pairs, each odd or 0."""
+    return mp.make_mpc((_raw_mpf(*z[0]), _raw_mpf(*z[1])))
+
+
+def _cmul(z, w, prec: int) -> tuple:
+    """mpc_mul(z, w, prec, round_nearest) on complex numbers held as two
+    _signed pairs: four exact products, the real part rounded as mpf_sub
+    rounds it and the imaginary part as mpf_add."""
+    (a, ae), (b, be) = z
+    (c, ce), (d, de) = w
+    return (_add_round(a * c, ae + ce, -b * d, be + de, prec),
+            _add_round(a * d, ae + de, b * c, be + ce, prec))
+
+
+def _cadd(z, w, prec: int, sign: int = 1) -> tuple:
+    """mpc_add(z, w, prec, round_nearest), or mpc_sub for sign = -1, on
+    pairs as _cmul takes them."""
+    (a, ae), (b, be) = z
+    (c, ce), (d, de) = w
+    return _add_round(a, ae, sign * c, ce, prec), _add_round(b, be, sign * d, de, prec)
+
+
+def _cdiv(z, w, prec: int) -> tuple:
+    """mpc_div(z, w, prec, round_nearest) on pairs as _cmul takes them:
+    |w|^2 and the two numerators from exact products, each sum rounded down
+    to prec + 10 bits (mpf_add's default round_fast), then two quotients
+    from _div_round."""
+    (a, ae), (b, be) = z
+    (c, ce), (d, de) = w
+    wp = prec + 10
+    mag = _add_round(c * c, 2 * ce, d * d, 2 * de, wp, round_down)
+    t = _add_round(a * c, ae + ce, b * d, be + de, wp, round_down)
+    u = _add_round(b * c, be + ce, -a * d, ae + de, wp, round_down)
+    return _div_round(*t, *mag, prec), _div_round(*u, *mag, prec)
+
+
 def _horner_mpc(k: int, n: int, rhos) -> list:
     """The order-n generator polynomial at each rho (an mpc), by Horner at
     the working precision, bit for bit what mpmath gives for
@@ -421,21 +521,17 @@ def _horner_mpc(k: int, n: int, rhos) -> list:
     multiplies these for its oracle product; the tests compare the
     fixed-point kernel with them and this port with mpmath's own Horner."""
     prec = mp.prec
-    coeffs = []
-    for a in reversed(terms_upto(k, n - 1)):
-        zeros = (a & -a).bit_length() - 1 if a else 0
-        coeffs.append((a >> zeros, zeros))
+    coeffs = [_int_pair(a) for a in reversed(terms_upto(k, n - 1))]
     lams = []
     for rho in rhos:
-        (xs, x, xe, _), (ys, y, ye, _) = rho._mpc_
-        x, y = -x if xs else x, -y if ys else y
+        (x, xe), (y, ye) = map(_signed, rho._mpc_)
         re = re_exp = im = im_exp = 0
         for c, c_exp in coeffs:
             # acc = acc * rho + c
             p, p_exp = _add_round(re * x, re_exp + xe, -im * y, im_exp + ye, prec)
             im, im_exp = _add_round(re * y, re_exp + ye, im * x, im_exp + xe, prec)
             re, re_exp = _add_round(p, p_exp, c, c_exp, prec)
-        lams.append(mp.make_mpc((from_man_exp(re, re_exp), from_man_exp(im, im_exp))))
+        lams.append(_to_mpc(((re, re_exp), (im, im_exp))))
     return lams
 
 
@@ -629,15 +725,15 @@ def _clearly_generic(k: int, rho) -> bool:
     (1 + |rho|)^3 for every tol <= 2^-32, i.e. that _degenerate is False,
     without mpc arithmetic: |psi(z)| > 2^-20 (2k + 3) (1 + |z|)^3 in
     doubles at z = complex(rho).  False means undecided: inside that margin,
-    for k >= 2^32 (2k is then no exact double) and when a part of z exceeds
-    2^63 in size or is not finite.
+    for k >= 2^32 (2k is then no exact double) and when a part of rho is
+    2^63 or more in size or is not finite.
 
     Proof, with u = 2^-53, R = |rho| and Pbar(t) = 1 + 2k t + k t^2 + t^3
     <= (2k + 3) (1 + t)^3 / 3, the absolute-value polynomial:
-    - mpmath's complex() rounds each part to 53 bits, to nearest under the
-      default context (round_fast would round down), then scales it by
-      ldexp; either way a part moves by less than 2^-52 of itself, plus
-      2^-1073 below the normal range.  So |z - rho| < 2^-52 R + 2^-1072,
+    - Each part of rho is m 2^e with an integer m, and int / int and
+      float() of an int round correctly, to nearest: a part moves by at
+      most 2^-53 of itself, plus 2^-1075 below the normal range, within
+      the 2^-52 and 2^-1073 allowed here.  So |z - rho| < 2^-52 R + 2^-1072,
       and with |psi'(t)| <= (2k + 3) (1 + |t|)^2 on the segment,
       |psi(z) - psi(rho)| < 2^-51 (2k + 3) (1 + R)^3.
     - In doubles k and 2k are exact and nothing overflows (parts below
@@ -655,9 +751,14 @@ def _clearly_generic(k: int, rho) -> bool:
       (1 + |rho|)^3 err by less than 2^-90 (2k + 3) (1 + R)^3, so it finds
       |psi| > 2^-18 (1 + R)^3 > tol (1 + |rho|)^3: generic.
     """
-    z = complex(rho)
-    if k >= 1 << 32 or not (abs(z.real) <= 2.0 ** 63 and abs(z.imag) <= 2.0 ** 63):
+    if k >= 1 << 32:
         return False
+    parts = []
+    for sign, man, exp, _ in rho._mpc_:
+        if man.bit_length() + exp > 63 or (exp and not man):  # |part| >= 2^63, inf or nan
+            return False
+        parts.append((-1) ** sign * (man / (1 << -exp) if exp < 0 else float(man << exp)))
+    z = complex(*parts)
     return abs(recip_poly(k, z)) > 2.0 ** -20 * (2 * k + 3) * (1 + abs(z)) ** 3
 
 
@@ -672,16 +773,43 @@ def _degenerate(k: int, rho, tol) -> bool:
 def eigenvalues_closed(k: int, n: int, r, precision_bits: int = 256) -> EigenSpectrum:
     """lambda_m from the rational closed form, with degenerate-branch dispatch
     when rho_m falls within 2^-tolerance_bits(bits) of a reciprocal
-    characteristic root."""
+    characteristic root.
+
+    The generic branch, lambda = (rho - r C(rho)) / psi(rho), runs on
+    _signed pairs at bits + _GUARD bits, bit for bit the mpc value of
+
+        (rho - r * c0 - r * rho * c1 - r * rho**2 * c2) / (1 - rho * (2k + rho * (k + rho)))
+
+    under round-nearest, with (c0, c1, c2) = t_integers(k, n): _cmul,
+    _cadd and _cdiv replay mpc_mul, mpc_add or mpc_sub and mpc_div in
+    Python's order of evaluation, and r * c0, the same at every point, is
+    taken once.  The degenerate branches stay in mpc.
+
+    Proof that the generic forms give the bits of the special ones that
+    mpmath dispatches to.  A real r, the integers and, where a part of rho
+    is zero, that part enter as pairs (x, 0).  mpf_mul_int, mpc_mul_int and
+    mpc_mul_mpf round each exact product once; mpc_mul adds an exact zero
+    product to it and rounds the sum, the same number.  mpc_sub_mpf and
+    mpc_add_mpf keep the imaginary part; mpc_sub and mpc_add add zero to it
+    and round it, and every such part (rho's, from eigen_grid at the same
+    precision, or an earlier step's result) already has at most prec
+    bits, so it comes back unchanged.  mpc_square's imaginary part
+    2 round(ab) is round(ab + ba), the doubling being exact and mpf_add's
+    shortcut needing unequal exponents; mpc_pow_int on a zero part gives
+    round(a^2) or -round(b^2) = round(-b^2), round-nearest being symmetric;
+    both are mpc_mul's parts.  So no special form needs code of its own."""
     check_k(k)
     check_int(n, 3, "matrix order n")
     grid = eigen_grid(n, r, precision_bits)
     roots = char_roots(k, precision_bits)
-    c0, c1, c2 = t_integers(k, n)
+    c0, c1, c2, k1, k2, one = ((_int_pair(c), (0, 0)) for c in (*t_integers(k, n), k, 2 * k, 1))
     tol = mpf(2) ** -tolerance_bits(precision_bits)
     lams, branches = [], []
     with mp.workprec(precision_bits + _GUARD):
+        prec = mp.prec
         r_mp = mpmath.mpmathify(r)
+        r_z = tuple(map(_signed, r_mp._mpc_ if isinstance(r_mp, mpc) else (r_mp._mpf_, fzero)))
+        r_c0 = _cmul(r_z, c0, prec)
         alpha, beta, gamma = mpc(roots.alpha), roots.beta, roots.gamma
         branch_table = (
             (1 / alpha, "alpha", (alpha, beta, gamma)),
@@ -690,8 +818,11 @@ def eigenvalues_closed(k: int, n: int, r, precision_bits: int = 256) -> EigenSpe
         )
         for rho in grid.rhos:
             if not _degenerate(k, rho, tol):
-                num = rho - r_mp * c0 - r_mp * rho * c1 - r_mp * rho**2 * c2
-                lams.append(num / recip_poly(k, rho))
+                z = tuple(map(_signed, rho._mpc_))
+                num = _cadd(_cadd(z, r_c0, prec, -1), _cmul(_cmul(r_z, z, prec), c1, prec), prec, -1)
+                num = _cadd(num, _cmul(_cmul(r_z, _cmul(z, z, prec), prec), c2, prec), prec, -1)
+                tail = _cmul(z, _cadd(_cmul(z, _cadd(z, k1, prec), prec), k2, prec), prec)
+                lams.append(_to_mpc(_cdiv(num, _cadd(one, tail, prec, -1), prec)))  # num / psi(rho)
                 branches.append("generic")
             else:
                 recip, name, (mu, nu, xi) = min(
@@ -987,7 +1118,7 @@ def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum,
             shift = max(0, 2 * prec + 16 + den.bit_length() - num.bit_length())
             shift += (shift - low) & 1
             root = math.isqrt((num << shift) // den)
-            out.append(mp.make_mpf(from_man_exp(root, (low - shift) // 2, prec, round_nearest)))
+            out.append(mp.make_mpf(_raw_mpf(*_add_round(root, (low - shift) // 2, 0, 0, prec))))
     return out
 
 

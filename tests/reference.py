@@ -11,7 +11,10 @@ psi * Psi and the shift identity behind the resultant determinant
 and its power sums from sequence.term), each with its own statement of T,
 and mpmath's own mpc Horner, which
 spectral._horner_mpc reproduces on integers, and the quadratic roots
-with mpmath's own complex square root.  Also the smallest eigenvalue
+with mpmath's own complex square root.  The eigenvalue grid from
+mpmath's own expjpi and the generic closed eigenvalue in mpc arithmetic,
+which spectral.eigen_grid and spectral.eigenvalues_closed replay on
+integers.  Also the smallest eigenvalue
 modulus, which only the tests read, from the exhaustive comparison over
 every kernel value that spectral._modulus_extremes narrows to candidates,
 the four partial sums of the sequence as literal O(n) loops, and the
@@ -29,10 +32,11 @@ from mpmath import mp, mpc, mpf, mpmathify
 
 from pelltrib.circulant import abs_sq, build, build_pell, is_exact
 from pelltrib.errors import DimensionMismatch
-from pelltrib.sequence import (_GUARD, char_roots, check_bits, check_int, check_k, t_integers, term,
-                               terms_upto)
+from pelltrib.sequence import (_GUARD, char_roots, check_bits, check_int, check_k, recip_poly,
+                               t_integers, term, terms_upto)
 from pelltrib.spectral import (_conjugate_half, _conjugate_tail, _fixed_grid, _from_fixed,
-                               _horner_fixed, _modulus, _to_fixed, frobenius_sq_closed)
+                               _horner_fixed, _modulus, _principal_root, _to_fixed,
+                               frobenius_sq_closed)
 
 
 # The direct oracles leave the checks of k and n to terms_upto.
@@ -195,6 +199,27 @@ def horner_mpc(k: int, n: int, rhos) -> list:
             acc = acc * rho + c
         lams.append(acc)
     return lams
+
+
+def eigen_grid_expjpi(n: int, r, precision_bits: int) -> tuple:
+    """The points of spectral.eigen_grid from mpmath's own expjpi, as
+    root * expjpi(mpf(2 * m) / n) in mpc: the oracle that eigen_grid
+    reproduces bit for bit on integers around mpmath's mpf_cos_sin_pi."""
+    with mp.workprec(precision_bits + _GUARD):
+        root = _principal_root(n, mpmathify(r))
+        return tuple(root * mpmath.expjpi(mpf(2 * m) / n) for m in range(n))
+
+
+def closed_generic_mpc(k: int, n: int, r, rhos, precision_bits: int) -> list:
+    """The generic closed form (rho - r C(rho)) / psi(rho) at each rho in
+    mpmath's own mpc arithmetic at bits + _GUARD bits: the oracle for the
+    generic branch of spectral.eigenvalues_closed, which replays it on
+    integers."""
+    c0, c1, c2 = t_integers(k, n)
+    with mp.workprec(precision_bits + _GUARD):
+        r_mp = mpmathify(r)
+        return [(rho - r_mp * c0 - r_mp * rho * c1 - r_mp * rho**2 * c2) / recip_poly(k, rho)
+                for rho in rhos]
 
 
 def quadratic_roots_mpmath(k: int, n: int, r_mp) -> tuple:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import mpmath
@@ -52,6 +53,20 @@ def test_input_validation():
         seq.char_roots(1, 32)
     with pytest.raises(ValueError):
         seq.char_roots(1, 8192)
+
+
+def test_char_roots_cache_stays_bounded():
+    # 300 (k, bits) pairs, more than the cache holds; bench/run.py reads
+    # hits and misses from cache_info() for its hit ratio
+    before = seq.char_roots.cache_info()
+    for k, bits in itertools.product((1, 2, 3), range(64, 164)):
+        seq.char_roots(k, bits)
+        assert seq.char_roots.cache_info().currsize <= 256
+    after = seq.char_roots.cache_info()
+    assert after.maxsize == 256
+    assert after.hits + after.misses - before.hits - before.misses == 300
+    seq.char_roots(3, 163)
+    assert seq.char_roots.cache_info().hits == after.hits + 1
 
 
 def test_dominant_root_bracket_exact():

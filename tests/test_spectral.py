@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 import mpmath
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import from_man_exp, mpf_mul, mpf_sqrt, mpf_sub, normalize, round_nearest
+from mpmath.libmp import (from_man_exp, mpf_div, mpf_mul, mpf_sqrt, mpf_sub, normalize, round_down,
+                          round_nearest)
 import sympy
 from hypothesis import given, settings, strategies as st
 
@@ -1017,13 +1018,95 @@ def test_table_known_erratum_and_mismatches():
         assert "sigma_mismatch" not in row.flags
 
 
+def _assert_closed_is_mpmaths(k, n, r, bits):
+    # eigen_grid against mpmath's expjpi grid and every generic lambda
+    # against the mpc formula on that grid, _mpc_ for _mpc_; returns the grid
+    grid = sp.eigen_grid(n, r, bits)
+    want = ref.eigen_grid_expjpi(n, r, bits)
+    assert [z._mpc_ for z in grid.rhos] == [z._mpc_ for z in want], (k, n, r, bits)
+    closed = sp.eigenvalues_closed(k, n, r, bits)
+    oracle = ref.closed_generic_mpc(k, n, r, want, bits)
+    generic = [m for m, b in enumerate(closed.branches) if b == "generic"]
+    assert len(generic) >= n - 1, (k, n, r, bits)
+    assert [closed.lambdas[m]._mpc_ for m in generic] == [oracle[m]._mpc_ for m in generic], \
+        (k, n, r, bits)
+    return grid
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_closed_spectrum_is_mpmaths_bit_for_bit(bits):
+    # real, imaginary, complex and non-dyadic r; r = 1 and r = 4 at n = 4,
+    # 8 and r = 1/2, -1/4 put points on the axes, with a part exactly zero
+    parts_zero = set()
+    cases = list(itertools.product((1, 2, 3, 7), (3, 5, 12, 31, 64),
+                                   (2, -1, 0.5, 1j, -3 + 2j, 0.3 - 0.1j)))
+    cases += [(k, n, r) for k in (1, 4) for n in (4, 8)
+              for r in (1, 4, Fraction(1, 2), Fraction(-1, 4), Fraction(3, 7), -1j)]
+    for k, n, r in cases:
+        grid = _assert_closed_is_mpmaths(k, n, r, bits)
+        parts_zero |= {i for z in grid.rhos for i, v in enumerate(z._mpc_) if not v[1]}
+    assert parts_zero == {0, 1}
+
+
+def test_closed_spectrum_is_mpmaths_bit_for_bit_on_criterion_05():
+    # acceptance criterion 05's grid at 256 bits, which holds the 25 cells
+    # of the benchmark's eigen-verify workload
+    for k, n, r in itertools.product(range(1, 6), range(3, 65), (1, -1, 2, Fraction(-3, 2), 1j)):
+        _assert_closed_is_mpmaths(k, n, r, 256)
+
+
+def test_div_round_is_mpf_div_bit_for_bit():
+    # random odd mantissas of 1 to 700 bits at 64 to 600 bits of precision,
+    # in both of mpmath's rounding modes used here; and the edge cases: a
+    # divisor mantissa of 1, exact quotients, every sign pair, a zero numerator
+    rng = np.random.default_rng(41)
+
+    def odd(size):
+        return int.from_bytes(rng.bytes(size // 8 + 1), "little") >> (7 - size % 8) | 1
+
+    cases = []
+    for _ in range(3000):
+        cases.append((odd(int(rng.integers(1, 700))), odd(int(rng.integers(1, 700)))))
+    for _ in range(300):
+        t = odd(int(rng.integers(1, 300)))
+        cases += [(t * odd(int(rng.integers(1, 300))), t), (odd(int(rng.integers(1, 700))), 1)]
+    cases += [(1, 1), (3, 1), (1, 3), (9, 3), (0, 5), (0, 1)]
+    for i, (sm, tm) in enumerate(cases):
+        prec = int(64 + i % 537)
+        se, te = (int(e) for e in rng.integers(-2000, 2000, size=2))
+        for (s_sign, t_sign), rnd in itertools.product(itertools.product((1, -1), repeat=2),
+                                                       (round_nearest, round_down)):
+            s, t = from_man_exp(s_sign * sm, se), from_man_exp(t_sign * tm, te)
+            got = sp._div_round(s_sign * sm, se, t_sign * tm, te, prec, rnd)
+            assert sp._raw_mpf(*got) == mpf_div(s, t, prec, rnd), (sm, se, tm, te, prec, rnd)
+
+
+def test_from_fixed_is_from_man_exp_bit_for_bit():
+    # _add_round with a zero second operand and the tuple builder against
+    # mpmath's constructor: random integers of 1 to 400 bits, both signs,
+    # some with trailing zeros, zero, and values that round up to a power of two
+    rng = np.random.default_rng(43)
+    values = [0, 1, -1, (1 << 330) - 1, -((1 << 330) - 1), 3 << 200]
+    for _ in range(3000):
+        size = int(rng.integers(1, 400))
+        v = int.from_bytes(rng.bytes(size // 8 + 1), "little") >> (7 - size % 8)
+        values.append((-v if rng.integers(2) else v) << int(rng.integers(0, 3)) * 7)
+    for prec in (96, 288, 544):
+        with mp.workprec(prec):
+            for v in values:
+                frac = int(rng.integers(0, 700))
+                got = sp._from_fixed(v, -v, frac)
+                want = from_man_exp(v, -frac, prec, round_nearest)
+                assert got._mpc_ == (want, from_man_exp(-v, -frac, prec, round_nearest)), (v, frac)
+
+
 # ---------------------------------------------------------------------------
 # module boundary
 
 def test_only_spectral_touches_fixed_point_pairs_and_libmp():
     # the Gaussian-integer pairs and mpmath's internals have one home
     private = {"_to_fixed", "_from_fixed", "_pow_sum_fixed", "_horner_fixed", "_modulus",
-               "_fixed_grid"}
+               "_fixed_grid", "_add_round", "_div_round", "_cmul", "_cadd", "_cdiv", "_raw_mpf"}
     leaks = []
     for path in sorted(Path(sp.__file__).parent.glob("*.py")):
         if path.name == "spectral.py":
