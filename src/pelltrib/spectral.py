@@ -136,15 +136,16 @@ def norm_report(k: int, n: int, r) -> NormReport:
 # 2^-F per part and sqrt(2) 2^-F in modulus; sums of pairs are exact.
 # _from_fixed rounds the result once to the working precision, and
 # _modulus takes its absolute value.  The bit-exact ports of mpmath in
-# this module (eigen_grid's root product and 2m/n, the generic branch of
+# this module (eigen_grid's root product, the generic branch of
 # eigenvalues_closed, _horner_mpc, _modulus, _quadratic_roots and
 # _critical_magnitude) keep no rounding code of their own: each port of
 # mpf_add calls _add_round, with mpmath's rounding mode as an argument,
-# each port of mpf_div calls _div_round, and each port of mpf_sqrt calls
-# _sqrt_raw, on math.isqrt.  _cmul, _cadd and _cdiv are mpc_mul,
-# mpc_add or mpc_sub and mpc_div on complex numbers held as two _signed
-# pairs (signed odd mantissa, exponent); _raw_mpf turns a rounded pair
-# into mpmath's raw tuple, and _from_fixed's rounding is _add_round's too.
+# and each port of mpf_sqrt calls _sqrt_raw, on math.isqrt; quotients
+# (eigen_grid's 2m/n, _cdiv's two) are mpmath's own mpf_div on raw
+# tuples.  _cmul, _cadd and _cdiv are mpc_mul, mpc_add or mpc_sub and
+# mpc_div on complex numbers held as two _signed pairs (signed odd
+# mantissa, exponent); _raw_mpf turns a rounded pair into mpmath's raw
+# tuple, and _from_fixed's rounding is _add_round's too.
 
 def _to_fixed(z, frac_bits: int) -> tuple[int, int]:
     """(re, im) of an mpc or mpf as integers scaled by 2^frac_bits, each rounded down."""
@@ -246,7 +247,7 @@ def _principal_root(n: int, r_mp) -> mpc:
 def eigen_grid(n: int, r, precision_bits: int = 256) -> EigenGrid:
     """The grid at bits + _GUARD bits, each rho_m bit for bit
     root * mpmath.expjpi(mpf(2 * m) / n) under round-nearest: x_m = 2m/n
-    from _div_round, (cos, sin)(pi x_m) from mpmath's own mpf_cos_sin_pi,
+    from mpf_div, (cos, sin)(pi x_m) from mpmath's own mpf_cos_sin_pi,
     as expjpi takes them for a real argument, and the product from _cmul.
     eigenvalues_closed and determinant_closed evaluate on it, so the eig and
     det reports depend on these exact bytes.
@@ -264,10 +265,10 @@ def eigen_grid(n: int, r, precision_bits: int = 256) -> EigenGrid:
     with mp.workprec(precision_bits + _GUARD):
         prec = mp.prec
         root = _principal_root(n, mpmath.mpmathify(r))
-        z, den = tuple(map(_signed, root._mpc_)), _int_pair(n)
+        z, den = tuple(map(_signed, root._mpc_)), from_int(n)
         rhos = []
         for m in range(n):
-            x = _raw_mpf(*_div_round(*_int_pair(2 * m), *den, prec))  # mpf(2 * m) / n
+            x = mpf_div(from_int(2 * m), den, prec, round_nearest)  # mpf(2 * m) / n
             rhos.append(_to_mpc(_cmul(z, map(_signed, mpf_cos_sin_pi(x, prec, round_nearest)), prec)))
     return EigenGrid(n=n, r=r, precision_bits=precision_bits, root=root, rhos=tuple(rhos))
 
@@ -433,22 +434,6 @@ def _add_round(sm: int, se: int, tm: int, te: int, prec: int,
     return (a if m > 0 else -a), e
 
 
-def _div_round(sm: int, se: int, tm: int, te: int, prec: int,
-               rnd: str = round_nearest) -> tuple[int, int]:
-    """mpmath's mpf_div(s, t, prec, rnd) on s = sm 2^se and t = tm 2^te,
-    signed and odd, t nonzero, as a pair like _add_round's: |sm| 2^x over
-    |tm|, x = max(5, prec + 5 + bitlen(tm) - bitlen(sm)), with a sticky
-    last bit appended when the division leaves a remainder, rounded by
-    _add_round.  mpf_div's own branch for |tm| = 1 rounds sm 2^(se - te),
-    which this quotient, then exact, also gives; sm = 0 gives (0, 0)."""
-    extra = max(5, prec - sm.bit_length() + tm.bit_length() + 5)
-    quot, rem = divmod((-sm if sm < 0 else sm) << extra, -tm if tm < 0 else tm)
-    if rem:
-        quot = (quot << 1) + 1
-        extra += 1
-    return _add_round(-quot if (sm < 0) != (tm < 0) else quot, se - te - extra, 0, 0, prec, rnd)
-
-
 def _int_pair(a: int) -> tuple[int, int]:
     """The integer a as an (odd mantissa, exponent) pair, or (0, 0): from_int(a)."""
     if not a:
@@ -496,17 +481,17 @@ def _cadd(z, w, prec: int, sign: int = 1) -> tuple:
 
 
 def _cdiv(z, w, prec: int) -> tuple:
-    """mpc_div(z, w, prec, round_nearest) on pairs as _cmul takes them:
-    |w|^2 and the two numerators from exact products, each sum rounded down
-    to prec + 10 bits (mpf_add's default round_fast), then two quotients
-    from _div_round."""
+    """mpc_div(z, w, prec, round_nearest) on pairs as _cmul takes them, as
+    a raw mpc: |w|^2 and the two numerators from exact products, each sum
+    rounded down to prec + 10 bits (mpf_add's default round_fast), then
+    the two quotients from mpmath's own mpf_div."""
     (a, ae), (b, be) = z
     (c, ce), (d, de) = w
     wp = prec + 10
-    mag = _add_round(c * c, 2 * ce, d * d, 2 * de, wp, round_down)
-    t = _add_round(a * c, ae + ce, b * d, be + de, wp, round_down)
-    u = _add_round(b * c, be + ce, -a * d, ae + de, wp, round_down)
-    return _div_round(*t, *mag, prec), _div_round(*u, *mag, prec)
+    mag = _raw_mpf(*_add_round(c * c, 2 * ce, d * d, 2 * de, wp, round_down))
+    t = _raw_mpf(*_add_round(a * c, ae + ce, b * d, be + de, wp, round_down))
+    u = _raw_mpf(*_add_round(b * c, be + ce, -a * d, ae + de, wp, round_down))
+    return mpf_div(t, mag, prec, round_nearest), mpf_div(u, mag, prec, round_nearest)
 
 
 def _horner_mpc(k: int, n: int, rhos) -> list:
@@ -724,18 +709,17 @@ def _clearly_generic(k: int, rho) -> bool:
     """True when a double-precision psi(rho) proves |psi(rho)| >= tol
     (1 + |rho|)^3 for every tol <= 2^-32, i.e. that _degenerate is False,
     without mpc arithmetic: |psi(z)| > 2^-20 (2k + 3) (1 + |z|)^3 in
-    doubles at z = complex(rho).  False means undecided: inside that margin,
+    doubles at z, rho with each part rounded to a double.  False means undecided: inside that margin,
     for k >= 2^32 (2k is then no exact double) and when a part of rho is
     2^63 or more in size or is not finite.
 
     Proof, with u = 2^-53, R = |rho| and Pbar(t) = 1 + 2k t + k t^2 + t^3
     <= (2k + 3) (1 + t)^3 / 3, the absolute-value polynomial:
-    - Each part of rho is m 2^e with an integer m, and int / int and
-      float() of an int round correctly, to nearest: a part moves by at
-      most 2^-53 of itself, plus 2^-1075 below the normal range, within
-      the 2^-52 and 2^-1073 allowed here.  So |z - rho| < 2^-52 R + 2^-1072,
-      and with |psi'(t)| <= (2k + 3) (1 + |t|)^2 on the segment,
-      |psi(z) - psi(rho)| < 2^-51 (2k + 3) (1 + R)^3.
+    - mpmath's to_float, called with round_nearest, rounds each part to 53
+      bits, then scales it by ldexp; a part moves by less than 2^-52 of
+      itself, plus 2^-1073 below the normal range.  So |z - rho| <
+      2^-52 R + 2^-1072, and with |psi'(t)| <= (2k + 3) (1 + |t|)^2 on
+      the segment, |psi(z) - psi(rho)| < 2^-51 (2k + 3) (1 + R)^3.
     - In doubles k and 2k are exact and nothing overflows (parts below
       2^63).  Each addition rounds once (u), each complex product errs by
       less than 3u |x| |y|, and underflow adds 2^-1074 per rounding, which
@@ -751,14 +735,11 @@ def _clearly_generic(k: int, rho) -> bool:
       (1 + |rho|)^3 err by less than 2^-90 (2k + 3) (1 + R)^3, so it finds
       |psi| > 2^-18 (1 + R)^3 > tol (1 + |rho|)^3: generic.
     """
-    if k >= 1 << 32:
+    # a part of 2^63 or more in size, inf or nan
+    if k >= 1 << 32 or any(man.bit_length() + exp > 63 or (exp and not man)
+                           for _, man, exp, _ in rho._mpc_):
         return False
-    parts = []
-    for sign, man, exp, _ in rho._mpc_:
-        if man.bit_length() + exp > 63 or (exp and not man):  # |part| >= 2^63, inf or nan
-            return False
-        parts.append((-1) ** sign * (man / (1 << -exp) if exp < 0 else float(man << exp)))
-    z = complex(*parts)
+    z = complex(*(to_float(part, rnd=round_nearest) for part in rho._mpc_))
     return abs(recip_poly(k, z)) > 2.0 ** -20 * (2 * k + 3) * (1 + abs(z)) ** 3
 
 
@@ -822,7 +803,7 @@ def eigenvalues_closed(k: int, n: int, r, precision_bits: int = 256) -> EigenSpe
                 num = _cadd(_cadd(z, r_c0, prec, -1), _cmul(_cmul(r_z, z, prec), c1, prec), prec, -1)
                 num = _cadd(num, _cmul(_cmul(r_z, _cmul(z, z, prec), prec), c2, prec), prec, -1)
                 tail = _cmul(z, _cadd(_cmul(z, _cadd(z, k1, prec), prec), k2, prec), prec)
-                lams.append(_to_mpc(_cdiv(num, _cadd(one, tail, prec, -1), prec)))  # num / psi(rho)
+                lams.append(mp.make_mpc(_cdiv(num, _cadd(one, tail, prec, -1), prec)))  # num / psi(rho)
                 branches.append("generic")
             else:
                 recip, name, (mu, nu, xi) = min(

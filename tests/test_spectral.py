@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 import mpmath
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import (from_man_exp, mpf_div, mpf_mul, mpf_sqrt, mpf_sub, normalize, round_down,
-                          round_nearest)
+from mpmath.libmp import from_man_exp, mpf_mul, mpf_sqrt, mpf_sub, normalize, round_nearest
 import sympy
 from hypothesis import given, settings, strategies as st
 
@@ -1055,32 +1054,6 @@ def test_closed_spectrum_is_mpmaths_bit_for_bit_on_criterion_05():
         _assert_closed_is_mpmaths(k, n, r, 256)
 
 
-def test_div_round_is_mpf_div_bit_for_bit():
-    # random odd mantissas of 1 to 700 bits at 64 to 600 bits of precision,
-    # in both of mpmath's rounding modes used here; and the edge cases: a
-    # divisor mantissa of 1, exact quotients, every sign pair, a zero numerator
-    rng = np.random.default_rng(41)
-
-    def odd(size):
-        return int.from_bytes(rng.bytes(size // 8 + 1), "little") >> (7 - size % 8) | 1
-
-    cases = []
-    for _ in range(3000):
-        cases.append((odd(int(rng.integers(1, 700))), odd(int(rng.integers(1, 700)))))
-    for _ in range(300):
-        t = odd(int(rng.integers(1, 300)))
-        cases += [(t * odd(int(rng.integers(1, 300))), t), (odd(int(rng.integers(1, 700))), 1)]
-    cases += [(1, 1), (3, 1), (1, 3), (9, 3), (0, 5), (0, 1)]
-    for i, (sm, tm) in enumerate(cases):
-        prec = int(64 + i % 537)
-        se, te = (int(e) for e in rng.integers(-2000, 2000, size=2))
-        for (s_sign, t_sign), rnd in itertools.product(itertools.product((1, -1), repeat=2),
-                                                       (round_nearest, round_down)):
-            s, t = from_man_exp(s_sign * sm, se), from_man_exp(t_sign * tm, te)
-            got = sp._div_round(s_sign * sm, se, t_sign * tm, te, prec, rnd)
-            assert sp._raw_mpf(*got) == mpf_div(s, t, prec, rnd), (sm, se, tm, te, prec, rnd)
-
-
 def test_from_fixed_is_from_man_exp_bit_for_bit():
     # _add_round with a zero second operand and the tuple builder against
     # mpmath's constructor: random integers of 1 to 400 bits, both signs,
@@ -1106,7 +1079,7 @@ def test_from_fixed_is_from_man_exp_bit_for_bit():
 def test_only_spectral_touches_fixed_point_pairs_and_libmp():
     # the Gaussian-integer pairs and mpmath's internals have one home
     private = {"_to_fixed", "_from_fixed", "_pow_sum_fixed", "_horner_fixed", "_modulus",
-               "_fixed_grid", "_add_round", "_div_round", "_cmul", "_cadd", "_cdiv", "_raw_mpf"}
+               "_fixed_grid", "_add_round", "_cmul", "_cadd", "_cdiv", "_raw_mpf"}
     leaks = []
     for path in sorted(Path(sp.__file__).parent.glob("*.py")):
         if path.name == "spectral.py":
