@@ -3,7 +3,9 @@
 Subcommands cover the sequence, the four summation identities, norms
 and spectral bounds, eigenvalues, determinants, invertibility checks,
 the counterexample scan, the matvec benchmark and the reference-table
-reproduction.  Reports serialize to plain text, CSV or a JSON envelope
+reproduction.  argv is the only input: --bits (default 256) sets every
+precision.  Handlers return the library's values, and Report alone turns
+them into plain text, CSV or a JSON envelope
 {command, precision_bits, formula_version, params, result}; the
 envelope shape is pinned by schema/report.schema.json.
 
@@ -21,7 +23,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -32,7 +33,6 @@ from . import circulant, fastops, invertibility, sequence, spectral, sums
 from .errors import ScalarParseError, ZeroR
 
 _DEFAULT_BITS = 256
-PRECISION_ENV = "KPT_PRECISION_BITS"
 
 
 @functools.cache
@@ -53,13 +53,6 @@ def _formula_fingerprint() -> str:
                            sums.s2_closed(k, n), sums.w2_closed(k, n)))
         probes.append(tuple(sequence.terms_upto(k, 5)))
     return hashlib.sha256(repr(probes).encode()).hexdigest()[:12]
-
-
-def __getattr__(name: str):
-    # FORMULA_SET_VERSION reads the fingerprint on first use
-    if name == "FORMULA_SET_VERSION":
-        return _formula_fingerprint()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -125,35 +118,30 @@ def _parse_r(args: argparse.Namespace):
 # serialization
 
 def _fmt(value):
-    """Convert any computed value into a JSON- and CSV-safe atom."""
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return value.numerator
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return value
+    """The JSON atom of a value json cannot write itself: an integral
+    Fraction as its int, any other Fraction, mpf or mpc as its str."""
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
     return str(value)
 
 
 def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(_fmt(value))
+    return "" if value is None else str(value)
 
 
 class Report:
-    """One command's params and result, rendered in the --format of its args.
+    """One command's params and result, rendered in the --format of its
+    args: the one place where a computed value becomes text.
 
-    For a dict result, such as a library record passed through
-    dataclasses.asdict, plain and csv default to one `name = value` line per
-    entry and a one-row table of the params followed by the result, both in
-    the dict's order; a command with a list result passes its own lines.
+    Values are printed in run's precision context.  JSON writes the values
+    json cannot write itself through _fmt.  Plain and csv default to the
+    result's entries in its order.  For a dict result, such as a library
+    record passed through dataclasses.asdict, that is one `name = value`
+    line per entry and a one-row table of the params followed by the
+    result, whose names no param shares.  For a list of dicts it is one
+    line of space-separated `name=value` fields per row and a table of the
+    rows under a header of their names.  A command whose lines the defaults
+    cannot give passes its own.
     """
 
     def __init__(self, params: dict, result, plain: list[str] | None = None,
@@ -172,16 +160,18 @@ class Report:
                 "params": self.params,
                 "result": self.result,
             }
-            return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
-        if args.format == "csv":
+            return json.dumps(envelope, sort_keys=True, indent=2, default=_fmt) + "\n"
+        if args.format == "csv" and self.csv is not None:
             lines = self.csv
-            if lines is None:
-                values = [*self.params.values(), *self.result.values()]
-                lines = [",".join([*self.params, *self.result]), ",".join(map(_csv_cell, values))]
-        else:
+        elif args.format == "csv":
+            rows = self.result if isinstance(self.result, list) else [self.params | self.result]
+            lines = [",".join(rows[0]), *(",".join(map(_csv_cell, row.values())) for row in rows)]
+        elif self.plain is not None:
             lines = self.plain
-            if lines is None:
-                lines = [f"{name} = {value}" for name, value in self.result.items()]
+        elif isinstance(self.result, list):
+            lines = [" ".join(f"{name}={value}" for name, value in row.items()) for row in self.result]
+        else:
+            lines = [f"{name} = {value}" for name, value in self.result.items()]
         return "\n".join(lines) + "\n"
 
 
@@ -205,10 +195,9 @@ def _knr(args: argparse.Namespace) -> dict:
 
 def _cmd_norms(args: argparse.Namespace) -> Report:
     k, n, r = args.k, args.n, _parse_r(args)
-    fro_sq = spectral.frobenius_sq_closed(k, n, r)
     result = {"frobenius": spectral.frobenius_closed(k, n, r),
-              "frobenius_sq": _fmt(fro_sq),
-              "l1": _fmt(spectral.l1_closed(k, n, r))}
+              "frobenius_sq": spectral.frobenius_sq_closed(k, n, r),
+              "l1": spectral.l1_closed(k, n, r)}
     return Report(_knr(args), result)
 
 
@@ -218,18 +207,12 @@ def _cmd_bounds(args: argparse.Namespace) -> Report:
 
 
 def _cmd_eig(args: argparse.Namespace) -> Report:
-    n, bits = args.n, args.bits
-    spectrum = spectral.eigenvalues_closed(args.k, n, _parse_r(args), bits)
-    entries = [
-        {"m": m, "branch": spectrum.branches[m], "value": str(spectrum.lambdas[m])}
-        for m in range(n)
-    ]
-    csv = ["m,branch,re,im"] + [
-        f"{m},{spectrum.branches[m]},{str(spectrum.lambdas[m].real)},{str(spectrum.lambdas[m].imag)}"
-        for m in range(n)
-    ]
-    plain = [f"m={e['m']} branch={e['branch']} value={e['value']}" for e in entries]
-    return Report(_knr(args), entries, plain, csv)
+    spectrum = spectral.eigenvalues_closed(args.k, args.n, _parse_r(args), args.bits)
+    pairs = list(enumerate(zip(spectrum.branches, spectrum.lambdas)))
+    entries = [{"m": m, "branch": branch, "value": value} for m, (branch, value) in pairs]
+    csv = ["m,branch,re,im"] + [f"{m},{branch},{value.real},{value.imag}"
+                                for m, (branch, value) in pairs]
+    return Report(_knr(args), entries, csv=csv)
 
 
 def _cmd_det(args: argparse.Namespace) -> Report:
@@ -238,11 +221,11 @@ def _cmd_det(args: argparse.Namespace) -> Report:
     rep = spectral.determinant_closed(k, n, r, bits)
     det_exact = circulant.det_exact(k, n, r) if circulant.is_exact(r) else None
     return Report(_knr(args), {
-        "det_closed": str(rep.det_closed),
-        "det_product_of_eigenvalues": str(rep.det_oracle),
-        "det_exact": _fmt(det_exact),
-        "quadratic_r1": str(rep.r1),
-        "quadratic_r2": str(rep.r2),
+        "det_closed": rep.det_closed,
+        "det_product_of_eigenvalues": rep.det_oracle,
+        "det_exact": det_exact,
+        "quadratic_r1": rep.r1,
+        "quadratic_r2": rep.r2,
         "used_generic_formula": True,
     })
 
@@ -257,7 +240,7 @@ def _cmd_invert(args: argparse.Namespace) -> Report:
     result = {
         "status": verdict.status,
         "reason": verdict.reason,
-        "witness": None if verdict.witness is None else str(verdict.witness),
+        "witness": verdict.witness,
         "gcd_invertible": verdict.exact_invertible,
     }
     # the CSV row leaves out the witness and quotes the reason
@@ -265,9 +248,6 @@ def _cmd_invert(args: argparse.Namespace) -> Report:
            f"{args.k},{args.n},{args.r},{verdict.status},\"{verdict.reason}\","
            f"{_csv_cell(verdict.exact_invertible)}"]
     return Report(_knr(args), result, csv=csv)
-
-
-_SCAN_FIELDS = tuple(f.name for f in dataclasses.fields(invertibility.ScanCell))
 
 
 def _cmd_scan(args: argparse.Namespace) -> Report:
@@ -278,16 +258,13 @@ def _cmd_scan(args: argparse.Namespace) -> Report:
         precision_bits=args.bits,
     )
     rows = [dataclasses.asdict(cell) for cell in cells]
-    csv = [",".join(_SCAN_FIELDS)]
-    for row in rows:
-        csv.append(",".join(_csv_cell(row[name]) for name in _SCAN_FIELDS))
     plain = [
         f"k={row['k']} n={row['n']} verdict={row['verdict']} "
         f"min|lambda| 1e{row['min_abs_lambda_log10']:.1f}"
         for row in rows
     ]
     params = {name: vars(args)[name] for name in ("kmin", "kmax", "nmin", "nmax", "sign")}
-    return Report(params, rows, plain, csv)
+    return Report(params, rows, plain)
 
 
 def _cmd_bench(args: argparse.Namespace) -> Report:
@@ -304,11 +281,7 @@ _TABLE_FIELDS = tuple(f.name for f in dataclasses.fields(spectral.Table1Row))
 
 
 def _cmd_table1(args: argparse.Namespace) -> Report:
-    rows = []
-    for row in spectral.table1_report():
-        entry = dataclasses.asdict(row)
-        entry["flags"] = list(row.flags)
-        rows.append(entry)
+    rows = [dataclasses.asdict(row) for row in spectral.table1_report()]
     csv = [",".join(_TABLE_FIELDS)]
     for entry in rows:
         cells = []
@@ -375,7 +348,7 @@ def build_parser() -> _Parser:
             p.add_argument("--n", type=int, required=True)
         if r:
             p.add_argument("--r", type=str, required=True)
-        p.add_argument("--bits", type=int, default=None,
+        p.add_argument("--bits", type=int, default=_DEFAULT_BITS,
                        help="working precision in bits (64..4096)")
         p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
         p.add_argument("--out", type=str, default=None)
@@ -406,8 +379,8 @@ def build_parser() -> _Parser:
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    """The validated namespace: scan ranges checked, --sizes as a list of
-    positive ints, and bits from KPT_PRECISION_BITS (else 256) when --bits is absent."""
+    """The validated namespace: scan ranges checked and --sizes as a list
+    of positive ints; --bits is checked when the command runs."""
     args = build_parser().parse_args(argv)
     if args.command == "scan":
         if args.kmin > args.kmax:
@@ -424,12 +397,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         if min(sizes) < 1:
             raise ValueError(f"--sizes must be positive, got {min(sizes)}")
         args.sizes = sizes
-    if args.bits is None:
-        raw = os.environ.get(PRECISION_ENV, str(_DEFAULT_BITS))
-        try:
-            args.bits = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from exc
     return args
 
 

@@ -213,13 +213,12 @@ def _horner_fixed(coeffs, x: int, y: int, frac: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class EigenGrid:
-    """The n-th roots of r: rho_m = root * omega^m with root the principal
+    """The n-th roots of r: rho_m = rho_0 * omega^m with rho_0 the principal
     n-th root of r."""
 
     n: int
     r: object
     precision_bits: int
-    root: mpc
     rhos: tuple
 
 
@@ -246,7 +245,8 @@ def _principal_root(n: int, r_mp) -> mpc:
 
 def eigen_grid(n: int, r, precision_bits: int = 256) -> EigenGrid:
     """The grid at bits + _GUARD bits, each rho_m bit for bit
-    root * mpmath.expjpi(mpf(2 * m) / n) under round-nearest: x_m = 2m/n
+    rho_0 * mpmath.expjpi(mpf(2 * m) / n) under round-nearest, with rho_0
+    the principal root of _principal_root: x_m = 2m/n
     from mpf_div, (cos, sin)(pi x_m) from mpmath's own mpf_cos_sin_pi,
     as expjpi takes them for a real argument, and the product from _cmul.
     eigenvalues_closed and determinant_closed evaluate on it, so the eig and
@@ -270,7 +270,7 @@ def eigen_grid(n: int, r, precision_bits: int = 256) -> EigenGrid:
         for m in range(n):
             x = mpf_div(from_int(2 * m), den, prec, round_nearest)  # mpf(2 * m) / n
             rhos.append(_to_mpc(_cmul(z, map(_signed, mpf_cos_sin_pi(x, prec, round_nearest)), prec)))
-    return EigenGrid(n=n, r=r, precision_bits=precision_bits, root=root, rhos=tuple(rhos))
+    return EigenGrid(n=n, r=r, precision_bits=precision_bits, rhos=tuple(rhos))
 
 
 def _conjugate_half(n: int, r) -> tuple[int, int]:
@@ -324,8 +324,8 @@ def _closed_root(n: int, negative: bool, precision_bits: int,
 
 
 def _fixed_grid(n: int, r, precision_bits: int,
-                root_sq: Fraction | None = None) -> tuple[int, mpc, list]:
-    """(F, root, points): the n-th roots of r as Gaussian integers scaled by
+                root_sq: Fraction | None = None) -> tuple[int, list]:
+    """(F, points): the n-th roots of r as Gaussian integers scaled by
     2^F, F = bits + _GUARD + 8 + max(0, 3 - mag(root)), with root the
     principal n-th root of r.
 
@@ -378,14 +378,13 @@ def _fixed_grid(n: int, r, precision_bits: int,
         drop = wide - guard
         x, y, ex, ey = x >> drop, y >> drop, ex >> drop, ey >> drop
         wx, wy = ((ex + ey) * (ex - ey)) >> guard, (ex * ey) >> (guard - 1)
-        root = _to_mpc([(m, e - guard) for m, e in map(_int_pair, (x, y))])
     head, s = _conjugate_half(n, r)
     points = [(x, y)]
     for _ in range(head - 1):
         x, y = (x * wx - y * wy) >> guard, (x * wy + y * wx) >> guard
         points.append((x, y))
     shift = guard - frac
-    return frac, root, _conjugate_tail([(x >> shift, y >> shift) for x, y in points], n, s)
+    return frac, _conjugate_tail([(x >> shift, y >> shift) for x, y in points], n, s)
 
 
 def _add_round(sm: int, se: int, tm: int, te: int, prec: int,
@@ -520,19 +519,19 @@ def _horner_mpc(k: int, n: int, rhos) -> list:
     return lams
 
 
-def _direct_fixed(k: int, n: int, r, precision_bits: int) -> tuple[int, mpc, list, list]:
-    """(F, root, points, values): the points of _fixed_grid and the order-n
+def _direct_fixed(k: int, n: int, r, precision_bits: int) -> tuple[int, list, list]:
+    """(F, points, values): the points of _fixed_grid and the order-n
     generator polynomial at each of them, all as integer pairs scaled by
     2^F; see eigenvalues_direct for F and the error.  _horner_fixed runs on
     the head of _conjugate_half only, and for real r the other values are
     conjugates, since the generator's coefficients are integers."""
     check_k(k)
     _check_grid(n, r, precision_bits)
-    frac, root, points = _fixed_grid(n, r, precision_bits)
+    frac, points = _fixed_grid(n, r, precision_bits)
     head, s = _conjugate_half(n, r)
     coeffs = [a << frac for a in reversed(terms_upto(k, n - 1))]
     values = [_horner_fixed(coeffs, x, y, frac) for x, y in points[:head]]
-    return frac, root, points, _conjugate_tail(values, n, s)
+    return frac, points, _conjugate_tail(values, n, s)
 
 
 def _extreme_candidates(terms: list, head: list, frac: int) -> tuple[list, list] | None:
@@ -649,7 +648,7 @@ def _modulus_extremes(k: int, n: int, r, precision_bits: int,
     """
     check_k(k)
     _check_grid(n, r, precision_bits)
-    frac, _, points = _fixed_grid(n, r, precision_bits, root_sq)
+    frac, points = _fixed_grid(n, r, precision_bits, root_sq)
     head, _ = _conjugate_half(n, r)
     terms = terms_upto(k, n - 1)
     found = _extreme_candidates(terms, points[:head], frac)
@@ -670,8 +669,8 @@ def eigenvalues_direct(k: int, n: int, r, precision_bits: int = 256) -> EigenSpe
     the points of _fixed_grid.  F = bits + _GUARD + 8 + max(0, 3 - mag(rho));
     the extra bits for small |rho| keep the relative error of each point
     below 2^-(bits + _GUARD + 8).  Each lambda is rounded once to
-    bits + _GUARD bits, and so are the points and root that make up the
-    returned grid.
+    bits + _GUARD bits, and so are the points that make up the returned
+    grid.
 
     Error bound: with a_l the generator row, rho_m the exact n-th roots of r
     and lambda~_m the kernel's value before that rounding,
@@ -689,10 +688,10 @@ def eigenvalues_direct(k: int, n: int, r, precision_bits: int = 256) -> EigenSpe
     mirrored values can differ in their last bits from Horner run at the
     mirrored point itself, whose floors round the other way.
     """
-    frac, root, points, values = _direct_fixed(k, n, r, precision_bits)
+    frac, points, values = _direct_fixed(k, n, r, precision_bits)
     with mp.workprec(precision_bits + _GUARD):
         lams = tuple(_from_fixed(x, y, frac) for x, y in values)
-        grid = EigenGrid(n=n, r=r, precision_bits=precision_bits, root=+root,
+        grid = EigenGrid(n=n, r=r, precision_bits=precision_bits,
                          rhos=tuple(_from_fixed(x, y, frac) for x, y in points))
     return EigenSpectrum(k=k, grid=grid, lambdas=lams, branches=("direct",) * n)
 

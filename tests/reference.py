@@ -169,7 +169,7 @@ def modulus_extremes_exhaustive(k: int, n: int, r, precision_bits: int,
     bits + _GUARD bits and taken in mpmath's own abs.  The
     oracle for spectral._modulus_extremes, which runs Horner on candidates
     only and takes the moduli on math.isqrt."""
-    frac, _, points = _fixed_grid(n, r, precision_bits, root_sq)
+    frac, points = _fixed_grid(n, r, precision_bits, root_sq)
     head, s = _conjugate_half(n, r)
     coeffs = [a << frac for a in reversed(terms_upto(k, n - 1))]
     values = _conjugate_tail([_horner_fixed(coeffs, x, y, frac) for x, y in points[:head]], n, s)

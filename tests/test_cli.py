@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import re
@@ -15,6 +16,7 @@ from mpmath import mp
 
 from pelltrib import cli
 from pelltrib.errors import PrecisionExhausted, ScalarParseError
+from pelltrib.invertibility import ScanCell
 from pelltrib.sequence import char_roots, term
 
 
@@ -109,15 +111,8 @@ def test_scan_reversed_range_exits_2(bounds, capsys):
     assert json.loads(captured.err)["error"]["kind"] == "ValueError"
 
 
-def test_env_override(monkeypatch, capsys):
-    monkeypatch.setenv(cli.PRECISION_ENV, "128")
-    assert cli.main(["det", "--k", "1", "--n", "3", "--r", "1", "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["precision_bits"] == 128
-
-
-def test_env_override_malformed(monkeypatch, capsys):
-    monkeypatch.setenv(cli.PRECISION_ENV, "lots")
-    assert cli.main(["seq", "--k", "1", "--n", "4"]) == 2
+def test_bits_default_to_256():
+    assert cli.parse_args(["seq", "--k", "1", "--n", "4"]).bits == 256
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +134,7 @@ def test_parser_commands_are_the_schema_commands():
     ["invert", "--k", "1", "--n", "4", "--r", "2"],
     ["scan", "--kmax", "1", "--nmax", "3", "--bits", "128"],
     ["table1"],
+    ["bench", "--sizes", "4,8", "--k", "1", "--r", "2"],
 ])
 def test_json_validates_against_schema(argv, capsys):
     assert cli.main(argv + ["--format", "json"]) == 0
@@ -149,9 +145,10 @@ def test_json_validates_against_schema(argv, capsys):
 
 
 def test_formula_version_is_hex_and_stable():
-    assert len(cli.FORMULA_SET_VERSION) == 12
-    int(cli.FORMULA_SET_VERSION, 16)
-    assert cli._formula_fingerprint() == cli.FORMULA_SET_VERSION
+    version = cli._formula_fingerprint()
+    assert len(version) == 12
+    int(version, 16)
+    assert cli._formula_fingerprint() == version
 
 
 def _failing_w2(k, n):
@@ -256,7 +253,7 @@ def test_scan_csv_contains_all_cells(capsys):
     out = _capture(["scan", "--kmax", "2", "--nmax", "4", "--bits", "128",
                     "--format", "csv"], capsys)
     lines = out.strip().splitlines()
-    assert lines[0].split(",") == list(cli._SCAN_FIELDS)
+    assert lines[0].split(",") == [field.name for field in dataclasses.fields(ScanCell)]
     assert len(lines) == 1 + 2 * 3
     for line in lines[1:]:
         assert line.split(",")[-1] in ("invertible", "singular", "undetermined")

@@ -16,7 +16,6 @@ which prints the keys that changed; review them and the diff of the JSON.
 import contextlib
 import io
 import json
-import os
 import pathlib
 
 import pytest
@@ -78,8 +77,7 @@ def _run(argv: list[str]) -> dict:
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("command", COMMANDS)
-def test_reports_match_golden(command, fmt, monkeypatch):
-    monkeypatch.delenv(cli.PRECISION_ENV, raising=False)
+def test_reports_match_golden(command, fmt):
     differ = []
     for name, argvs in CASES.items():
         golden = json.loads((GOLDEN_DIR / name).read_text(encoding="utf-8"))
@@ -96,7 +94,6 @@ def test_golden_files_cover_every_case():
 
 
 if __name__ == "__main__":
-    os.environ.pop(cli.PRECISION_ENV, None)
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argvs in CASES.items():
         path = GOLDEN_DIR / name

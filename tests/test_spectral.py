@@ -160,7 +160,7 @@ def test_grid_principal_branch_negative_r():
     grid = sp.eigen_grid(3, -1, 256)
     with mp.workprec(288):
         expect = mpmath.expjpi(mpf(1) / 3)
-        assert abs(grid.root - expect) < mpf(2) ** -200
+        assert abs(grid.rhos[0] - expect) < mpf(2) ** -200
 
 
 def test_grid_rejects_zero_r():
@@ -570,9 +570,9 @@ def test_fixed_grid_within_stated_error_of_exact_roots(bits, n):
     # F = bits + _GUARD + 8 + max(0, 3 - mag(root)).  Without the
     # bit_length(n) guard bits the drift of the n - 1 products breaks this.
     for r in DIRECT_R:
-        frac, root, points = sp._fixed_grid(n, r, bits)
+        frac, points = sp._fixed_grid(n, r, bits)
         exact = sp.eigen_grid(n, r, bits + 160)
-        assert frac == bits + _GUARD + 8 + max(0, 3 - mpmath.mag(exact.root)), r
+        assert frac == bits + _GUARD + 8 + max(0, 3 - mpmath.mag(exact.rhos[0])), r
         with mp.workprec(bits + _GUARD + 160):
             tol = mpf(2) ** (1 - frac)
             for m, ((x, y), rho) in enumerate(zip(points, exact.rhos)):
@@ -595,7 +595,7 @@ def test_direct_spectrum_is_conjugate_symmetric_for_real_r(bits):
         head, mirror = (n // 2 + 1, lambda m: n - m) if r > 0 else \
             ((n + 1) // 2, lambda m: n - 1 - m)
         for k in (1, 3):
-            frac, _, points, values = sp._direct_fixed(k, n, r, bits)
+            frac, points, values = sp._direct_fixed(k, n, r, bits)
             coeffs = [a << frac for a in reversed(terms_upto(k, n - 1))]
             for m in range(head):
                 assert values[m] == sp._horner_fixed(coeffs, *points[m], frac), (r, n, m)
@@ -612,7 +612,7 @@ def test_direct_spectrum_is_conjugate_symmetric_for_real_r(bits):
 def test_direct_spectrum_evaluates_every_point_for_complex_typed_r():
     # complex-typed r keeps all n points, even with a zero imaginary part
     for r, n in itertools.product((1j, 2 - 3j, complex(2, 0), mpc(2, 0)), (2, 5, 8, 21)):
-        frac, _, points, values = sp._direct_fixed(2, n, r, 256)
+        frac, points, values = sp._direct_fixed(2, n, r, 256)
         coeffs = [a << frac for a in reversed(terms_upto(2, n - 1))]
         assert len(points) == len(values) == n
         for m, (x, y) in enumerate(points):
@@ -660,7 +660,7 @@ def test_modulus_extremes_match_the_oracle_on_critical_values():
 def test_modulus_extremes_fall_back_to_every_point(k, n, r):
     # where the doubles cannot decide, the prefilter says so instead of
     # raising, and every head point is a candidate
-    frac, _, points = sp._fixed_grid(n, r, 128)
+    frac, points = sp._fixed_grid(n, r, 128)
     head, _ = sp._conjugate_half(n, r)
     assert sp._extreme_candidates(terms_upto(k, n - 1), points[:head], frac) is None
     assert _same_extremes(k, n, r, 128)
@@ -684,9 +684,9 @@ def test_closed_grid_within_stated_error_of_exact_roots(bits):
     for k, n, sign in itertools.product((1, 4, 10), CLOSED_N, (1, -1)):
         with mp.workprec(bits + _GUARD):
             r_star = sign * _critical_magnitude(k, n)
-        frac, _, points = sp._fixed_grid(n, r_star, bits, Fraction(term(k, n), term(k, n - 1)))
+        frac, points = sp._fixed_grid(n, r_star, bits, Fraction(term(k, n), term(k, n - 1)))
         exact = _exact_critical_grid(k, n, sign, bits)
-        assert frac == bits + _GUARD + 8 + max(0, 3 - mpmath.mag(exact.root)), (k, n, sign)
+        assert frac == bits + _GUARD + 8 + max(0, 3 - mpmath.mag(exact.rhos[0])), (k, n, sign)
         with mp.workprec(bits + _GUARD + 160):
             tol = mpf(2) ** (1 - frac)
             for m, ((x, y), rho) in enumerate(zip(points, exact.rhos)):
@@ -826,7 +826,7 @@ def test_eigenvalues_direct_within_stated_bound_of_mpc_horner(bits, n):
             with mp.workprec(q):
                 want = sp._horner_mpc(k, n, rhos)
                 size = max(abs(rho) for rho in exact.rhos)
-                frac = p + 8 + max(0, 3 - mpmath.mag(exact.root))
+                frac = p + 8 + max(0, 3 - mpmath.mag(exact.rhos[0]))
                 kernel = mpf(2) ** (1 - frac) * (
                     sum(size**j for j in range(n - 1))
                     + sum(l * a * size ** (l - 1) for l, a in enumerate(terms)))
