@@ -31,8 +31,9 @@ from operator import mul
 import numpy as np
 import mpmath
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import (MPZ, from_int, fzero, mpf_cos_sin_pi, mpf_div, mpf_log, mpf_pow_int,
-                          round_down, round_nearest, to_fixed, to_float)
+from mpmath.libmp import (MPZ, from_int, from_man_exp, fzero, mpf_cos_sin_pi, mpf_div, mpf_log,
+                          mpf_pow_int, pi_fixed, round_down, round_nearest, to_fixed, to_float)
+from mpmath.libmp.libelefun import cos_sin_basecase
 
 from .circulant import abs_sq, build_pell_complex, is_exact, is_real
 from .errors import DegenerateCase
@@ -136,16 +137,17 @@ def norm_report(k: int, n: int, r) -> NormReport:
 # 2^-F per part and sqrt(2) 2^-F in modulus; sums of pairs are exact.
 # _from_fixed rounds the result once to the working precision, and
 # _modulus takes its absolute value.  The bit-exact ports of mpmath in
-# this module (eigen_grid's root product, the generic branch of
-# eigenvalues_closed, _horner_mpc, _modulus, _quadratic_roots and
-# _critical_magnitude) keep no rounding code of their own: each port of
-# mpf_add calls _add_round, with mpmath's rounding mode as an argument,
+# this module (eigen_grid's unit roots and root product, the generic
+# branch of eigenvalues_closed, _horner_mpc, _modulus, _quadratic_roots
+# and _critical_magnitude) keep no rounding code of their own: each port
+# of mpf_add calls _add_round, with mpmath's rounding mode as an argument,
 # and each port of mpf_sqrt calls _sqrt_raw, on math.isqrt; quotients
 # (eigen_grid's 2m/n, _cdiv's two) are mpmath's own mpf_div on raw
-# tuples.  _cmul, _cadd and _cdiv are mpc_mul, mpc_add or mpc_sub and
-# mpc_div on complex numbers held as two _signed pairs (signed odd
-# mantissa, exponent); _raw_mpf turns a rounded pair into mpmath's raw
-# tuple, and _from_fixed's rounding is _add_round's too.
+# tuples, and _cos_sin_pi rounds with mpmath's own from_man_exp.  _cmul,
+# _cadd and _cdiv are mpc_mul, mpc_add or mpc_sub and mpc_div on complex
+# numbers held as two _signed pairs (signed odd mantissa, exponent);
+# _raw_mpf turns a rounded pair into mpmath's raw tuple, and _from_fixed's
+# rounding is _add_round's too.
 
 def _to_fixed(z, frac_bits: int) -> tuple[int, int]:
     """(re, im) of an mpc or mpf as integers scaled by 2^frac_bits, each rounded down."""
@@ -245,32 +247,135 @@ def _principal_root(n: int, r_mp) -> mpc:
 
 def eigen_grid(n: int, r, precision_bits: int = 256) -> EigenGrid:
     """The grid at bits + _GUARD bits, each rho_m bit for bit
-    rho_0 * mpmath.expjpi(mpf(2 * m) / n) under round-nearest, with rho_0
-    the principal root of _principal_root: x_m = 2m/n
-    from mpf_div, (cos, sin)(pi x_m) from mpmath's own mpf_cos_sin_pi,
-    as expjpi takes them for a real argument, and the product from _cmul.
-    eigenvalues_closed and determinant_closed evaluate on it, so the eig and
-    det reports depend on these exact bytes.
-
-    The bytes follow mpmath's backend.  mpf_cos_sin_pi subtracts the
-    nearest half-integer from x_m and sizes its working precision from the
-    bitcount of the signed remainder.  mpmath 1.3's pure-Python bitcount
-    returns 0 for a negative integer, so wherever that remainder is
-    negative it works at about 2 prec + 10 bits instead of prec + 10 (at
-    prec 288 and n = 60, 23.3 against 11.1 us a call, 28 points of each
-    kind, with CPython 3.11).  gmpy's bit_length counts |n|, so under the
-    gmpy backend these points may round differently; that is unverified,
-    since the tests have run on the pure-Python backend only."""
+    rho_0 * mpmath.expjpi(mpf(2 * m) / n) under round-nearest, as mpmath
+    1.3 computes it with its pure-Python backend, with rho_0 the principal
+    root of _principal_root: x_m = 2m/n from mpf_div, (cos, sin)(pi x_m)
+    from _unit_grid, and the product from _cmul.  eigenvalues_closed and
+    determinant_closed evaluate on it, so the eig and det reports depend on
+    these exact bytes."""
     _check_grid(n, r, precision_bits)
     with mp.workprec(precision_bits + _GUARD):
         prec = mp.prec
         root = _principal_root(n, mpmath.mpmathify(r))
-        z, den = tuple(map(_signed, root._mpc_)), from_int(n)
-        rhos = []
-        for m in range(n):
-            x = mpf_div(from_int(2 * m), den, prec, round_nearest)  # mpf(2 * m) / n
-            rhos.append(_to_mpc(_cmul(z, map(_signed, mpf_cos_sin_pi(x, prec, round_nearest)), prec)))
-    return EigenGrid(n=n, r=r, precision_bits=precision_bits, rhos=tuple(rhos))
+        z = tuple(map(_signed, root._mpc_))
+        rhos = tuple(_to_mpc(_cmul(z, unit, prec)) for unit in _unit_grid(n, prec))
+    return EigenGrid(n=n, r=r, precision_bits=precision_bits, rhos=rhos)
+
+
+def _round_clear(v: int, margin: int, frac: int, prec: int) -> tuple[int, int] | None:
+    """v 2^-frac rounded to prec bits under round-nearest, as _add_round
+    returns it, when every real strictly within margin 2^-frac of it rounds
+    to the same number; None otherwise.  All of them lie in one binade and
+    strictly between the same two midpoints of that binade's prec-bit
+    numbers, so none is a tie either."""
+    a = -v if v < 0 else v
+    cut = a.bit_length() - prec
+    low, high = a - margin, a + margin
+    if cut < 2 or low.bit_length() != high.bit_length():
+        return None
+    half = 1 << (cut - 1)
+    if (low + half) >> cut != (high + half) >> cut:
+        return None
+    return _add_round(v, -frac, 0, 0, prec)
+
+
+def _pi_reduced(x: tuple, prec: int) -> tuple[int, int, int]:
+    """(near, rest, wp) for a raw mpf 0 < x < 2 with exponent below -1, as
+    the pi branch of mpmath 1.3's mpf_cos_sin takes them with its
+    pure-Python bitcount, which counts 0 bits in a negative integer:
+    x = near / 2 + rest 2^exp(x) with |rest 2^exp(x)| <= 1/4, and the
+    working precision wp,
+    prec + 10 - mag(rest 2^exp(x)), or prec + 10 - exp(x) when rest is
+    negative."""
+    _, man, exp, _ = x
+    near = ((man >> (-exp - 2)) + 1) >> 1
+    rest = man - (near << (-exp - 1))
+    return near, rest, prec + 10 - exp - max(rest, 0).bit_length()
+
+
+def _cos_sin_pi(x: tuple, prec: int) -> tuple:
+    """mpf_cos_sin_pi(x, prec, round_nearest) for x as _pi_reduced takes
+    it, as mpmath 1.3's pi branch computes it with its pure-Python
+    bitcount: libelefun's own cos_sin_basecase at the working precision wp
+    of _pi_reduced and its own from_man_exp.  x has at most prec bits and
+    the remainder is below 1/4, so exp(x) + wp >= 10 and the shift is
+    exact.  As a pair of _signed pairs."""
+    near, rest, wp = _pi_reduced(x, prec)
+    c, s = cos_sin_basecase((rest << x[2] + wp) * pi_fixed(wp) >> wp, wp)
+    c, s = ((c, s), (-s, c), (-c, -s), (s, -c))[near & 3]
+    return tuple(_signed(from_man_exp(v, -wp, prec, round_nearest)) for v in (c, s))
+
+
+def _unit_grid(n: int, prec: int):
+    """(cos, sin)(pi x_m) for m = 0 .. n - 1, x_m = mpf_div(2m, n) at prec
+    bits, each bit for bit mpf_cos_sin_pi(x_m, prec, round_nearest) as
+    mpmath 1.3 computes it with its pure-Python backend, as pairs of
+    _signed pairs.
+
+    One rotation.  With W = prec + 40 + bit_length(n) and u = 2^-W,
+    libelefun's cos_sin_basecase gives e = exp(pi i / n) at W + 20 bits
+    (0 < pi / n < pi / 2 for n > 2), omega = exp(2 pi i / n) is e^2 floored
+    to W bits (-1 at n = 2), and p_m ~ omega^m comes from sequential
+    products on integers scaled by 2^W, each part floored.  x_m differs
+    from 2m/n by delta_m, computed exactly and floored to W bits, and the
+    point is p_m (1 + i theta_m), theta_m = pi delta_m with
+    pi = pi_fixed(W), each product floored.  Points whose x_m has an exponent of -1 or more
+    (m = 0, n/4, n/2, 3n/4) take mpmath's exact special values.
+
+    Its error, per part, is below E_m = (3m + 8) u + (pi delta_m)^2 / 2.
+    omega errs by less than 1.415 u in modulus: the parts of e lie within
+    2^-(W+13) of the exact ones (the assumption below and the floor of
+    pi / n), so e^2 within 2^-(W+12), and the floor to W bits adds less
+    than u per part.  A product adds sqrt(2) u and the error of omega, so
+    |p_m - omega^m| < 2.84 m u.  |delta_m| <= 2^-prec, as x_m < 2 is
+    rounded to nearest.  delta_m's floor errs by less than u, which pi
+    carries to 3.15 u; pi_fixed's floor, times delta_m, and the product's
+    floor add less than 1.01 u, so theta_m errs by less than 4.2 u.  The
+    two floored products add sqrt(2) u, and e^(i pi delta_m) - 1 -
+    i pi delta_m, the dropped term, is below (pi delta_m)^2 / 2
+    < 2^(3 - 2 prec).
+
+    The Ziv test.  mpmath takes the nearest half-integer off x_m and
+    computes (cos, sin) in fixed point at wp_m bits, wp_m as _pi_reduced
+    gives it, then rounds each part to nearest at prec bits.  Each part is
+    kept when _round_clear decides it with the margin
+    E_m + 64 2^-wp_m: then mpmath's fixed-point value, which lies within
+    that margin of this one, rounds to the same number.  Otherwise both
+    parts come from _cos_sin_pi.  The values are at least
+    sin(pi / 2n) > 2^-bit_length(n) in size away from the special points,
+    so W leaves about 38 bits for the test, and about 3% of the points fall
+    back (3.0% on n = 2..400 at 64, 256 and 512 bits).
+
+    The one assumption: mpmath's fixed-point cos and sin at wp bits,
+    cos_sin_basecase's and mpf_cos_sin's after its reduction of x_m, lie
+    within 64 2^-wp of the exact values.  The largest errors seen were
+    13.1 2^-wp over the 24 384 points x_m of n = 3..129 at 96, 288 and 544
+    bits, and 11.1 2^-(W+20) for e on the same n and precisions.
+    Under it the kept parts do not depend on mpmath's backend; the fallback
+    points follow libelefun's cos_sin_basecase, whose table precision and
+    integer square root differ between the pure-Python and gmpy backends."""
+    wide = prec + 40 + n.bit_length()
+    if n == 2:
+        ox, oy = -1 << wide, 0
+    else:  # omega = e^2, e = exp(pi i / n) from cos_sin_basecase at W + 20 bits
+        ex, ey = cos_sin_basecase(pi_fixed(wide + 20) // n, wide + 20)
+        ox, oy = (ex * ex - ey * ey) >> wide + 40, (ex * ey) >> wide + 39
+    pi, den = pi_fixed(wide), from_int(n)
+    floor = 9 + (1 << max(0, wide + 3 - 2 * prec))  # the constant part of E_m, in units of u, plus 1
+    cx, cy = 1 << wide, 0
+    for m in range(n):
+        x = mpf_div(from_int(2 * m), den, prec, round_nearest)  # mpf(2 * m) / n
+        _, man, exp, _ = x
+        if exp >= -1 or not man:
+            yield tuple(map(_signed, mpf_cos_sin_pi(x, prec, round_nearest)))
+        else:
+            wp = _pi_reduced(x, prec)[2]
+            t = (((man * n << exp + wide) - (2 * m << wide)) // n) * pi >> wide  # pi delta_m
+            margin = 3 * m + floor + _shifted(64, wide - wp)
+            c = _round_clear(cx - (cy * t >> wide), margin, wide, prec)
+            s = _round_clear(cy + (cx * t >> wide), margin, wide, prec)
+            yield (c, s) if c and s else _cos_sin_pi(x, prec)
+        cx, cy = (cx * ox - cy * oy) >> wide, (cx * oy + cy * ox) >> wide
 
 
 def _conjugate_half(n: int, r) -> tuple[int, int]:
@@ -519,19 +624,41 @@ def _horner_mpc(k: int, n: int, rhos) -> list:
     return lams
 
 
-def _direct_fixed(k: int, n: int, r, precision_bits: int) -> tuple[int, list, list]:
-    """(F, points, values): the points of _fixed_grid and the order-n
-    generator polynomial at each of them, all as integer pairs scaled by
-    2^F; see eigenvalues_direct for F and the error.  _horner_fixed runs on
-    the head of _conjugate_half only, and for real r the other values are
-    conjugates, since the generator's coefficients are integers."""
+def _direct_fixed(k: int, n: int, r, precision_bits: int) -> tuple[int, dict, dict, int]:
+    """(F, points, values, s): the points the direct kernel evaluates and
+    the order-n generator polynomial at each of them, as dicts from the
+    index m to integer pairs scaled by 2^F; every other index m < n holds
+    the conjugates of index (s - m) mod n (_conjugate_half).  See
+    eigenvalues_direct for F, the indices and the error."""
     check_k(k)
     _check_grid(n, r, precision_bits)
-    frac, points = _fixed_grid(n, r, precision_bits)
+    frac, grid = _fixed_grid(n, r, precision_bits)
     head, s = _conjugate_half(n, r)
-    coeffs = [a << frac for a in reversed(terms_upto(k, n - 1))]
-    values = [_horner_fixed(coeffs, x, y, frac) for x, y in points[:head]]
-    return frac, points, _conjugate_tail(values, n, s)
+    terms = terms_upto(k, n - 1)
+    if n % 2:
+        coeffs = [a << frac for a in reversed(terms)]
+        points = dict(enumerate(grid[:head]))
+        return frac, points, {m: _horner_fixed(coeffs, x, y, frac) for m, (x, y) in points.items()}, s
+    half, guard = n // 2, 6 + max(0, frac + 1 - _size(*grid[0]))
+    wide = frac + guard
+    even, odd = ([a << wide for a in reversed(terms[i::2])] for i in (0, 1))
+    points, values = {}, {}
+    for m in range((head + 1) // 2):
+        x, y = points[m] = grid[m]
+        points[m + half] = -x, -y
+        w = (x * x - y * y) >> frac - guard, (x * y) >> frac - guard - 1  # rho^2
+        ex, ey = _horner_fixed(even, *w, wide)
+        ox, oy = _horner_fixed(odd, *w, wide)
+        ox, oy = (ox * x - oy * y) >> frac, (ox * y + oy * x) >> frac  # rho O(rho^2)
+        values[m] = (ex + ox) >> guard, (ey + oy) >> guard
+        values[m + half] = (ex - ox) >> guard, (ey - oy) >> guard
+    return frac, points, values, s
+
+
+def _conjugate_fill(items: dict, n: int, s: int) -> tuple:
+    """items, mpc values at some indices m < n, completed to n values by
+    item m = conj item ((s - m) mod n); see _conjugate_half."""
+    return tuple(items[m] if m in items else items[(s - m) % n].conjugate() for m in range(n))
 
 
 def _extreme_candidates(terms: list, head: list, frac: int) -> tuple[list, list] | None:
@@ -664,7 +791,7 @@ def _modulus_extremes(k: int, n: int, r, precision_bits: int,
 
 
 def eigenvalues_direct(k: int, n: int, r, precision_bits: int = 256) -> EigenSpectrum:
-    """lambda_m as the generator polynomial evaluated at rho_m by Horner,
+    """lambda_m as the generator polynomial Psi evaluated at rho_m by Horner,
     on Gaussian integers scaled by 2^F (see _to_fixed and _horner_fixed), at
     the points of _fixed_grid.  F = bits + _GUARD + 8 + max(0, 3 - mag(rho));
     the extra bits for small |rho| keep the relative error of each point
@@ -677,22 +804,42 @@ def eigenvalues_direct(k: int, n: int, r, precision_bits: int = 256) -> EigenSpe
 
         |lambda~_m - Psi(rho_m)| <= 2^(1-F) * (sum_{j<n-1} |rho|^j + sum_l l a_l |rho|^(l-1)).
 
-    The first sum carries the floor of each Horner product, the second the
-    error of each point, which is below 2^(1-F) (see _fixed_grid).
+    At odd n, Horner runs at each point p_m; the first sum carries the
+    floor of each product, below sqrt(2) 2^-F, and the second the error of
+    each point, below 1.92 2^-F (see _fixed_grid).
 
-    For real r, Horner runs on the head of the grid only, about n/2 points
-    (_conjugate_half), and lambda~ at a mirrored point is the exact
-    conjugate of lambda~ at its mirror.  The a_l are real, so
-    Psi(conj rho) = conj Psi(rho) and |conj lambda~ - Psi(conj rho)| =
-    |lambda~ - Psi(rho)|: the bound holds at every point unchanged.  The
-    mirrored values can differ in their last bits from Horner run at the
-    mirrored point itself, whose floors round the other way.
+    At even n, rho_(m+n/2) = -rho_m, and the kernel takes the point
+    -p_m there.  With E and O the polynomials of the even and odd
+    coefficients, Psi(+-p) = E(p^2) +- p O(p^2): p^2, both Horners and
+    p O run at F + g fractional bits, g = 6 + max(0, F + 1 - b) with
+    2^(b-1) <= the larger part of p_0 scaled by 2^F, so 2^-g <= 2^-6 R,
+    R = |rho|; the two values are floored to F bits.  Floors of
+    sqrt(2) 2^-(F+g) in the Horners and in p O, carried by the powers of
+    p^2 and by p, cost at most
+    sqrt(2) 2^-(F+g) (2 sum_{j<n-1} R^j + sum_l l a_l R^(l-1) / (2R)), the
+    floor of p^2 entering through E' and O' (of degree below n/2, taken at
+    R^2); 2^-g <= 2^-6 R keeps this below 2^(1-F) (0.03 sum_j R^j +
+    0.006 sum_l l a_l R^(l-1)).  The final floors add
+    sqrt(2) 2^-F <= 2^(1-F) 0.71, and the point 1.92 2^-F times the second
+    sum, so the bound holds with room.
+
+    For real r the kernel evaluates only part of the grid and mirrors the
+    rest: rho_m = conj rho_((s - m) mod n) (_conjugate_half).  At odd n it
+    evaluates the head, about n/2 points, and at even n the pairs m,
+    m + n/2 for m < ceil(h/2), about n/4 + 1 of them, which with their
+    mirrors cover the grid; complex r evaluates every point, in pairs at
+    even n.  The a_l are real, so Psi(conj rho) = conj Psi(rho): a
+    mirrored value errs by exactly as much as its mirror.  The mirrored
+    lambdas and points are the conjugates of the rounded values, which
+    is the same as rounding the conjugates, round-nearest being symmetric.
+    They can differ in their last bits from Horner run at the mirrored
+    point itself, whose floors round the other way.
     """
-    frac, points, values = _direct_fixed(k, n, r, precision_bits)
+    frac, points, values, s = _direct_fixed(k, n, r, precision_bits)
     with mp.workprec(precision_bits + _GUARD):
-        lams = tuple(_from_fixed(x, y, frac) for x, y in values)
-        grid = EigenGrid(n=n, r=r, precision_bits=precision_bits,
-                         rhos=tuple(_from_fixed(x, y, frac) for x, y in points))
+        lams = _conjugate_fill({m: _from_fixed(x, y, frac) for m, (x, y) in values.items()}, n, s)
+        rhos = _conjugate_fill({m: _from_fixed(x, y, frac) for m, (x, y) in points.items()}, n, s)
+    grid = EigenGrid(n=n, r=r, precision_bits=precision_bits, rhos=rhos)
     return EigenSpectrum(k=k, grid=grid, lambdas=lams, branches=("direct",) * n)
 
 
@@ -892,32 +1039,34 @@ def _residual_cell(k: int, n: int) -> tuple:
             (b00, b10 + b01, b11, b20 + b02, b21 + b12, b22, b10 - b01, b20 - b02, b21 - b12))
 
 
-def _residual_point(k: int, cell: tuple, x: int, y: int, lam: tuple, r: tuple, frac: int) -> tuple:
+def _residual_point(k: int, cell: tuple, x: int, y: int, lam: tuple, r: tuple, frac: int,
+                    guard: int) -> tuple:
     """(psi, chi, e_hat, q, beta_0, beta_n) at rho = (x + i y) 2^-frac,
     z = conj(rho), lambda = lam 2^-frac and r = r 2^-frac (lam and r
-    pairs), exactly: psi(rho), chi(z) and beta_0(z) as pairs scaled by
-    2^(3 frac), E^ and beta_n(z) as pairs and Q(rho) as an integer scaled
-    by 2^(4 frac); cell is _residual_cell's.  chi(z) is conj(chi(rho)), and
-    chi(rho) = -psi(rho) - 3k (rho + rho^2).  See eigenpair_residuals."""
+    pairs), all scaled by 2^S, S = frac + guard: psi(rho), chi(z), E^,
+    beta_0(z) and beta_n(z) as pairs and Q(rho) as an integer; cell is
+    _residual_cell's.  chi(z) is conj(chi(rho)), and
+    chi(rho) = -psi(rho) - 3k (rho + rho^2).  |rho|^2, rho^2, rho^3,
+    |rho|^2 rho, |rho|^4 and each part of r C(rho) + psi lambda are
+    floored to S bits; the rest is exact.  See eigenpair_residuals for
+    the errors."""
     (c0, c1, c2), (g00, g01, g11, g02, g12, g22), (b00, b10, b11, b20, b21, b22, d10, d20, d21) = cell
-    xx, yy = x * x, y * y
-    m, re2, im2 = xx + yy, xx - yy, 2 * x * y  # |rho|^2 and rho^2
-    re3, im3 = x * re2 - y * im2, x * im2 + y * re2  # rho^3
-    mx, my, mm = m * x, m * y, m * m
-    psi_x = (1 << 3 * frac) - ((2 * k * x << frac) + k * re2 << frac) - re3
-    psi_y = -((2 * k * y << frac) + k * im2 << frac) - im3
-    chi = (-psi_x - ((3 * k * x << frac) + 3 * k * re2 << frac),
-           psi_y + ((3 * k * y << frac) + 3 * k * im2 << frac))
-    cr, ci = ((c0 << frac) + c1 * x << frac) + c2 * re2, (c1 * y << frac) + c2 * im2  # C(rho)
+    top = frac + guard
+    xs, ys, xx, yy = x << guard, y << guard, x * x, y * y
+    m, re2, im2 = (_shifted(v, guard - frac) for v in (xx + yy, xx - yy, 2 * x * y))  # |rho|^2, rho^2
+    re3, im3 = (x * re2 - y * im2) >> frac, (x * im2 + y * re2) >> frac  # rho^3
+    mx, my, mm = (m * x) >> frac, (m * y) >> frac, (m * m) >> top
+    psi_x = (1 << top) - 2 * k * xs - k * re2 - re3
+    psi_y = -2 * k * ys - k * im2 - im3
+    chi = -psi_x - 3 * k * (xs + re2), psi_y + 3 * k * (ys + im2)
+    cr, ci = (c0 << top) + c1 * xs + c2 * re2, c1 * ys + c2 * im2  # C(rho)
     (lr, li), (rr, ri) = lam, r
-    e_hat = ((x << 3 * frac) - (rr * cr - ri * ci << frac) - (psi_x * lr - psi_y * li),
-             (y << 3 * frac) - (rr * ci + ri * cr << frac) - (psi_x * li + psi_y * lr))
-    # Horner in 2^frac over the terms of degree 0 .. 4 in (rho, z)
-    q = ((((g00 << frac) + g01 * x << frac) + g11 * m + g02 * re2 << frac) + g12 * mx << frac) + g22 * mm
-    beta_0 = ((x << 2 * frac) + (k * m + re2 << frac) + mx, (y << 2 * frac) - (im2 << frac) + my)
-    beta_n = (((((b00 << frac) + b10 * x << frac) + b11 * m + b20 * re2 << frac) + b21 * mx << frac)
-              + b22 * mm,
-              (((d10 * y << frac) + d20 * im2 << frac) + d21 * my) << frac)
+    e_hat = (xs - ((rr * cr - ri * ci + psi_x * lr - psi_y * li) >> frac),
+             ys - ((rr * ci + ri * cr + psi_x * li + psi_y * lr) >> frac))
+    q = (g00 << top) + g01 * xs + g11 * m + g02 * re2 + g12 * mx + g22 * mm
+    beta_0 = xs + k * m + re2 + mx, ys - im2 + my
+    beta_n = ((b00 << top) + b10 * xs + b11 * m + b20 * re2 + b21 * mx + b22 * mm,
+              d10 * ys + d20 * im2 + d21 * my)
     return (psi_x, psi_y), chi, e_hat, q, beta_0, beta_n
 
 
@@ -931,12 +1080,11 @@ def _shifted(v: int, shift: int) -> int:
     return v << shift if shift >= 0 else v >> -shift
 
 
-def _cut(x: int, y: int, keep: int) -> tuple[int, int, int]:
-    """(x', y', e): x + i y rounded down to keep bits below the leading bit
-    of the larger part, x + i y = (x' + i y') 2^e within 2^(1.5-keep)
-    relative; e = 0 for a pair that is already that short."""
-    e = max(0, _size(x, y) - keep)
-    return x >> e, y >> e, e
+def _cut(v: int, keep: int) -> tuple[int, int]:
+    """(v', e): v > 0 rounded down to keep bits, v = v' 2^e within
+    2^(1-keep) relative; e = 0 for a v that is already that short."""
+    e = max(0, v.bit_length() - keep)
+    return v >> e, e
 
 
 def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum,
@@ -982,17 +1130,37 @@ def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum,
     scaled by 2^F', F' = F + max(0, 3 - mag(r)), F = bits + _GUARD + 8; the
     extra bits for small |r| keep the relative error of rho and of r
     below 2^(0.5-F).  For these rho~, lambda~ and r~ the identity is
-    exact, and psi, chi, E^, Q, beta_0 and beta_n are exact integers
-    (_residual_point).  Only rho~^n and W come from one binary powering
-    (_pow_sum_fixed) at H >= F' fractional bits, rho~^n within
-    delta = 3 n M^n 2^-H, M = max(1, |rho~|), and W within 9 n 2^-H,
-    relative.  The sum X~ = |E^|^2 W~ + |c~|^2 Q + 2 Re(conj(E^) c~ S~),
-    S~ = B~ / chi, B~ = z~^n beta_0 - beta_n, and the denominator
-    |psi|^2 W~ ||M||_F^2, with ||M||_F^2 = n s2 + (|r~|^2 - 1) w2 at r~, are
-    formed from their factors, E^, B~, chi, psi, Q and ||M||_F^2 each cut
-    to K bits below its leading bit (_cut, within 2^(1.5-K) relative) and
-    c~ and W~ whole; then one integer division, one isqrt and one
-    rounding.
+    exact.  psi, chi, E^, Q, beta_0 and beta_n come from floors at
+    S = F' + g fractional bits (_residual_point), and rho~^n and W from one
+    binary powering (_pow_sum_fixed) at H >= F' fractional bits, rho~^n
+    within delta = 3 n M^n 2^-H, M = max(1, |rho~|), and W within
+    9 n 2^-H, relative.  The sum X~ = |E^|^2 W~ + |c~|^2 Q + 2 Re(conj(E^) c~ S~),
+    S~ = B~ / chi, B~ = z~^n beta_0 - beta_n floored to S bits, and the
+    denominator |psi|^2 W~ ||M||_F^2, with ||M||_F^2 = n s2 + (|r~|^2 - 1) w2
+    at r~, are formed from these integers, ||M||_F^2 cut to F + 10 bits
+    (_cut, within 2^(-F-9) relative); the three terms of X~ are floored to
+    a common unit 2^(log2 Y - K - 4); then one integer division, one isqrt
+    and one rounding.
+
+    Floors.  In units of 2^-S, each floor errs by less than one unit per
+    part, times what multiplies it, so the floored values err by less than
+    6k M (psi), 12k M (chi), 2 c_2 |r~| + 6k M |lambda~| + 3 (E^, c_2 of
+    t_integers), (G_11 + G_02 + 2 G_12 + 4 G_22) M^2 (Q, G of
+    _residual_cell), 8k M (beta_0),
+    (|b_11| + |b_20| + 2 |b_21| + 4 |b_22| + |d_20| + 2 |d_21|) M^2
+    (beta_n) and |z~^n| 8k M + that + sqrt(2) (B~); M and |lambda~| are
+    taken at their largest over the grid.  Six checks from bit lengths
+    place them in the proof.  (i) psi errs by less than 2^(-F-5) of its
+    floored value, which the denominator's relative error takes, and
+    (ii) chi by less than half of its own; so the floored values give
+    lower bounds on |psi| and |chi|.  (iii) E^'s floor moves the vector
+    rho^i E^ + c L_(n-i) by at most its error times sqrt(W), and
+    ||e|| / ||v|| by at most (5) 2^(-F-2) U.  After the powering, the
+    floors of (iv) Q, (v) B~ and (vi) chi change X~ by at most
+    2^(-K-3) Y each.  Where a check fails, near the reciprocal
+    characteristic roots (criterion 06's grids), the point is evaluated
+    again with g raised by the shortfall; g starts at 24 + 2 log2 M, and
+    on eigen-verify's grids no point needs a second evaluation.
 
     Guard bits.  With U = max(1, |r|) A, A = sum_l a_l: c~ = r~ - rho~^n
     errs by at most delta, which moves the vector rho^i E^ + c L_(n-i) by
@@ -1003,16 +1171,18 @@ def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum,
     most (2) sqrt(9 n 2^-H) |E^| / |psi| and
     (3) sqrt(13 n M^2 2^-H |E^| |beta_0| / |chi|) / |psi|, with
     |c~| <= 2.1 M^n and W >= M^(2n-2) (|rho^n / r - 1| <= 2^-16, below).
-    H is the least integer >= F' that bounds each of (1) - (3) by
-    2^(-F-1) U, found from bit lengths before the powering.  Away from
-    the reciprocal characteristic roots it is F' plus about
-    log2(n^1.5 k) bits, for (1); near one, where |psi(rho)| is small, (2)
-    and (3) grow with 2 log2(1 / |psi|).  The cuts and the floors that
-    align the three terms change X~ by at most 2^(5-K) Y, Y a power of two
-    above |E^|^2 W~ + |c~|^2 Q + 2 |E^| |c~| |B~| / |chi|, which adds at
-    most (4) sqrt(2^(5-K) Y / W) / |psi|.  K is the least integer
-    >= F + 10 that bounds (4) by 2^(-F-2) U, from bit lengths after the
-    powering; the denominator's cuts err by less than 2^(3.2-K) relative.
+    E^ is the floored value here, and sqrt(Q) and |beta_0| are bounded
+    from above by the floored values plus their errors.  H is the least
+    integer >= F' that bounds each of (1) - (3) by 2^(-F-1) U, found from
+    bit lengths before the powering.  Away from the reciprocal
+    characteristic roots it is F' plus about log2(n^1.5 k) bits, for (1);
+    near one, where |psi(rho)| is small, (2) and (3) grow with
+    2 log2(1 / |psi|).  The floors that align the three terms, the
+    quotient by |chi|^2 included, change X~ by at most 2^(-K-2) Y, and
+    with (iv) - (vi) by less than 2^(5-K) Y, Y a power of two above
+    |E^|^2 W~ + |c~|^2 Q + 2 |E^| |c~| |B~| / |chi|, which adds at most
+    (4) sqrt(2^(5-K) Y / W) / |psi|.  K is the least integer >= F + 10
+    that bounds (4) by 2^(-F-2) U, from bit lengths after the powering.
 
     Error bound: for rho_m with |rho_m^n / r - 1| <= 2^-16 (every grid from
     eigen_grid and the grid of every spectrum from eigenvalues_direct meets
@@ -1024,10 +1194,11 @@ def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum,
     ||M||_F ||v||, in units of U / ||M||_F.  Rounding rho moves v by
     n 2^(0.5-F) ||v||, and ||M - T|| <= 2U, which gives 2^(1.5-F) n;
     rounding lambda and r (||dM|| <= |dr| A) adds 2^(0.5-F) each, and
-    (1) - (4) add 1.75 2^-F.  The second term is the relative error of
+    (1) - (5) add 2^(1-F).  The second term is the relative error of
     ||v|| and ||M||_F: n 2^(0.5-F) from the rounded rho, as much again
     from (T - lambda) dv, 4.5 n 2^-H from W~, 2^(-F-1.5) from r~ in
-    ||M||_F, and 2^(-F-7) from the cuts and the final rounding.
+    ||M||_F, 2^(-F-4.9) from psi's floor and 2^(-F-7) from the cut of
+    ||M||_F^2 and the final rounding.
     """
     if precision_bits not in (None, spectrum.grid.precision_bits):
         raise ValueError(f"precision_bits {precision_bits!r} differs from the spectrum's"
@@ -1043,58 +1214,78 @@ def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum,
         cell = _residual_cell(k, n)
         rx, ry = _to_fixed(r_mp, frac)
         one2 = 1 << 2 * frac
-        # ||M||_F^2 at r~, scaled by 2^(2 frac), cut like the other factors
-        fro, _, fro_exp = _cut(n * sums.s2_closed(k, n - 1) * one2
-                               + (rx * rx + ry * ry - one2) * sums.w2_closed(k, n - 1), 0, top + 10)
+        # ||M||_F^2 at r~, scaled by 2^(2 frac), cut to F + 10 bits
+        fro, fro_exp = _cut(n * sums.s2_closed(k, n - 1) * one2
+                            + (rx * rx + ry * ry - one2) * sums.w2_closed(k, n - 1), top + 10)
         fro_exp -= 2 * frac
         log_u = term(k, n - 1).bit_length() - 1 + max(0, _size(rx, ry) - 2 - frac)  # <= log2 U
         need_1 = top + 1 + (3 * n).bit_length() - log_u
         need_2 = 2 * top + 2 + (9 * n).bit_length() - 2 * log_u
         need_3 = 2 * top + 2 + (13 * n).bit_length() - 2 * log_u
         need_4 = 2 * top + 10 - 2 * log_u
+        points = [tuple(to_fixed(part, frac) for part in (*rho._mpc_, *lam._mpc_))
+                  for rho, lam in zip(spectrum.grid.rhos, spectrum.lambdas)]
+        # bounds on log2 of M = max(1, |rho~|) and |lambda~| over the grid,
+        # and on the floors of _residual_point (see (i) - (vi)) in units of 2^-S
+        log_m = max(0, max(_size(x, y) for x, y, _, _ in points) + 1 - frac)
+        log_l = max(_size(lx, ly) for _, _, lx, ly in points) + 1 - frac
+        (_, _, c2), g, b = cell
+        d_psi, d_chi, d_b0 = ((j * k).bit_length() + log_m for j in (6, 12, 8))
+        d_e = max(c2.bit_length() + _size(rx, ry) + 2 - frac, d_psi + log_l, 2) + 2
+        d_q = (g[2] + g[3] + 2 * g[4] + 4 * g[5]).bit_length() + 2 * log_m
+        d_bn = (abs(b[2]) + abs(b[3]) + 2 * abs(b[4]) + 4 * abs(b[5]) + abs(b[7]) + 2 * abs(b[8])
+                ).bit_length() + 2 * log_m
         prec = mp.prec
         out = []
-        for rho, lam in zip(spectrum.grid.rhos, spectrum.lambdas):
-            (rho_x, rho_y), (lam_x, lam_y) = rho._mpc_, lam._mpc_
-            x, y = to_fixed(rho_x, frac), to_fixed(rho_y, frac)
-            psi, chi, (ex, ey), q, beta_0, beta_n = _residual_point(
-                k, cell, x, y, (to_fixed(lam_x, frac), to_fixed(lam_y, frac)), (rx, ry), frac)
-            # bounds on log2 of M, sqrt(Q), E^ and beta_0 from above and of
-            # psi and chi from below
-            log_m = max(0, _size(x, y) + 1 - frac)
-            log_q = -((4 * frac - q.bit_length()) // 2)
-            log_e = _size(ex, ey) + 1 - 4 * frac
-            log_psi = _size(*psi) - 1 - 3 * frac
-            log_chi = _size(*chi) - 1 - 3 * frac
-            log_b = _size(*beta_0) + 1 - 3 * frac
-            wide = max(frac, need_1 + log_m + log_q - log_psi, need_2 + 2 * (log_e - log_psi),
-                       need_3 + 2 * log_m + log_e + log_b - log_chi - 2 * log_psi)
-            g = wide - frac
-            px, py, w = _pow_sum_fixed(x << g, y << g, n, wide)
-            cx, cy = (rx << g) - px, (ry << g) - py  # c~, scaled by 2^H
-            # B~ = z~^n beta_0 - beta_n, z~^n = conj(rho~^n), scaled by 2^(H + 3 frac)
-            bx = px * beta_0[0] + py * beta_0[1] - (beta_n[0] << g)
-            by = px * beta_0[1] - py * beta_0[0] - (beta_n[1] << g)
-            # keep bits per cut factor, from log2 Y and (4); X~ in units of 2^low
-            log_c = _size(cx, cy) + 1 - wide
-            log_y = 2 + max(2 * log_e + w.bit_length() - wide, 2 * log_c + q.bit_length() - 4 * frac,
-                            1 + log_e + log_c + _size(bx, by) + 1 - wide - 3 * frac - log_chi)
-            keep = max(top + 10, need_4 + log_y - 2 * log_psi - (w.bit_length() - 1 - wide))
+        for x, y, lx, ly in points:
+            guard = 24 + 2 * log_m
+            while True:
+                scale = frac + guard  # S
+                psi, chi, (ex, ey), q, beta_0, beta_n = _residual_point(
+                    k, cell, x, y, (lx, ly), (rx, ry), frac, guard)
+                # bounds on log2 of sqrt(Q), E^ and beta_0 from above and
+                # of psi and chi from below
+                size_psi, size_chi = _size(*psi), _size(*chi)
+                log_psi, log_chi = size_psi - 2 - scale, size_chi - 2 - scale
+                log_q = -((scale - 1 - max(q.bit_length(), d_q)) // 2)
+                log_e = _size(ex, ey) + 1 - scale
+                log_b = max(_size(*beta_0), d_b0) + 2 - scale
+                # floors (i) - (iii)
+                short = max(d_psi + top + 6 - size_psi, d_chi + 2 - size_chi,
+                            d_e - scale + top + 2 - log_u - log_psi)
+                if short > 0:
+                    guard += short
+                    continue
+                wide = max(frac, need_1 + log_m + log_q - log_psi, need_2 + 2 * (log_e - log_psi),
+                           need_3 + 2 * log_m + log_e + log_b - log_chi - 2 * log_psi)
+                lift = wide - frac
+                px, py, w = _pow_sum_fixed(x << lift, y << lift, n, wide)
+                cx, cy = (rx << lift) - px, (ry << lift) - py  # c~, scaled by 2^H
+                # B~ = z~^n beta_0 - beta_n, z~^n = conj(rho~^n), scaled by 2^S
+                bx = ((px * beta_0[0] + py * beta_0[1]) >> wide) - beta_n[0]
+                by = ((px * beta_0[1] - py * beta_0[0]) >> wide) - beta_n[1]
+                # K from log2 Y and (4); X~ in units of 2^low
+                log_c, size_b = _size(cx, cy) + 1 - wide, _size(bx, by)
+                log_y = 2 + max(2 * log_e + w.bit_length() - wide, 2 * log_c + q.bit_length() - scale,
+                                1 + log_e + log_c + size_b + 1 - scale - log_chi)
+                keep = max(top + 10, need_4 + log_y - 2 * log_psi - (w.bit_length() - 1 - wide))
+                # floors (iv) - (vi)
+                d_b = max(_size(px, py) + 1 - wide + d_b0, d_bn, 1) + 2
+                short = max(2 * log_c + d_q, 1 + log_e + log_c + d_b - log_chi,
+                            log_e + log_c + size_b + 1 + d_chi - scale - 2 * log_chi) \
+                    - scale - (log_y - keep - 3)
+                if short <= 0:
+                    break
+                guard += short
             low = log_y - keep - 4
-            ex, ey, e_exp = _cut(ex, ey, keep)
-            bx, by, b_exp = _cut(bx, by, keep)
-            hx, hy, h_exp = _cut(*chi, keep)
-            px, py, p_exp = _cut(*psi, keep)
-            q, _, q_exp = _cut(q, 0, keep)
-            e_exp -= 4 * frac
+            hx, hy = chi
             ux, uy = ex * cx + ey * cy, ex * cy - ey * cx  # conj(E^) c~
             vx, vy = bx * hx + by * hy, by * hx - bx * hy  # B~ conj(chi)
-            cross = _shifted(ux * vx - uy * vy,
-                             1 + e_exp + b_exp - h_exp - 2 * wide - low) // (hx * hx + hy * hy)
-            num = max(0, _shifted((ex * ex + ey * ey) * w, 2 * e_exp - wide - low)
-                      + _shifted((cx * cx + cy * cy) * q, q_exp - 2 * wide - 4 * frac - low) + cross)
-            den = (px * px + py * py) * w * fro
-            low -= 2 * (p_exp - 3 * frac) - wide + fro_exp  # the ratio's exponent
+            cross = _shifted(ux * vx - uy * vy, 1 - scale - wide - low) // (hx * hx + hy * hy)
+            num = max(0, _shifted((ex * ex + ey * ey) * w, -2 * scale - wide - low)
+                      + _shifted((cx * cx + cy * cy) * q, -scale - 2 * wide - low) + cross)
+            den = (psi[0] * psi[0] + psi[1] * psi[1]) * w * fro
+            low += 2 * scale + wide - fro_exp  # the ratio's exponent
             shift = max(0, 2 * prec + 16 + den.bit_length() - num.bit_length())
             shift += (shift - low) & 1
             root = math.isqrt((num << shift) // den)

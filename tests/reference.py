@@ -12,31 +12,35 @@ and its power sums from sequence.term), each with its own statement of T,
 and mpmath's own mpc Horner, which
 spectral._horner_mpc reproduces on integers, and the quadratic roots
 with mpmath's own complex square root.  The eigenvalue grid from
-mpmath's own expjpi and the generic closed eigenvalue in mpc arithmetic,
-which spectral.eigen_grid and spectral.eigenvalues_closed replay on
-integers.  Also the smallest eigenvalue
+mpmath's own expjpi, and from its mpf_cos_sin_pi at every point, and the
+generic closed eigenvalue in mpc arithmetic, which spectral.eigen_grid
+and spectral.eigenvalues_closed replay on integers.  Also the smallest eigenvalue
 modulus, which only the tests read, from the exhaustive comparison over
 every kernel value that spectral._modulus_extremes narrows to candidates,
 the four partial sums of the sequence as literal O(n) loops, and the
 eigenpair residual from its O(n) row recurrence, which
-spectral.eigenpair_residuals replaces by the telescoped closed form.
+spectral.eigenpair_residuals replaces by the telescoped closed form, and
+the exact terms of that form at a point, which spectral._residual_point
+takes from floors.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 from mpmath import mp, mpc, mpf, mpmathify
+from mpmath.libmp import from_int, mpf_cos_sin_pi, mpf_div, round_nearest
 
 from pelltrib.circulant import abs_sq, build, build_pell, is_exact
 from pelltrib.errors import DimensionMismatch
 from pelltrib.sequence import (_GUARD, char_roots, check_bits, check_int, check_k, recip_poly,
                                t_integers, term, terms_upto)
-from pelltrib.spectral import (_conjugate_half, _conjugate_tail, _fixed_grid, _from_fixed,
-                               _horner_fixed, _modulus, _principal_root, _to_fixed,
-                               frobenius_sq_closed)
+from pelltrib.spectral import (_cmul, _conjugate_half, _conjugate_tail, _fixed_grid, _from_fixed,
+                               _horner_fixed, _modulus, _principal_root, _signed, _to_fixed,
+                               _to_mpc, frobenius_sq_closed)
 
 
 # The direct oracles leave the checks of k and n to terms_upto.
@@ -339,3 +343,55 @@ def eigenpair_residuals_recurrence(k: int, n: int, r, spectrum) -> list:
             shift += (shift + frac) & 1
             out.append(mpf((math.isqrt((err_sq << shift) // w), -(frac + shift) // 2)) / fro)
     return out
+
+
+def eigen_grid_mpmath(n: int, r, precision_bits: int) -> tuple:
+    """The points of spectral.eigen_grid with (cos, sin)(pi x_m) from
+    mpmath's own mpf_cos_sin_pi at every point, x_m = mpf_div(2m, n), and
+    the product by the root from spectral._cmul: the per-point loop that
+    spectral._unit_grid's rotation reproduces bit for bit."""
+    with mp.workprec(precision_bits + _GUARD):
+        prec = mp.prec
+        z = tuple(map(_signed, _principal_root(n, mpmathify(r))._mpc_))
+        return tuple(_to_mpc(_cmul(z, unit, prec)) for unit in _cos_sin_pi_mpmath(n, prec))
+
+
+@cache
+def _cos_sin_pi_mpmath(n: int, prec: int) -> tuple:
+    """mpf_cos_sin_pi(mpf_div(2m, n), prec, round_nearest) for m < n as
+    pairs of spectral._signed pairs, kept for the grids of every r."""
+    den = from_int(n)
+    return tuple(tuple(map(_signed, mpf_cos_sin_pi(mpf_div(from_int(2 * m), den, prec, round_nearest),
+                                                   prec, round_nearest)))
+                 for m in range(n))
+
+
+def residual_point_exact(k: int, cell: tuple, x: int, y: int, lam: tuple, r: tuple, frac: int) -> tuple:
+    """(psi, chi, e_hat, q, beta_0, beta_n) at rho = (x + i y) 2^-frac,
+    z = conj(rho), lambda = lam 2^-frac and r = r 2^-frac (lam and r
+    pairs), exactly: psi(rho), chi(z) and beta_0(z) as pairs scaled by
+    2^(3 frac), E^ and beta_n(z) as pairs and Q(rho) as an integer scaled
+    by 2^(4 frac); cell is spectral._residual_cell's.  chi(z) is
+    conj(chi(rho)), and chi(rho) = -psi(rho) - 3k (rho + rho^2).  The
+    oracle for spectral._residual_point, which takes the same quantities
+    from floors at fewer bits; see spectral.eigenpair_residuals."""
+    (c0, c1, c2), (g00, g01, g11, g02, g12, g22), (b00, b10, b11, b20, b21, b22, d10, d20, d21) = cell
+    xx, yy = x * x, y * y
+    m, re2, im2 = xx + yy, xx - yy, 2 * x * y  # |rho|^2 and rho^2
+    re3, im3 = x * re2 - y * im2, x * im2 + y * re2  # rho^3
+    mx, my, mm = m * x, m * y, m * m
+    psi_x = (1 << 3 * frac) - ((2 * k * x << frac) + k * re2 << frac) - re3
+    psi_y = -((2 * k * y << frac) + k * im2 << frac) - im3
+    chi = (-psi_x - ((3 * k * x << frac) + 3 * k * re2 << frac),
+           psi_y + ((3 * k * y << frac) + 3 * k * im2 << frac))
+    cr, ci = ((c0 << frac) + c1 * x << frac) + c2 * re2, (c1 * y << frac) + c2 * im2  # C(rho)
+    (lr, li), (rr, ri) = lam, r
+    e_hat = ((x << 3 * frac) - (rr * cr - ri * ci << frac) - (psi_x * lr - psi_y * li),
+             (y << 3 * frac) - (rr * ci + ri * cr << frac) - (psi_x * li + psi_y * lr))
+    # Horner in 2^frac over the terms of degree 0 .. 4 in (rho, z)
+    q = ((((g00 << frac) + g01 * x << frac) + g11 * m + g02 * re2 << frac) + g12 * mx << frac) + g22 * mm
+    beta_0 = ((x << 2 * frac) + (k * m + re2 << frac) + mx, (y << 2 * frac) - (im2 << frac) + my)
+    beta_n = (((((b00 << frac) + b10 * x << frac) + b11 * m + b20 * re2 << frac) + b21 * mx << frac)
+              + b22 * mm,
+              (((d10 * y << frac) + d20 * im2 << frac) + d21 * my) << frac)
+    return (psi_x, psi_y), chi, e_hat, q, beta_0, beta_n

@@ -376,6 +376,15 @@ def test_parser_reuse_after_error_matches_fresh_process(capsys):
     assert _capture(argv, capsys) == fresh.stdout
 
 
+def test_python_dash_m_pelltrib_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    done = subprocess.run([sys.executable, "-m", "pelltrib", "seq", "--k", "1", "--n", "4"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "13\n", "")
+
+
 @contextlib.contextmanager
 def _no_int_digit_limit():
     limit = sys.get_int_max_str_digits()

@@ -18,6 +18,7 @@ import io
 import json
 import pathlib
 
+import mpmath.libmp.libelefun
 import pytest
 
 from pelltrib import cli
@@ -91,6 +92,30 @@ def test_golden_files_cover_every_case():
     for name, argvs in CASES.items():
         golden = json.loads((GOLDEN_DIR / name).read_text(encoding="utf-8"))
         assert set(golden) == set(_keyed(argvs)), name
+
+
+# argvs whose bytes moved with mpmath's bitcount before the eigen grid
+# stopped calling mpf_cos_sin_pi at every point (defect 12)
+BITCOUNT_ARGVS = [
+    ["eig", "--k=1", "--n=63", "--r=-3/2"], ["eig", "--k=1", "--n=63", "--r=0+1i"],
+    ["eig", "--k=1", "--n=83", "--r=2"], ["eig", "--k=1", "--n=83", "--r=-3/2"],
+    ["eig", "--k=1", "--n=126", "--r=2"], ["det", "--k=1", "--n=63", "--r=3/7"],
+]
+
+
+def test_eig_and_det_bytes_do_not_depend_on_bitcount(monkeypatch):
+    # mpmath's pure-Python bitcount counts 0 bits in a negative integer and
+    # gmpy's bit_length counts |n|; with the latter patched into libelefun
+    # every eig and det golden and the argvs above keep their bytes
+    before = [_run(argv) for argv in BITCOUNT_ARGVS]
+    monkeypatch.setattr(mpmath.libmp.libelefun, "bitcount", lambda v: abs(v).bit_length())
+    assert [_run(argv) for argv in BITCOUNT_ARGVS] == before
+    differ = []
+    for name, argvs in CASES.items():
+        golden = json.loads((GOLDEN_DIR / name).read_text(encoding="utf-8"))
+        differ += [key for key, argv in _keyed(argvs).items()
+                   if argv[0] in ("eig", "det") and _run(argv) != golden[key]]
+    assert not differ, differ
 
 
 if __name__ == "__main__":

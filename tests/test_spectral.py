@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 import mpmath
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import from_man_exp, mpf_mul, mpf_sqrt, mpf_sub, normalize, round_nearest
+from mpmath.libmp import (from_int, from_man_exp, mpf_cos_sin_pi, mpf_div, mpf_mul, mpf_sqrt,
+                          mpf_sub, normalize, round_nearest)
 import sympy
 from hypothesis import given, settings, strategies as st
 
@@ -421,7 +422,8 @@ def _gpoly(coeffs, z):
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_residual_point_is_the_telescoped_sum_exactly(k):
-    # at random dyadic rho, lambda and r: _residual_point's psi, chi, E^, Q,
+    # at random dyadic rho, lambda and r: the exact oracle of
+    # _residual_point (tests/reference.py) gives psi, chi, E^, Q,
     # beta_0 and beta_n against Gaussian rationals, and, with the exact
     # rho^n and W, |E^|^2 W + |c|^2 Q + 2 Re(conj(E^) c B / chi) equal to
     # |psi|^2 sum_i |e_i|^2 from the rows e_i = rho^i (T - lambda) + c h_i
@@ -433,7 +435,7 @@ def test_residual_point_is_the_telescoped_sum_exactly(k):
         cell = sp._residual_cell(k, n)
         for _ in range(4):
             x, y, lx, ly, rx, ry = (int(v) for v in rng.integers(-2 * one, 2 * one, size=6))
-            psi, chi, e_hat, q, beta_0, beta_n = sp._residual_point(
+            psi, chi, e_hat, q, beta_0, beta_n = ref.residual_point_exact(
                 k, cell, x, y, (lx, ly), (rx, ry), frac)
             rho, lam, r = _gauss((x, y), one), _gauss((lx, ly), one), _gauss((rx, ry), one)
             z = (rho[0], -rho[1])
@@ -476,6 +478,36 @@ def test_residual_point_is_the_telescoped_sum_exactly(k):
                 + 2 * cross / chi_sq
             psi_sq = want_psi[0] ** 2 + want_psi[1] ** 2
             assert telescoped == psi_sq * sum(v[0] ** 2 + v[1] ** 2 for v in rows), (k, n)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_residual_point_within_its_floor_bounds_of_the_exact_oracle(k):
+    # _residual_point at S = frac + guard fractional bits against the exact
+    # values of tests/reference.py, within the floor bounds that
+    # eigenpair_residuals takes, in units of 2^-S with M = max(1, |rho|):
+    # psi 6k M, chi 12k M, E^ 2 c_2 |r| + 6k M |lambda| + 3, Q
+    # (G_11 + G_02 + 2 G_12 + 4 G_22) M^2, beta_0 8k M and beta_n
+    # (|b_11| + |b_20| + 2 |b_21| + 4 |b_22| + |d_20| + 2 |d_21|) M^2
+    rng = np.random.default_rng(10 + k)
+    frac = 64
+    for n, guard, size in itertools.product((2, 3, 8, 24), (0, 7, 30, 64, 90), (-20, 0, 5)):
+        cell = sp._residual_cell(k, n)
+        (_, _, c2), g, b = cell
+        x, y, lx, ly, rx, ry = (int(v) << 2 + max(0, size) >> max(0, -size)
+                                for v in rng.integers(-2**62, 2**62, size=6))
+        got = sp._residual_point(k, cell, x, y, (lx, ly), (rx, ry), frac, guard)
+        want = ref.residual_point_exact(k, cell, x, y, (lx, ly), (rx, ry), frac)
+        unit, one = Fraction(1, 1 << frac + guard), 1 << frac
+        m = max(1, Fraction(math.isqrt(x * x + y * y) + 1, one))
+        lam, r = (Fraction(math.isqrt(u * u + v * v) + 1, one) for u, v in ((lx, ly), (rx, ry)))
+        bounds = (6 * k * m, 12 * k * m, 2 * c2 * r + 6 * k * m * lam + 3,
+                  (g[2] + g[3] + 2 * g[4] + 4 * g[5]) * m * m, 8 * k * m,
+                  (abs(b[2]) + abs(b[3]) + 2 * abs(b[4]) + 4 * abs(b[5]) + abs(b[7]) + 2 * abs(b[8])) * m * m)
+        for name, v, w, scale, bound in zip(("psi", "chi", "e_hat", "q", "beta_0", "beta_n"),
+                                            got, want, (3, 3, 4, 4, 3, 4), bounds):
+            v, w = (v, 0) if name == "q" else v, (w, 0) if name == "q" else w
+            dx, dy = (Fraction(a) * unit - Fraction(c, one ** scale) for a, c in zip(v, w))
+            assert dx * dx + dy * dy <= (bound * unit) ** 2, (n, guard, size, name)
 
 
 def _quadratic(coeffs, x):
@@ -583,40 +615,103 @@ MIRROR_R = (1, -1, 2, Fraction(-3, 2), Fraction(3, 7), Fraction(-1, 8), 10**40,
             mpf("1e-300"), -0.7)
 
 
+def _psi_exact(terms, x, y, frac):
+    """Psi at (x + i y) 2^-frac exactly, as a Gaussian integer pair scaled
+    by 2^(frac (n - 1)), n = len(terms)."""
+    ax = ay = 0
+    for j, a in enumerate(reversed(terms)):
+        ax, ay = ax * x - ay * y + (a << frac * j), ax * y + ay * x
+    return ax, ay
+
+
+def _assert_direct_values(k, n, r, bits):
+    """The evaluated values of _direct_fixed: Horner at their own points at
+    odd n, and at even n within the arithmetic part of the stated bound,
+    2^(1-F) (sum_{j<n-1} R^j + 2^-5 sum_l l a_l R^(l-1)), of Psi at the
+    point, with R the largest point modulus (plus 2^-F)."""
+    frac, points, values, s = sp._direct_fixed(k, n, r, bits)
+    terms = terms_upto(k, n - 1)
+    coeffs = [a << frac for a in reversed(terms)]
+    if n % 2:
+        for m, (x, y) in points.items():
+            assert values[m] == sp._horner_fixed(coeffs, x, y, frac), (k, n, r, m)
+        return frac, points, values, s
+    size = max(math.isqrt(x * x + y * y) + 1 for x, y in points.values()) + 1
+    one = 1 << frac
+    bound = 2 * (sum(size ** j * one ** (n - 2 - j) for j in range(n - 1)) * 32
+                 + sum(l * a * size ** (l - 1) * one ** (n - 1 - l) for l, a in enumerate(terms) if l))
+    for m, (x, y) in points.items():
+        want = _psi_exact(terms, x, y, frac)
+        u, v = values[m]
+        dx, dy = (u << frac * (n - 2)) - want[0], (v << frac * (n - 2)) - want[1]
+        assert math.isqrt(dx * dx + dy * dy) * 32 <= bound, (k, n, r, m)
+    return frac, points, values, s
+
+
 @pytest.mark.parametrize("bits", [64, 256])
 def test_direct_spectrum_is_conjugate_symmetric_for_real_r(bits):
-    # for real r the kernel computes rho_m and lambda_m for the head of the
-    # grid only and mirrors the rest: rho_(n-m) = conj rho_m for r > 0 and
-    # rho_(n-1-m) = conj rho_m for r < 0.  The mirrored pairs are exact
-    # conjugates, the head values are _horner_fixed at their own points, and
-    # every point, mirrored or not, lies within 2^(1-F) of the exact root.
+    # for real r the kernel evaluates part of the grid and mirrors the
+    # rest: rho_(n-m) = conj rho_m for r > 0 and rho_(n-1-m) = conj rho_m
+    # for r < 0, at odd n on the head of the grid and at even n on pairs
+    # m, m + n/2 with the point -p_m at m + n/2.  The mirrored pairs are
+    # exact conjugates, and every point, mirrored or not, lies within
+    # 2^(1-F) of the exact root.
     for r, n in itertools.product(MIRROR_R, [*range(2, 10), 21, 64]):
         exact = sp.eigen_grid(n, r, bits + 160)
         head, mirror = (n // 2 + 1, lambda m: n - m) if r > 0 else \
             ((n + 1) // 2, lambda m: n - 1 - m)
         for k in (1, 3):
-            frac, points, values = sp._direct_fixed(k, n, r, bits)
-            coeffs = [a << frac for a in reversed(terms_upto(k, n - 1))]
-            for m in range(head):
-                assert values[m] == sp._horner_fixed(coeffs, *points[m], frac), (r, n, m)
-            for m in range(head, n):
-                (x, y), (u, v) = points[m], values[m]
-                assert points[mirror(m)] == (x, -y), (r, n, m)
-                assert values[mirror(m)] == (u, -v), (r, n, m)
+            frac, points, values, s = _assert_direct_values(k, n, r, bits)
+            if n % 2:
+                assert sorted(points) == list(range(head)), (r, n)
+            else:
+                assert len(points) == 2 * ((head + 1) // 2), (r, n)
+                assert all(points[m + n // 2] == (-x, -y) for m, (x, y) in points.items()
+                           if m < n // 2), (r, n)
+            assert s % n == mirror(0) % n
+            spectrum = sp.eigenvalues_direct(k, n, r, bits)
+            with mp.workprec(bits + _GUARD):
+                for m in range(n):
+                    rho, lam = spectrum.grid.rhos[m], spectrum.lambdas[m]
+                    if m in values:
+                        assert lam._mpc_ == sp._from_fixed(*values[m], frac)._mpc_, (r, n, m)
+                        continue
+                    assert rho._mpc_ == spectrum.grid.rhos[mirror(m) % n].conjugate()._mpc_, (r, n, m)
+                    assert lam._mpc_ == spectrum.lambdas[mirror(m) % n].conjugate()._mpc_, (r, n, m)
         with mp.workprec(bits + _GUARD + 160):  # the points do not depend on k
             tol = mpf(2) ** (1 - frac)
-            for m, ((x, y), rho) in enumerate(zip(points, exact.rhos)):
+            for m, rho in enumerate(exact.rhos):
+                x, y = points[m] if m in points else points[mirror(m) % n]
+                if m not in points:
+                    y = -y
                 assert abs(sp._from_fixed(x, y, frac) - rho) <= tol, (r, n, m)
 
 
 def test_direct_spectrum_evaluates_every_point_for_complex_typed_r():
-    # complex-typed r keeps all n points, even with a zero imaginary part
+    # complex-typed r keeps all n points, even with a zero imaginary part,
+    # in pairs m, m + n/2 at even n
     for r, n in itertools.product((1j, 2 - 3j, complex(2, 0), mpc(2, 0)), (2, 5, 8, 21)):
-        frac, points, values = sp._direct_fixed(2, n, r, 256)
-        coeffs = [a << frac for a in reversed(terms_upto(2, n - 1))]
-        assert len(points) == len(values) == n
-        for m, (x, y) in enumerate(points):
-            assert values[m] == sp._horner_fixed(coeffs, x, y, frac), (r, n, m)
+        frac, points, values, _ = _assert_direct_values(2, n, r, 256)
+        assert sorted(points) == sorted(values) == list(range(n))
+
+
+def test_direct_kernel_halves_the_horner_steps():
+    # at even n one pair of half-length Horners serves rho and -rho, so for
+    # real r about n/4 + 1 pairs of n - 2 steps replace n/2 + 1 Horners of
+    # n - 1 steps: 0.27 n^2 steps at n = 64 against 0.51 n^2 before
+    steps = []
+    horner = sp._horner_fixed
+
+    def counting(coeffs, *args):
+        steps.append(len(coeffs) - 1)
+        return horner(coeffs, *args)
+
+    sp._horner_fixed = counting
+    try:
+        sp.eigenvalues_direct(3, 64, 2, 256)
+    finally:
+        sp._horner_fixed = horner
+    assert 0 < sum(steps) <= 0.3 * 64 ** 2
 
 
 def _same_extremes(k, n, r, bits, root_sq=None):
@@ -805,7 +900,7 @@ def test_pow_fixed_within_stated_bound(frac):
                 assert abs(w / mpf(2) ** frac - total) <= 9 * n * mpf(2) ** -frac * total, (n, scale)
 
 
-@pytest.mark.parametrize("n", [2, 3, 8, 21, 64, 200])
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 21, 64, 200])
 @pytest.mark.parametrize("bits", [64, 256, 512])
 def test_eigenvalues_direct_within_stated_bound_of_mpc_horner(bits, n):
     # the kernel's bound 2^(1-F) (sum_{j<n-1} |rho|^j + sum_l l a_l |rho|^(l-1)),
@@ -1052,6 +1147,48 @@ def test_closed_spectrum_is_mpmaths_bit_for_bit_on_criterion_05():
     # of the benchmark's eigen-verify workload
     for k, n, r in itertools.product(range(1, 6), range(3, 65), (1, -1, 2, Fraction(-3, 2), 1j)):
         _assert_closed_is_mpmaths(k, n, r, 256)
+
+
+GRID_R = (1, Fraction(-3, 2), 1j, 2 - 3j)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_eigen_grid_is_the_per_point_loop_bit_for_bit(bits, monkeypatch):
+    # the rotation and Ziv test of _unit_grid against mpmath's
+    # mpf_cos_sin_pi at every point (tests/reference.py, pure-Python
+    # bitcount), n = 2..150; at most 5% of the points fall back to
+    # _cos_sin_pi.  Defect 12: on n <= 100 with r in {1, -3/2, i} the grid
+    # runs with libelefun's bitcount patched to count |v| as gmpy's does,
+    # which moves mpf_cos_sin_pi itself on 12 of those 891 grids;
+    # r = 2 - 3i takes the same unit roots unpatched
+    fallbacks = []
+    port = sp._cos_sin_pi
+    monkeypatch.setattr(sp, "_cos_sin_pi", lambda x, prec: fallbacks.append(x) or port(x, prec))
+    points = 0
+    for n, r in itertools.product(range(2, 151), GRID_R):
+        want = [z._mpc_ for z in ref.eigen_grid_mpmath(n, r, bits)]
+        with monkeypatch.context() as patch:
+            if n <= 100 and r != 2 - 3j:
+                patch.setattr(mpmath.libmp.libelefun, "bitcount", lambda v: abs(v).bit_length())
+            got = [z._mpc_ for z in sp.eigen_grid(n, r, bits).rhos]
+        assert got == want, (n, r)
+        points += n
+    assert 0 < len(fallbacks) <= 0.05 * points
+
+
+def test_cos_sin_pi_port_is_mpmaths_pure_python_branch():
+    # the fallback against mpmath's own mpf_cos_sin_pi on every point of
+    # n = 2..64 whose x_m has an exponent below -1, both signs of the
+    # remainder among them
+    signs = set()
+    for prec, n in itertools.product((96, 288, 544), range(2, 65)):
+        for m in range(n):
+            x = mpf_div(from_int(2 * m), from_int(n), prec, round_nearest)
+            if x[1] and x[2] < -1:
+                signs.add((x[1] >> (-x[2] - 2)) & 1)
+                want = tuple(sp._signed(v) for v in mpf_cos_sin_pi(x, prec, round_nearest))
+                assert sp._cos_sin_pi(x, prec) == want, (prec, n, m)
+    assert signs == {0, 1}
 
 
 def test_from_fixed_is_from_man_exp_bit_for_bit():
