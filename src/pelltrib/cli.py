@@ -58,12 +58,14 @@ def _formula_fingerprint() -> str:
 # ---------------------------------------------------------------------------
 # scalar parsing
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-_REAL_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
+_U = r"(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?"  # an unsigned real literal
+_SCALAR_RE = re.compile(rf"(?P<rational>[+-]?\d+(/\d+)?)|(?P<real>[+-]?{_U})"
+                        rf"|(?:(?P<re>[+-]?{_U})(?=[+-]))?(?P<im>[+-]?(?:{_U})?)i")
 
 
 def parse_scalar(text: str, precision_bits: int = _DEFAULT_BITS):
-    """Parse the r grammar: [-]int[/int], real literal, or a+bi.
+    """Parse the r grammar of _SCALAR_RE: [+-]int[/int], a real literal, or
+    a complex a+bi, a+i, bi or i, where a and b are real literals.
 
     Rational input stays exact (Fraction); other real literals are
     promoted to an mpf at the requested precision; a+bi yields a double
@@ -72,37 +74,21 @@ def parse_scalar(text: str, precision_bits: int = _DEFAULT_BITS):
     s = text.strip().replace(" ", "")
     if not s:
         raise ScalarParseError("empty scalar")
-    if _RATIONAL_RE.match(s):
+    match = _SCALAR_RE.fullmatch(s)
+    if match is None:
+        raise ScalarParseError(f"cannot parse scalar {text!r}")
+    if match["rational"]:
         try:
             return Fraction(s)
         except ZeroDivisionError as exc:
             raise ScalarParseError(f"zero denominator in {text!r}") from exc
-    if _REAL_RE.fullmatch(s):
+    if match["real"]:
         with mp.workprec(precision_bits):
             return mp.mpf(s)
-    if s.endswith("i"):
-        return _parse_complex(s, text)
-    raise ScalarParseError(f"cannot parse scalar {text!r}")
-
-
-def _parse_complex(s: str, original: str) -> complex:
-    body = s[:-1]
-    # split at the last sign that is not leading and not an exponent sign
-    split = -1
-    for idx in range(len(body) - 1, 0, -1):
-        if body[idx] in "+-" and body[idx - 1] not in "eE":
-            split = idx
-            break
-    real_text, imag_text = (body[:split], body[split:]) if split > 0 else ("0", body)
-    if imag_text in ("", "+"):
-        imag_text = "1"
-    elif imag_text == "-":
-        imag_text = "-1"
-    if not _REAL_RE.fullmatch(real_text) or not _REAL_RE.fullmatch(imag_text):
-        raise ScalarParseError(f"cannot parse scalar {original!r}")
-    value = complex(float(real_text), float(imag_text))
+    im = match["im"]
+    value = complex(float(match["re"] or 0), float(im + "1" if im in ("", "+", "-") else im))
     if not cmath.isfinite(value):
-        raise ScalarParseError(f"complex scalar {original!r} overflows a double")
+        raise ScalarParseError(f"complex scalar {text!r} overflows a double")
     return value
 
 

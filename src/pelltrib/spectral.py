@@ -393,12 +393,6 @@ def _conjugate_half(n: int, r) -> tuple[int, int]:
     return s // 2 + 1, s
 
 
-def _conjugate_tail(head: list, n: int, s: int) -> list:
-    """head, a list of integer pairs for m < len(head), completed to n pairs
-    by pair m = conj pair (s - m); see _conjugate_half."""
-    return head + [(x, -y) for x, y in (head[s - m] for m in range(len(head), n))]
-
-
 def _closed_root(n: int, negative: bool, precision_bits: int,
                  root_sq: Fraction) -> tuple[int, int, tuple, tuple]:
     """(W, size, root, e): the principal n-th root of +-root_sq^(n/2),
@@ -429,10 +423,12 @@ def _closed_root(n: int, negative: bool, precision_bits: int,
 
 
 def _fixed_grid(n: int, r, precision_bits: int,
-                root_sq: Fraction | None = None) -> tuple[int, list]:
-    """(F, points): the n-th roots of r as Gaussian integers scaled by
-    2^F, F = bits + _GUARD + 8 + max(0, 3 - mag(root)), with root the
-    principal n-th root of r.
+                root_sq: Fraction | None = None) -> tuple[int, list, int]:
+    """(F, head, s): the n-th roots rho_m of r for m < h as Gaussian
+    integers scaled by 2^F, F = bits + _GUARD + 8 + max(0, 3 - mag(root)),
+    with root the principal n-th root of r, and (h, s) = _conjugate_half:
+    rho_m = conj rho_(s-m) for h <= m < n, so the head is every point for
+    complex r and about n/2 of them for real r.
 
     Without root_sq, mpmath computes root and omega = exp(2 pi i / n) once
     each, exact to 2^-G in absolute terms,
@@ -450,17 +446,17 @@ def _fixed_grid(n: int, r, precision_bits: int,
     square of e = exp(pi i / n), within 4.5 2^-G, so one expjpi serves both.
 
     The points are rho_{m+1} = rho_m * omega, products on integers scaled
-    by 2^G, each shifted down to F bits.  For real r only the head of
-    _conjugate_half is computed so, about n/2 points; the others are the
-    exact conjugates of their mirror points' integer pairs.
+    by 2^G, each shifted down to F bits.  The callers take the other
+    points, where they need them, as the exact conjugates of their mirror
+    points' integer pairs.
 
     Error: each point lies within 2^(1-F) of the exact rho_m.  The G-bit
     products drift by less than 5 n max(1, |root|) 2^-G <= 2^-(F+1) over
     the grid; on the closed route each of the at most n/2 steps adds less
     than (4.5 |root| + 1.42) 2^-G to the root's 1.7 2^-G.  The shift to F
-    bits adds less than sqrt(2) 2^-F.  A mirrored point errs by exactly as
-    much as its mirror, because the exact rho_m are conjugates of each
-    other too.
+    bits adds less than sqrt(2) 2^-F.  A mirrored point would err by
+    exactly as much as its mirror, because the exact rho_m are conjugates
+    of each other too.
     """
     if root_sq is None:
         mag_r = mpmath.mag(r)
@@ -489,7 +485,7 @@ def _fixed_grid(n: int, r, precision_bits: int,
         x, y = (x * wx - y * wy) >> guard, (x * wy + y * wx) >> guard
         points.append((x, y))
     shift = guard - frac
-    return frac, _conjugate_tail([(x >> shift, y >> shift) for x, y in points], n, s)
+    return frac, [(x >> shift, y >> shift) for x, y in points], s
 
 
 def _add_round(sm: int, se: int, tm: int, te: int, prec: int,
@@ -632,19 +628,18 @@ def _direct_fixed(k: int, n: int, r, precision_bits: int) -> tuple[int, dict, di
     eigenvalues_direct for F, the indices and the error."""
     check_k(k)
     _check_grid(n, r, precision_bits)
-    frac, grid = _fixed_grid(n, r, precision_bits)
-    head, s = _conjugate_half(n, r)
+    frac, head, s = _fixed_grid(n, r, precision_bits)
     terms = terms_upto(k, n - 1)
     if n % 2:
         coeffs = [a << frac for a in reversed(terms)]
-        points = dict(enumerate(grid[:head]))
+        points = dict(enumerate(head))
         return frac, points, {m: _horner_fixed(coeffs, x, y, frac) for m, (x, y) in points.items()}, s
-    half, guard = n // 2, 6 + max(0, frac + 1 - _size(*grid[0]))
+    half, guard = n // 2, 6 + max(0, frac + 1 - _size(*head[0]))
     wide = frac + guard
     even, odd = ([a << wide for a in reversed(terms[i::2])] for i in (0, 1))
     points, values = {}, {}
-    for m in range((head + 1) // 2):
-        x, y = points[m] = grid[m]
+    for m in range((len(head) + 1) // 2):
+        x, y = points[m] = head[m]
         points[m + half] = -x, -y
         w = (x * x - y * y) >> frac - guard, (x * y) >> frac - guard - 1  # rho^2
         ex, ey = _horner_fixed(even, *w, wide)
@@ -775,13 +770,12 @@ def _modulus_extremes(k: int, n: int, r, precision_bits: int,
     """
     check_k(k)
     _check_grid(n, r, precision_bits)
-    frac, points = _fixed_grid(n, r, precision_bits, root_sq)
-    head, _ = _conjugate_half(n, r)
+    frac, head, _ = _fixed_grid(n, r, precision_bits, root_sq)
     terms = terms_upto(k, n - 1)
-    found = _extreme_candidates(terms, points[:head], frac)
-    lows, highs = found if found else (range(head), range(head))
+    found = _extreme_candidates(terms, head, frac)
+    lows, highs = found if found else (range(len(head)), range(len(head)))
     coeffs = [a << frac for a in reversed(terms)]
-    values = {m: _horner_fixed(coeffs, *points[m], frac) for m in sorted({*lows, *highs})}
+    values = {m: _horner_fixed(coeffs, *head[m], frac) for m in sorted({*lows, *highs})}
     sq = {m: x * x + y * y for m, (x, y) in values.items()}
     lo = min(lows, key=sq.__getitem__)
     hi = max(highs, key=sq.__getitem__)
@@ -937,12 +931,6 @@ def eigenvalues_closed(k: int, n: int, r, precision_bits: int = 256) -> EigenSpe
         r_mp = mpmath.mpmathify(r)
         r_z = tuple(map(_signed, r_mp._mpc_ if isinstance(r_mp, mpc) else (r_mp._mpf_, fzero)))
         r_c0 = _cmul(r_z, c0, prec)
-        alpha, beta, gamma = mpc(roots.alpha), roots.beta, roots.gamma
-        branch_table = (
-            (1 / alpha, "alpha", (alpha, beta, gamma)),
-            (1 / beta, "beta", (beta, alpha, gamma)),
-            (1 / gamma, "gamma", (gamma, alpha, beta)),
-        )
         for rho in grid.rhos:
             if not _degenerate(k, rho, tol):
                 z = tuple(map(_signed, rho._mpc_))
@@ -952,11 +940,11 @@ def eigenvalues_closed(k: int, n: int, r, precision_bits: int = 256) -> EigenSpe
                 lams.append(mp.make_mpc(_cdiv(num, _cadd(one, tail, prec, -1), prec)))  # num / psi(rho)
                 branches.append("generic")
             else:
-                recip, name, (mu, nu, xi) = min(
-                    branch_table, key=lambda row: abs(rho - row[0])
-                )
-                lams.append(_degenerate_lambda(mu, nu, xi, n))
-                branches.append(name)
+                # the nearest reciprocal root 1 / mu; ties go to alpha, then beta
+                mus = (mpc(roots.alpha), roots.beta, roots.gamma)
+                i = min(range(3), key=lambda j: abs(rho - 1 / mus[j]))
+                lams.append(_degenerate_lambda(mus[i], *mus[:i], *mus[i + 1:], n))
+                branches.append(("alpha", "beta", "gamma")[i])
     return EigenSpectrum(k=k, grid=grid, lambdas=tuple(lams), branches=tuple(branches))
 
 
@@ -1091,8 +1079,8 @@ def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum,
                         precision_bits: int | None = None) -> list:
     """Relative residuals ||M v_m - lambda_m v_m|| / (||M||_F ||v_m||), v_m = (rho_m^i),
     for the given spectrum, at its precision, in O(log n) operations per
-    point.  A precision_bits other than the spectrum's, or an n other
-    than its order, raises ValueError; r = 0 raises ZeroR.
+    point.  A precision_bits other than the spectrum's, or a k, n or r
+    other than its own, raises ValueError; r = 0 raises ZeroR.
 
     With a_l the generator row and T = sum_l a_l rho^l, row i of
     M v - lambda v is exactly
@@ -1206,6 +1194,9 @@ def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum,
     if n != spectrum.grid.n:
         raise ValueError(f"matrix order n {n!r} differs from the spectrum's {spectrum.grid.n}")
     check_r(r)
+    for name, value, own in (("k", k, spectrum.k), ("r", r, spectrum.grid.r)):
+        if value != own:
+            raise ValueError(f"{name} {value!r} differs from the spectrum's {own!r}")
     bits = spectrum.grid.precision_bits
     top = bits + _GUARD + 8  # F
     with mp.workprec(bits + _GUARD + 16):
@@ -1298,10 +1289,6 @@ def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum,
 
 @dataclass(frozen=True)
 class DetReport:
-    k: int
-    n: int
-    r: object
-    precision_bits: int
     det_closed: mpc
     det_oracle: mpc
     r1: mpc
@@ -1371,8 +1358,7 @@ def determinant_closed(k: int, n: int, r, precision_bits: int = 256) -> DetRepor
         for lam in _horner_mpc(k, n, grid.rhos):
             oracle *= lam
         det_closed, r1, r2 = mpc(det), mpc(r1), mpc(r2)
-    return DetReport(k=k, n=n, r=r, precision_bits=precision_bits,
-                     det_closed=det_closed, det_oracle=oracle, r1=r1, r2=r2)
+    return DetReport(det_closed=det_closed, det_oracle=oracle, r1=r1, r2=r2)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,13 @@ the four partial sums of the sequence as literal O(n) loops, and the
 eigenpair residual from its O(n) row recurrence, which
 spectral.eigenpair_residuals replaces by the telescoped closed form, and
 the exact terms of that form at a point, which spectral._residual_point
-takes from floors.
+takes from floors.  And the scalar parser of two regexes and a sign
+splitter that cli.parse_scalar's one regex replaced.
 """
 
+import cmath
 import math
+import re
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
@@ -35,12 +38,11 @@ from mpmath import mp, mpc, mpf, mpmathify
 from mpmath.libmp import from_int, mpf_cos_sin_pi, mpf_div, round_nearest
 
 from pelltrib.circulant import abs_sq, build, build_pell, is_exact
-from pelltrib.errors import DimensionMismatch
+from pelltrib.errors import DimensionMismatch, ScalarParseError
 from pelltrib.sequence import (_GUARD, char_roots, check_bits, check_int, check_k, recip_poly,
                                t_integers, term, terms_upto)
-from pelltrib.spectral import (_cmul, _conjugate_half, _conjugate_tail, _fixed_grid, _from_fixed,
-                               _horner_fixed, _modulus, _principal_root, _signed, _to_fixed,
-                               _to_mpc, frobenius_sq_closed)
+from pelltrib.spectral import (_cmul, _fixed_grid, _from_fixed, _horner_fixed, _modulus,
+                               _principal_root, _signed, _to_fixed, _to_mpc, frobenius_sq_closed)
 
 
 # The direct oracles leave the checks of k and n to terms_upto.
@@ -163,20 +165,27 @@ def binet_term(k: int, n: int, precision_bits: int = 256) -> mpf:
         return mpf((w_a * mpc(alpha) ** n + w_b * beta**n + w_c * gamma**n).real)
 
 
+def conjugate_tail(head: list, n: int, s: int) -> list:
+    """head, the integer pairs of spectral._fixed_grid or their kernel
+    values, completed to n pairs by pair m = conj pair (s - m); see
+    spectral._conjugate_half."""
+    return head + [(x, -y) for x, y in (head[s - m] for m in range(len(head), n))]
+
+
 def modulus_extremes_exhaustive(k: int, n: int, r, precision_bits: int,
                                 root_sq=None) -> tuple[mpf, int, mpf]:
     """(smallest |lambda_m|, its index m, largest |lambda_m|) over all n
-    direct kernel values, mirrored ones included, on the grid of
-    spectral._fixed_grid with root_sq, composed as spectral._direct_fixed
-    composes them: the first index of the smallest and of the largest
+    direct kernel values, mirrored ones included: plain Horner at every
+    head point of spectral._fixed_grid with root_sq, as
+    spectral._modulus_extremes runs it, each value's conjugate at its
+    mirrored index, and the first index of the smallest and of the largest
     squared modulus on the kernel's integers, the two rounded to
     bits + _GUARD bits and taken in mpmath's own abs.  The
     oracle for spectral._modulus_extremes, which runs Horner on candidates
     only and takes the moduli on math.isqrt."""
-    frac, points = _fixed_grid(n, r, precision_bits, root_sq)
-    head, s = _conjugate_half(n, r)
+    frac, head, s = _fixed_grid(n, r, precision_bits, root_sq)
     coeffs = [a << frac for a in reversed(terms_upto(k, n - 1))]
-    values = _conjugate_tail([_horner_fixed(coeffs, x, y, frac) for x, y in points[:head]], n, s)
+    values = conjugate_tail([_horner_fixed(coeffs, x, y, frac) for x, y in head], n, s)
     sq = [x * x + y * y for x, y in values]
     lo = min(range(n), key=sq.__getitem__)
     hi = max(range(n), key=sq.__getitem__)
@@ -395,3 +404,53 @@ def residual_point_exact(k: int, cell: tuple, x: int, y: int, lam: tuple, r: tup
               + b22 * mm,
               (((d10 * y << frac) + d20 * im2 << frac) + d21 * my) << frac)
     return (psi_x, psi_y), chi, e_hat, q, beta_0, beta_n
+
+
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_REAL_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
+
+
+def parse_scalar(text: str, precision_bits: int = 256):
+    """The r grammar as two regexes and a sign splitter: [-]int[/int], a
+    real literal, or a+bi.  The oracle for cli.parse_scalar, which must
+    give every string the same value, type and error message.
+
+    Rational input stays exact (Fraction); other real literals are
+    promoted to an mpf at the requested precision; a+bi yields a double
+    complex.
+    """
+    s = text.strip().replace(" ", "")
+    if not s:
+        raise ScalarParseError("empty scalar")
+    if _RATIONAL_RE.match(s):
+        try:
+            return Fraction(s)
+        except ZeroDivisionError as exc:
+            raise ScalarParseError(f"zero denominator in {text!r}") from exc
+    if _REAL_RE.fullmatch(s):
+        with mp.workprec(precision_bits):
+            return mp.mpf(s)
+    if s.endswith("i"):
+        return _parse_complex(s, text)
+    raise ScalarParseError(f"cannot parse scalar {text!r}")
+
+
+def _parse_complex(s: str, original: str) -> complex:
+    body = s[:-1]
+    # split at the last sign that is not leading and not an exponent sign
+    split = -1
+    for idx in range(len(body) - 1, 0, -1):
+        if body[idx] in "+-" and body[idx - 1] not in "eE":
+            split = idx
+            break
+    real_text, imag_text = (body[:split], body[split:]) if split > 0 else ("0", body)
+    if imag_text in ("", "+"):
+        imag_text = "1"
+    elif imag_text == "-":
+        imag_text = "-1"
+    if not _REAL_RE.fullmatch(real_text) or not _REAL_RE.fullmatch(imag_text):
+        raise ScalarParseError(f"cannot parse scalar {original!r}")
+    value = complex(float(real_text), float(imag_text))
+    if not cmath.isfinite(value):
+        raise ScalarParseError(f"complex scalar {original!r} overflows a double")
+    return value

@@ -1,6 +1,7 @@
 """Every entry point that takes an order or index n rejects a bad one with
 the same message: `<name> must be an integer >= <lo>, got <n!r>`."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,18 @@ def test_eigenpair_residuals_reject_an_order_other_than_the_spectrums():
     for n in (4, 6):
         with pytest.raises(ValueError, match=rf"^matrix order n {n} differs from the spectrum's 5$"):
             spectral.eigenpair_residuals(1, n, 2, spectrum)
+
+
+def test_eigenpair_residuals_reject_a_k_or_r_other_than_the_spectrums():
+    # residuals against another matrix: 0.41 for k = 2 and 0.18 for r = 3
+    # before this check, against the spectrum's own residuals near 2^-64
+    spectrum = spectral.eigenvalues_closed(1, 5, 2, 64)
+    with pytest.raises(ValueError, match=r"^k 2 differs from the spectrum's 1$"):
+        spectral.eigenpair_residuals(2, 5, 2, spectrum)
+    for r in (3, Fraction(1, 2), 2j):
+        with pytest.raises(ValueError, match=re.escape(f"r {r!r} differs from the spectrum's 2")):
+            spectral.eigenpair_residuals(1, 5, r, spectrum)
+    assert max(spectral.eigenpair_residuals(1, 5, Fraction(2), spectrum)) < 2.0 ** -50
 
 
 def test_eigenpair_residuals_reject_zero_r():

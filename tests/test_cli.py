@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import os
 import re
@@ -12,12 +13,15 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from pelltrib import cli
 from pelltrib.errors import PrecisionExhausted, ScalarParseError
 from pelltrib.invertibility import ScanCell
 from pelltrib.sequence import char_roots, term
+
+import reference as ref
 
 
 SCHEMA = json.loads((files("pelltrib") / "schema" / "report.schema.json").read_text())
@@ -62,6 +66,30 @@ def test_parse_exponent_forms():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ScalarParseError):
         cli.parse_scalar(bad)
+
+
+def _parse_outcome(parse, text):
+    """What parse does with text: its value's type, repr and mpf bits, or
+    its error's kind and message."""
+    try:
+        value = parse(text)
+    except Exception as exc:
+        return "error", type(exc).__name__, str(exc)
+    return "value", type(value).__name__, repr(value), getattr(value, "_mpf_", None)
+
+
+def test_parse_matches_the_two_regex_oracle_on_every_short_string():
+    # every string up to length 4 over the grammar's alphabet: 7381 strings
+    for size in range(5):
+        for chars in itertools.product("01.eE+-i/", repeat=size):
+            text = "".join(chars)
+            assert _parse_outcome(cli.parse_scalar, text) == _parse_outcome(ref.parse_scalar, text), text
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet="0123456789.eE+-i/ \t\n٣", max_size=14))
+def test_parse_matches_the_two_regex_oracle(text):
+    assert _parse_outcome(cli.parse_scalar, text) == _parse_outcome(ref.parse_scalar, text)
 
 
 # ---------------------------------------------------------------------------

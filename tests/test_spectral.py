@@ -602,12 +602,13 @@ def test_fixed_grid_within_stated_error_of_exact_roots(bits, n):
     # F = bits + _GUARD + 8 + max(0, 3 - mag(root)).  Without the
     # bit_length(n) guard bits the drift of the n - 1 products breaks this.
     for r in DIRECT_R:
-        frac, points = sp._fixed_grid(n, r, bits)
+        frac, head, s = sp._fixed_grid(n, r, bits)
+        points = ref.conjugate_tail(head, n, s)
         exact = sp.eigen_grid(n, r, bits + 160)
         assert frac == bits + _GUARD + 8 + max(0, 3 - mpmath.mag(exact.rhos[0])), r
         with mp.workprec(bits + _GUARD + 160):
             tol = mpf(2) ** (1 - frac)
-            for m, ((x, y), rho) in enumerate(zip(points, exact.rhos)):
+            for m, ((x, y), rho) in enumerate(zip(points, exact.rhos, strict=True)):
                 assert abs(sp._from_fixed(x, y, frac) - rho) <= tol, (r, m)
 
 
@@ -755,9 +756,8 @@ def test_modulus_extremes_match_the_oracle_on_critical_values():
 def test_modulus_extremes_fall_back_to_every_point(k, n, r):
     # where the doubles cannot decide, the prefilter says so instead of
     # raising, and every head point is a candidate
-    frac, points = sp._fixed_grid(n, r, 128)
-    head, _ = sp._conjugate_half(n, r)
-    assert sp._extreme_candidates(terms_upto(k, n - 1), points[:head], frac) is None
+    frac, head, _ = sp._fixed_grid(n, r, 128)
+    assert sp._extreme_candidates(terms_upto(k, n - 1), head, frac) is None
     assert _same_extremes(k, n, r, 128)
 
 
@@ -779,12 +779,13 @@ def test_closed_grid_within_stated_error_of_exact_roots(bits):
     for k, n, sign in itertools.product((1, 4, 10), CLOSED_N, (1, -1)):
         with mp.workprec(bits + _GUARD):
             r_star = sign * _critical_magnitude(k, n)
-        frac, points = sp._fixed_grid(n, r_star, bits, Fraction(term(k, n), term(k, n - 1)))
+        frac, head, s = sp._fixed_grid(n, r_star, bits, Fraction(term(k, n), term(k, n - 1)))
+        points = ref.conjugate_tail(head, n, s)
         exact = _exact_critical_grid(k, n, sign, bits)
         assert frac == bits + _GUARD + 8 + max(0, 3 - mpmath.mag(exact.rhos[0])), (k, n, sign)
         with mp.workprec(bits + _GUARD + 160):
             tol = mpf(2) ** (1 - frac)
-            for m, ((x, y), rho) in enumerate(zip(points, exact.rhos)):
+            for m, ((x, y), rho) in enumerate(zip(points, exact.rhos, strict=True)):
                 assert abs(sp._from_fixed(x, y, frac) - rho) <= tol, (k, n, sign, m)
 
 
