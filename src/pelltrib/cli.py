@@ -111,6 +111,30 @@ def _fmt(value):
     return str(value)
 
 
+def _json(value, indent: str = "\n") -> str:
+    """json.dumps(value, sort_keys=True, indent=2, default=_fmt) for a value
+    whose dicts have str keys, written directly in json's type order."""
+    quote = json.encoder.encode_basestring_ascii
+    if isinstance(value, str):
+        return quote(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        first, last, items = "[", "]", [_json(item, inner) for item in value]
+    elif isinstance(value, dict):
+        first, last = "{", "}"
+        items = [quote(key) + ": " + _json(item, inner) for key, item in sorted(value.items())]
+    else:
+        return _json(_fmt(value), indent)
+    return first + (inner + ("," + inner).join(items) + indent if items else "") + last
+
+
 def _csv_cell(value) -> str:
     return "" if value is None else str(value)
 
@@ -146,7 +170,7 @@ class Report:
                 "params": self.params,
                 "result": self.result,
             }
-            return json.dumps(envelope, sort_keys=True, indent=2, default=_fmt) + "\n"
+            return _json(envelope) + "\n"
         if args.format == "csv" and self.csv is not None:
             lines = self.csv
         elif args.format == "csv":
@@ -180,11 +204,7 @@ def _knr(args: argparse.Namespace) -> dict:
 
 
 def _cmd_norms(args: argparse.Namespace) -> Report:
-    k, n, r = args.k, args.n, _parse_r(args)
-    result = {"frobenius": spectral.frobenius_closed(k, n, r),
-              "frobenius_sq": spectral.frobenius_sq_closed(k, n, r),
-              "l1": spectral.l1_closed(k, n, r)}
-    return Report(_knr(args), result)
+    return Report(_knr(args), spectral.norms_closed(args.k, args.n, _parse_r(args)))
 
 
 def _cmd_bounds(args: argparse.Namespace) -> Report:
@@ -314,6 +334,7 @@ def run(args: argparse.Namespace) -> str:
 # argument parsing
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict  # the top-level parser's subparsers by command name
     # argparse wants to sys.exit on bad flags; raise instead so errors
     # flow through the one JSON-emitting path
     def error(self, message):
@@ -325,6 +346,7 @@ def build_parser() -> _Parser:
     """The argument tree, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="pelltrib", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def common(p, handler, k=False, n=False, r=False):
         p.set_defaults(handler=handler)
@@ -366,8 +388,15 @@ def build_parser() -> _Parser:
 
 def parse_args(argv=None) -> argparse.Namespace:
     """The validated namespace: scan ranges checked and --sizes as a list
-    of positive ints; --bits is checked when the command runs."""
-    args = build_parser().parse_args(argv)
+    of positive ints; --bits is checked when the command runs.
+
+    When argv[0] names a command, argv[1:] goes to that command's parser
+    alone, which is all the full parser does with it; any other argv goes
+    to the full parser, whose errors and help it keeps."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = build_parser().commands.get(argv[0]) if argv else None
+    args = build_parser().parse_args(argv) if command is None else \
+        command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     if args.command == "scan":
         if args.kmin > args.kmax:
             raise ValueError(f"--kmin {args.kmin} exceeds --kmax {args.kmax}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroR
-from .sequence import check_k, term
+from .sequence import check_k, term, terms_upto
 
 
 def fft(x) -> np.ndarray:
@@ -51,9 +51,15 @@ class FastCirculantOperator:
 
 
 def fast_operator(entries, r) -> FastCirculantOperator:
-    """Spectral form of Circ_r(entries); ZeroR for r = 0, ValueError for
-    |r| outside [1/4, 4], the range of the module's accuracy claim."""
-    a = np.asarray([complex(e) for e in entries], dtype=np.complex128)
+    """Spectral form of Circ_r(entries), for any iterable of numbers
+    entries; TypeError when they do not form one row, ZeroR for r = 0,
+    ValueError for |r| outside [1/4, 4], the range of the module's accuracy
+    claim."""
+    if iter(entries) is entries:  # a one-pass iterator, such as a generator
+        entries = list(entries)
+    a = np.asarray(entries, dtype=np.complex128)
+    if a.ndim != 1:
+        raise TypeError(f"generator row must be one-dimensional, got shape {a.shape}")
     n = a.size
     if n == 0:
         raise DimensionMismatch("generator row must be nonempty")
@@ -112,7 +118,7 @@ def bench_generator(k: int, n: int) -> np.ndarray:
     m = 0
     while term(k, m + 1) < 2 ** 40:
         m += 1
-    return np.asarray([float(term(k, j % m)) for j in range(n)], dtype=np.complex128)
+    return np.resize(np.asarray(terms_upto(k, m - 1), dtype=np.complex128), n)
 
 
 def bench_matvec(n_list, k: int, r) -> list[BenchRow]:

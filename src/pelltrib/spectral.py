@@ -48,7 +48,11 @@ from . import sums
 def frobenius_sq_closed(k: int, n: int, r):
     """Squared Frobenius norm; exact (int or Fraction) for exact rational r."""
     check_order(k, n)
-    return n * sums.s2_closed(k, n - 1) + (abs_sq(r) - 1) * sums.w2_closed(k, n - 1)
+    return _frobenius_sq(n, r, sums.s2_closed(k, n - 1), sums.w2_closed(k, n - 1))
+
+
+def _frobenius_sq(n: int, r, s2: int, w2: int):
+    return n * s2 + (abs_sq(r) - 1) * w2
 
 
 def _finite(value: float, what: str) -> float:
@@ -57,9 +61,13 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
+def _frobenius(sq) -> float:
+    return _finite(math.sqrt(sq), "Frobenius norm")
+
+
 def frobenius_closed(k: int, n: int, r) -> float:
     """Frobenius norm as a double; OverflowError when it does not fit one."""
-    return _finite(math.sqrt(frobenius_sq_closed(k, n, r)), "Frobenius norm")
+    return _frobenius(frobenius_sq_closed(k, n, r))
 
 
 def l1_closed(k: int, n: int, r):
@@ -68,16 +76,28 @@ def l1_closed(k: int, n: int, r):
     return n * sums.s1_closed(k, n - 1) + (abs(r) - 1) * sums.w1_closed(k, n - 1)
 
 
+def norms_closed(k: int, n: int, r) -> dict:
+    """The norms report's entries in its order: frobenius_closed,
+    frobenius_sq_closed and l1_closed, each closed sum evaluated once."""
+    sq = frobenius_sq_closed(k, n, r)
+    return {"frobenius": _frobenius(sq), "frobenius_sq": sq, "l1": l1_closed(k, n, r)}
+
+
 def spectral_bounds(k: int, n: int, r) -> tuple[float, float]:
     """(lower, upper) enclosure of the largest singular value, as doubles;
     OverflowError when either does not fit one."""
+    return _bounds(k, n, r)[:2]
+
+
+def _bounds(k: int, n: int, r) -> tuple:
+    """spectral_bounds' (lower, upper), then the s2 and w2 they were taken from."""
     check_order(k, n)
-    inner = sums.s2_closed(k, n - 1) + Fraction(1, n) * (abs_sq(r) - 1) * sums.w2_closed(k, n - 1) \
-        if is_exact(r) else \
-        sums.s2_closed(k, n - 1) + (abs_sq(r) - 1) / n * sums.w2_closed(k, n - 1)
+    s1, s2, w2 = sums.s1_closed(k, n - 1), sums.s2_closed(k, n - 1), sums.w2_closed(k, n - 1)
+    inner = s2 + Fraction(1, n) * (abs_sq(r) - 1) * w2 if is_exact(r) else \
+        s2 + (abs_sq(r) - 1) / n * w2
     lower = _finite(math.sqrt(inner), "spectral lower bound")
-    upper = _finite(float(max(abs(r), 1) * sums.s1_closed(k, n - 1)), "spectral upper bound")
-    return lower, upper
+    upper = _finite(float(max(abs(r), 1) * s1), "spectral upper bound")
+    return lower, upper, s2, w2
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +133,11 @@ def norm_report(k: int, n: int, r) -> NormReport:
     """The bounds report's entries in its order, as doubles: the enclosure
     lower <= sigma <= upper of the largest singular value sigma (from
     LAPACK), the Frobenius norm and its quotient by sqrt(n), and the largest
-    row and column lengths."""
-    lower, upper = spectral_bounds(k, n, r)
+    row and column lengths.  Each closed sum is evaluated once."""
+    lower, upper, s2, w2 = _bounds(k, n, r)
     a = build_pell_complex(k, n, r)
     r1, c1 = row_col_length_norms(a)
-    frobenius = frobenius_closed(k, n, r)
+    frobenius = _frobenius(_frobenius_sq(n, r, s2, w2))
     return NormReport(lower=lower, upper=upper, sigma=spectral_numeric(a),
                       frobenius=frobenius, frobenius_over_sqrt_n=frobenius / n ** 0.5,
                       row_length_norm=r1, col_length_norm=c1)

@@ -22,7 +22,8 @@ eigenpair residual from its O(n) row recurrence, which
 spectral.eigenpair_residuals replaces by the telescoped closed form, and
 the exact terms of that form at a point, which spectral._residual_point
 takes from floors.  And the scalar parser of two regexes and a sign
-splitter that cli.parse_scalar's one regex replaced.
+splitter that cli.parse_scalar's one regex replaced, and the entry-by-entry
+benchmark row that fastops.bench_generator builds from one read of terms.
 """
 
 import cmath
@@ -92,6 +93,16 @@ def frobenius_direct(m: np.ndarray) -> float:
 def l1_direct(m: np.ndarray):
     """Sum of entry magnitudes; exact for exact real entries."""
     return sum(abs(e) for e in m.flat)
+
+
+def bench_generator_loop(k: int, n: int) -> np.ndarray:
+    """fastops.bench_generator one term at a time: entry j is P(k, j mod m),
+    with P(k, 0) .. P(k, m-1) the terms below 2^40."""
+    check_k(k)
+    m = 0
+    while term(k, m + 1) < 2 ** 40:
+        m += 1
+    return np.asarray([float(term(k, j % m)) for j in range(n)], dtype=np.complex128)
 
 
 def dft_naive(x) -> np.ndarray:

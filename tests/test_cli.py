@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import dataclasses
 import itertools
@@ -143,12 +142,67 @@ def test_bits_default_to_256():
     assert cli.parse_args(["seq", "--k", "1", "--n", "4"]).bits == 256
 
 
+_COMMAND_ARGS = {
+    "seq": ["--k", "1", "--n", "4"], "sums": ["--k", "1", "--n", "4"],
+    "norms": ["--k", "1", "--n", "4", "--r", "2"], "bounds": ["--k", "1", "--n", "4", "--r", "2"],
+    "eig": ["--k", "1", "--n", "4", "--r", "2"], "det": ["--k", "1", "--n", "4", "--r", "2"],
+    "invert": ["--k", "1", "--n", "4", "--r", "2"],
+    "scan": ["--kmax", "2", "--nmax", "4", "--sign", "-1"],
+    "bench": ["--k", "1", "--r", "2", "--sizes", "4,8"], "table1": ["--bits", "128"],
+}
+
+
+def _equals_form(args):
+    """The same options with each value joined to its flag by '='."""
+    out = []
+    for arg in args:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and not arg.startswith("--"):
+            out[-1] += f"={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+def _argvs():
+    for command, args in _COMMAND_ARGS.items():
+        pairs = [args[i:i + 2] for i in range(0, len(args), 2)]
+        yield [command, *args]
+        yield [command, *_equals_form(args)]
+        yield [command, *itertools.chain(*reversed(pairs)), "--format", "json"]
+        yield [command, "--", *args]
+        yield [command, *args[:-2]]
+        yield [command, *args, "--wat", "1"]
+        yield [command, *args, "--k=x"]
+        yield [command, *args, "--format", "xml"]
+    yield ["scan", "--kmax", "2", "--nmax", "4", "--sign", "0"]
+    yield ["scan", "--kmin", "3", "--kmax", "2", "--nmax", "4"]
+    yield ["bench", "--k", "1", "--r", "2", "--sizes", "4,x"]
+    yield ["nosuch", "--k", "1"]
+    yield ["--k", "1", "norms"]
+    yield []
+
+
+def _parse_outcome_of(argv):
+    try:
+        return "namespace", vars(cli.parse_args(list(argv)))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize("argv", list(_argvs()), ids=" ".join)
+def test_parse_args_matches_the_full_parser(argv, monkeypatch):
+    # the oracle is parse_args with no command to dispatch to, which hands
+    # every argv to build_parser().parse_args and then runs the same checks
+    got = _parse_outcome_of(argv)
+    monkeypatch.setattr(cli.build_parser(), "commands", {})
+    assert got == _parse_outcome_of(argv)
+
+
 # ---------------------------------------------------------------------------
 # JSON envelope
 
 def test_parser_commands_are_the_schema_commands():
-    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert list(sub.choices) == SCHEMA["properties"]["command"]["enum"]
+    assert list(cli.build_parser().commands) == SCHEMA["properties"]["command"]["enum"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -177,6 +231,25 @@ def test_formula_version_is_hex_and_stable():
     assert len(version) == 12
     int(version, 16)
     assert cli._formula_fingerprint() == version
+
+
+_JSON_LEAVES = st.one_of(
+    st.text(), st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-10 ** 4400, max_value=10 ** 4400),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324]),
+    st.fractions(), st.integers().map(Fraction),
+    st.floats(allow_nan=False).map(mp.mpf), st.builds(mp.mpc, st.floats(), st.floats()),
+)
+_JSON_VALUES = st.recursive(_JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(), inner, max_size=4)), max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_writer_is_json_dumps(value):
+    with _no_int_digit_limit():
+        assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2, default=cli._fmt)
 
 
 def _failing_w2(k, n):

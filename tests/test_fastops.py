@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mpf
 
 from pelltrib import fastops as fo
 from pelltrib import circulant as circ
@@ -126,6 +129,26 @@ def test_fast_matvec_validation():
         fo.fast_operator([], 1)
 
 
+def test_fast_operator_takes_any_one_row_of_numbers():
+    want = fo.fast_operator([0, 1, 2], 2)
+    for entries in ((0, 1, 2), np.arange(3), (e for e in (0, 1, 2)), range(3),
+                    [Fraction(0), 1.0, mpf(2)]):
+        op = fo.fast_operator(entries, 2)
+        assert np.array_equal(op.scaled_spectrum, want.scaled_spectrum)
+        assert np.array_equal(op.rho_scale, want.rho_scale)
+
+
+@pytest.mark.parametrize("entries", [np.ones((3, 3)), [[0, 1], [2, 3]], np.ones((3, 1)), 5])
+def test_fast_operator_rejects_what_is_not_one_row(entries):
+    with pytest.raises(TypeError):
+        fo.fast_operator(entries, 1)
+
+
+def test_fast_operator_rejects_entries_beyond_a_double():
+    with pytest.raises(OverflowError):
+        fo.fast_operator([2 ** 1100, 1], 1)
+
+
 def test_fast_operator_refuses_r_outside_its_accuracy_range():
     for r in (5, 0.2, -4.5, 4.5j, 0.1 + 0.1j):
         with pytest.raises(ValueError, match=r"outside \[1/4, 4\]"):
@@ -141,6 +164,14 @@ def test_bench_generator_bounded_and_deterministic():
     assert a[3] == float(term(1, 3))
     again = fo.bench_generator(1, 200)
     assert np.array_equal(a, again)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 17, 2 ** 39])
+def test_bench_generator_is_the_term_by_term_row(k):
+    for n in (0, 1, 2, 63, 64, 100, 257, 1000, 4097):
+        got, want = fo.bench_generator(k, n), ref.bench_generator_loop(k, n)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_bench_rows():

@@ -145,6 +145,28 @@ def test_norm_report_fields():
     assert rep.lower <= rep.sigma <= rep.upper * (1 + 1e-9)
 
 
+def test_norms_and_bounds_evaluate_each_closed_sum_once(monkeypatch):
+    from pelltrib import sums
+    calls = []
+    for name in ("s1_closed", "w1_closed", "s2_closed", "w2_closed"):
+        closed = getattr(sums, name)
+        monkeypatch.setattr(sums, name, lambda k, n, name=name, closed=closed:
+                            calls.append(name) or closed(k, n))
+    for k, n, r in ((1, 5, 2), (2, 8, Fraction(1, 2)), (3, 13, 1.08), (1, 21, 1j)):
+        calls.clear()
+        got = sp.norms_closed(k, n, r)
+        assert sorted(calls) == ["s1_closed", "s2_closed", "w1_closed", "w2_closed"]
+        calls.clear()
+        rep = sp.norm_report(k, n, r)
+        assert sorted(calls) == ["s1_closed", "s2_closed", "w2_closed"]
+        want = {"frobenius": sp.frobenius_closed(k, n, r),
+                "frobenius_sq": sp.frobenius_sq_closed(k, n, r), "l1": sp.l1_closed(k, n, r)}
+        assert list(got) == list(want)
+        assert all(got[key] == want[key] and type(got[key]) is type(want[key]) for key in want)
+        assert (rep.lower, rep.upper) == sp.spectral_bounds(k, n, r)
+        assert rep.frobenius == want["frobenius"]
+
+
 # ---------------------------------------------------------------------------
 # eigen grid and spectra
 
