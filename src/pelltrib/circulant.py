@@ -75,9 +75,16 @@ def build_pell(k: int, n: int, r) -> np.ndarray:
 
 def build_pell_complex(k: int, n: int, r) -> np.ndarray:
     """to_complex_list(build_pell(k, n, r)), bit for bit, converting only
-    the 2n entries of the doubled row."""
+    the 2n entries of the doubled row.  For Fraction r = p/q the wrapped
+    entries are the doubles a p / q: int true division rounds correctly,
+    so each is float(Fraction(a p, q)), and past double range it raises
+    the same OverflowError, without building the Fraction."""
     check_order(k, n)
-    return _layout(to_complex_list(_doubled(r, terms_upto(k, n - 1))))
+    entries = terms_upto(k, n - 1)
+    if isinstance(r, Fraction):
+        p, q = r.numerator, r.denominator
+        return _layout(to_complex_list([a * p / q for a in entries] + entries))
+    return _layout(to_complex_list(_doubled(r, entries)))
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +175,9 @@ def det_exact(k: int, n: int, r) -> Fraction:
 # double conversion
 
 def to_complex_list(m: np.ndarray) -> np.ndarray:
-    """An object array (a matrix, or the doubled row of build_pell_complex)
-    as complex128, the one conversion on the double path; each entry e
-    becomes complex(e).  OverflowError if an entry exceeds a double.  The
+    """An object array or a list (a matrix, or the doubled row of
+    build_pell_complex) as complex128, the one conversion on the double
+    path; each entry e becomes complex(e).  OverflowError if an entry exceeds a double.  The
     name predates the array result and stays because the benchmark's span
     tracer (bench/spans.py) looks it up."""
     a = np.asarray(m, dtype=np.complex128)

@@ -24,8 +24,9 @@ Three layers, strongest first:
   decision overrides the guarantee; for float and mpf r the gap stays.
 * counterexample_scan: probes the uncertified critical values r* cell by
   cell, deciding singularity twice over (quadratic-root phase alignment vs.
-  smallest eigenvalue magnitude, both from spectral._critical_moduli) and
-  reporting "undetermined" when the two routes disagree.
+  smallest eigenvalue magnitude, both from spectral._critical_moduli, the
+  second settled at 128 bits where its bound allows) and reporting
+  "undetermined" when the two routes disagree.
 """
 
 from __future__ import annotations
@@ -181,9 +182,8 @@ class ScanCell:
 def _scan_cell(k: int, n: int, sign: int, precision_bits: int) -> ScanCell:
     with mp.workprec(precision_bits + _GUARD):
         tol = mpf(2) ** -tolerance_bits(precision_bits)
-        r_star, closed_res, min_mag, max_mag = _critical_moduli(k, n, sign, precision_bits)
+        r_star, closed_res, min_log10, eigen_singular = _critical_moduli(k, n, sign, precision_bits, tol)
         closed_singular = bool(closed_res <= tol)
-        eigen_singular = bool(min_mag <= tol * max(mpf(1), max_mag))
         if closed_singular == eigen_singular:
             verdict = "singular" if closed_singular else "invertible"
         else:
@@ -191,7 +191,7 @@ def _scan_cell(k: int, n: int, sign: int, precision_bits: int) -> ScanCell:
         return ScanCell(
             k=k, n=n, sign=sign,
             r_star_log10=_log10_double(abs(r_star)),
-            min_abs_lambda_log10=_log10_double(min_mag) if min_mag > 0 else float("-inf"),
+            min_abs_lambda_log10=min_log10,
             closed_residual_log10=_log10_double(closed_res) if closed_res > 0 else float("-inf"),
             closed_singular=closed_singular,
             eigen_singular=eigen_singular,

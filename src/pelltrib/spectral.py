@@ -31,8 +31,9 @@ from operator import mul
 import numpy as np
 import mpmath
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import (MPZ, from_int, from_man_exp, fzero, mpf_cos_sin_pi, mpf_div, mpf_log,
-                          mpf_pow_int, pi_fixed, round_down, round_nearest, to_fixed, to_float)
+from mpmath.libmp import (MPZ, from_int, from_man_exp, fzero, mpf_add, mpf_cos_sin_pi, mpf_div,
+                          mpf_le, mpf_log, mpf_mul, mpf_pow_int, mpf_sub, pi_fixed, round_down,
+                          round_nearest, to_fixed, to_float)
 from mpmath.libmp.libelefun import cos_sin_basecase
 
 from .circulant import abs_sq, build_pell_complex, is_exact, is_real
@@ -676,11 +677,12 @@ def _conjugate_fill(items: dict, n: int, s: int) -> tuple:
     return tuple(items[m] if m in items else items[(s - m) % n].conjugate() for m in range(n))
 
 
-def _extreme_candidates(terms: list, head: list, frac: int) -> tuple[list, list] | None:
-    """(lows, highs): the indices into head, in increasing order, that can
-    hold the smallest and the largest kernel modulus, found from
-    double-precision Horner at every point of head; None when the doubles
-    cannot decide.  See _modulus_extremes for the proof.
+def _extreme_candidates(terms: list, head: list, frac: int) -> tuple[list, list, int] | None:
+    """(lows, highs, t): the indices into head, in increasing order, that
+    can hold the smallest and the largest kernel modulus, found from
+    double-precision Horner at every point of head, and an integer t with
+    Pbar(R') <= 2^t (below); None when the doubles cannot decide.  See
+    _modulus_extremes for the proof.
 
     terms are the generator row a_0 .. a_(n-1), with a_0 = 0 and a_l >= 1
     for l >= 1, and head the points of _fixed_grid (integer pairs scaled by
@@ -726,19 +728,47 @@ def _extreme_candidates(terms: list, head: list, frac: int) -> tuple[list, list]
     margin = 2.0 ** -39 * len(terms) * pbar  # 2E
     low, high = min(mods) + margin, max(mods) - margin
     return ([m for m, a in enumerate(mods) if a <= low],
-            [m for m, a in enumerate(mods) if a >= high])
+            [m for m, a in enumerate(mods) if a >= high], shift + math.frexp(pbar)[1] + 1)
 
 
 def _modulus_extremes(k: int, n: int, r, precision_bits: int,
-                      root_sq: Fraction | None = None) -> tuple[mpf, int, mpf]:
-    """(smallest |lambda_m|, its index m, largest |lambda_m|) over the direct
-    eigenvalues, bit for bit the exhaustive answer: the first index m whose
-    kernel value lambda~_m has the smallest squared modulus x^2 + y^2 on
-    the kernel's integers, and the first with the largest.  Only the two
-    extremes are rounded to bits + _GUARD bits, as eigenvalues_direct
-    rounds every lambda, and _modulus takes their absolute values.  The
-    grid is _fixed_grid's with root_sq, so with it the eigenvalues are
-    those of the exact +-root_sq^(n/2), not of r.
+                      root_sq: Fraction | None = None) -> tuple[mpf, int, mpf, int | None]:
+    """(smallest |lambda_m|, its index m, largest |lambda_m|, c) over the
+    direct eigenvalues, bit for bit the exhaustive answer: the first index
+    m whose kernel value lambda~_m has the smallest squared modulus
+    x^2 + y^2 on the kernel's integers, and the first with the largest.
+    Only the two extremes are rounded to bits + _GUARD bits, as
+    eigenvalues_direct rounds every lambda, and _modulus takes their
+    absolute values.  The grid is _fixed_grid's with root_sq, so with it
+    the eigenvalues are those of the exact +-root_sq^(n/2), not of r.
+
+    The stated bound: the two moduli lie within 2^(c - bits) of
+    min_m |Psi(rho_m)| and max_m |Psi(rho_m)|, Psi the generator
+    polynomial and rho_m the exact points; c is None where the doubles
+    cannot decide.  c bounds exact quantities only, so the c of a call at
+    any bits serves a call at every other bits with the same k, n, r and
+    root_sq.  With t from _extreme_candidates, b the _size of head point 0
+    and 2^(nb-1) <= n < 2^nb, c = t + 1 + max(nb - 37 - b + F, -30).
+    Proof, with P = Pbar(R') <= 2^t and R as in the proof below, and
+    prec = bits + _GUARD:
+    - The kernel.  F >= bits + 40, and the two sums of the bound stated in
+      eigenvalues_direct are at most n P / R (see the kernel's value
+      below), so each lambda~_m lies within 2^(1-F) n P / R
+      <= 2^(-39-bits) n P / R of Psi(rho_m).  A mirrored index carries the
+      conjugates of both, so the smallest |lambda~_m| lies within as much
+      of the smallest |Psi(rho_m)|, and the largest of the largest.
+    - The roundings.  _from_fixed rounds each part to nearest at prec
+      bits, which moves lambda~ by at most 2^-prec |lambda~|.  _modulus
+      rounds the sum of squares down at prec + 4 bits (within
+      2^-(prec+2), relative, its far-exponent shortcut included), takes
+      the square root and rounds that to nearest at prec bits: at most
+      1.13 2^-prec of the modulus.  Together 2.2 2^-prec |lambda~|
+      <= 2^(2-prec) P, as |lambda~_m| <= |Psi(rho_m)| + 2^-63 P
+      (n < 2^40, below) and |Psi(rho_m)| <= Pbar(R) <= P.
+    - So the two moduli lie within 2^-bits (2^-39 n P / R + 2^-30 P) of
+      the exact ones.  p_0 lies within 2^(1-F) <= 2^-102 |p_0|
+      of rho_0 (see the kernel's point below) and |p_0| >= 2^(b-1-F), so
+      R > 2^(b-2-F).  Both terms are thus at most 2^(c-1-bits).
 
     _horner_fixed runs only on the candidates of _extreme_candidates,
     usually one or two points, on the same integer points as
@@ -783,7 +813,8 @@ def _modulus_extremes(k: int, n: int, r, precision_bits: int,
       for every m, and |w_(hi*)| >= |w_m| - 2^-46 n P_S.
     - The thresholds.  Pbar_S in doubles sums positive terms, so with the
       same underflow bounds it is at least P_S (1 - 3nu - 2^-71), and
-      2E >= 2^-39.1 n P_S.  Rounding
+      2E >= 2^-39.1 n P_S.  So P <= 2^S P_S < 2^(S+1) Pbar_S < 2^t, as
+      Pbar_S < 2^e for e = frexp(Pbar_S)[1] and t = S + e + 1.  Rounding
       min |w| + 2E and max |w| - 2E moves them by at most u (1.01 P_S + 2E),
       so the thresholds stay more than 2^-46 n P_S beyond min |w| and
       max |w|: lo* is a low and hi* a high.
@@ -793,15 +824,16 @@ def _modulus_extremes(k: int, n: int, r, precision_bits: int,
     frac, head, _ = _fixed_grid(n, r, precision_bits, root_sq)
     terms = terms_upto(k, n - 1)
     found = _extreme_candidates(terms, head, frac)
-    lows, highs = found if found else (range(len(head)), range(len(head)))
+    lows, highs, top = found if found else (range(len(head)), range(len(head)), None)
     coeffs = [a << frac for a in reversed(terms)]
     values = {m: _horner_fixed(coeffs, *head[m], frac) for m in sorted({*lows, *highs})}
     sq = {m: x * x + y * y for m, (x, y) in values.items()}
     lo = min(lows, key=sq.__getitem__)
     hi = max(highs, key=sq.__getitem__)
+    scale = None if top is None else top + 1 + max(n.bit_length() - 37 - _size(*head[0]) + frac, -30)
     with mp.workprec(precision_bits + _GUARD):
         return (_modulus(_from_fixed(*values[lo], frac)), lo,
-                _modulus(_from_fixed(*values[hi], frac)))
+                _modulus(_from_fixed(*values[hi], frac)), scale)
 
 
 def eigenvalues_direct(k: int, n: int, r, precision_bits: int = 256) -> EigenSpectrum:
@@ -875,11 +907,13 @@ def _clearly_generic(k: int, rho) -> bool:
 
     Proof, with u = 2^-53, R = |rho| and Pbar(t) = 1 + 2k t + k t^2 + t^3
     <= (2k + 3) (1 + t)^3 / 3, the absolute-value polynomial:
-    - mpmath's to_float, called with round_nearest, rounds each part to 53
-      bits, then scales it by ldexp; a part moves by less than 2^-52 of
-      itself, plus 2^-1073 below the normal range.  So |z - rho| <
-      2^-52 R + 2^-1072, and with |psi'(t)| <= (2k + 3) (1 + |t|)^2 on
-      the segment, |psi(z) - psi(rho)| < 2^-51 (2k + 3) (1 + R)^3.
+    - _double keeps the top 64 bits of each part's mantissa, which moves
+      it by less than 2^-63 of itself, and ldexp rounds those to nearest
+      at 53 bits and scales them, exactly in the normal range and within
+      2^-1075 below it; a part moves by less than 2^-52 of itself, plus
+      2^-1073.  So |z - rho| < 2^-52 R + 2^-1072, and with
+      |psi'(t)| <= (2k + 3) (1 + |t|)^2 on the segment,
+      |psi(z) - psi(rho)| < 2^-51 (2k + 3) (1 + R)^3.
     - In doubles k and 2k are exact and nothing overflows (parts below
       2^63).  Each addition rounds once (u), each complex product errs by
       less than 3u |x| |y|, and underflow adds 2^-1074 per rounding, which
@@ -895,12 +929,20 @@ def _clearly_generic(k: int, rho) -> bool:
       (1 + |rho|)^3 err by less than 2^-90 (2k + 3) (1 + R)^3, so it finds
       |psi| > 2^-18 (1 + R)^3 > tol (1 + |rho|)^3: generic.
     """
+    re, im = rho._mpc_
     # a part of 2^63 or more in size, inf or nan
-    if k >= 1 << 32 or any(man.bit_length() + exp > 63 or (exp and not man)
-                           for _, man, exp, _ in rho._mpc_):
+    if k >= 1 << 32 or any(exp + bc > 63 or (exp and not man) for _, man, exp, bc in (re, im)):
         return False
-    z = complex(*(to_float(part, rnd=round_nearest) for part in rho._mpc_))
+    z = complex(_double(re), _double(im))
     return abs(recip_poly(k, z)) > 2.0 ** -20 * (2 * k + 3) * (1 + abs(z)) ** 3
+
+
+def _double(part: tuple) -> float:
+    """A finite raw mpf as a double, from the top 64 bits of its mantissa,
+    which ldexp's int-to-float step rounds to nearest (see _clearly_generic)."""
+    sign, man, exp, bc = part
+    cut = max(0, bc - 64)
+    return math.ldexp(-(man >> cut) if sign else man >> cut, exp + cut)
 
 
 def _degenerate(k: int, rho, tol) -> bool:
@@ -968,10 +1010,11 @@ def eigenvalues_closed(k: int, n: int, r, precision_bits: int = 256) -> EigenSpe
     return EigenSpectrum(k=k, grid=grid, lambdas=tuple(lams), branches=tuple(branches))
 
 
-def _pow_sum_fixed(x: int, y: int, n: int, frac: int) -> tuple[int, int, int]:
+def _pow_sum_fixed(x: int, y: int, n: int, frac: int, total: bool = True) -> tuple[int, int, int]:
     """(p_x, p_y, w): z^n by left-to-right binary powering and
     w = sum_{i<n} |z|^(2i), all scaled by 2^frac, for z = (x + i y) 2^-frac
-    and n >= 1 (at n = 1 it returns x, y and 2^frac, exactly).
+    and n >= 1 (at n = 1 it returns x, y and 2^frac, exactly).  With
+    total false w is 0, and z^n comes from the same products, bit for bit.
 
     Error of z^n: with M = max(1, |z|) and n <= 2^((frac - 7) / 2), p is
     within 1.5 (2n - 1) M^n 2^-frac < 3 n M^n 2^-frac of the exact z^n.
@@ -991,13 +1034,15 @@ def _pow_sum_fixed(x: int, y: int, n: int, frac: int) -> tuple[int, int, int]:
     the whole is below (6n + 5 log2 n) 2^-frac <= 9 n 2^-frac."""
     one = 1 << frac
     q = (x * x + y * y) >> frac
-    px, py, w = x, y, one
+    px, py, w = x, y, one if total else 0
     s, d = x + y, y - x
     for bit in bin(n)[3:]:
-        w += (w * ((px * px + py * py) >> frac)) >> frac
+        if w:
+            w += (w * ((px * px + py * py) >> frac)) >> frac
         px, py = ((px + py) * (px - py)) >> frac, (px * py) >> (frac - 1)
         if bit == "1":
-            w = one + ((w * q) >> frac)
+            if w:
+                w = one + ((w * q) >> frac)
             t = x * (px + py)
             px, py = (t - py * s) >> frac, (t + px * d) >> frac
     return px, py, w
@@ -1397,17 +1442,35 @@ def _critical_magnitude(k: int, n: int) -> mpf:
     return mp.make_mpf(mpf_pow_int(_sqrt_raw(man, exp, prec + 10), n, prec, round_nearest))
 
 
-def _critical_moduli(k: int, n: int, sign: int, precision_bits: int) -> tuple[mpf, mpf, mpf, mpf]:
-    """(r*, closed residual, smallest |lambda_m|, largest |lambda_m|) at
-    bits + _GUARD bits for r* = sign (p/q)^(n/2), p = P(n), q = P(n-1),
+# the precision of the scan's first pass over the eigenvalue moduli
+_FIRST_BITS = 128
+
+
+def _critical_moduli(k: int, n: int, sign: int, precision_bits: int,
+                     tol: mpf) -> tuple[mpf, mpf, float, bool]:
+    """(r*, closed residual, log10 of the smallest |lambda_m|, eigen_singular)
+    at bits + _GUARD bits for r* = sign (p/q)^(n/2), p = P(n), q = P(n-1),
     which the sufficient theorem leaves uncertified: the scan's two signals.
-    The closed residual is min |r_i^n - r*| / |r*| over the roots r_i of
+    eigen_singular is min |lambda_m| <= tol max(1, max |lambda_m|).  The
+    closed residual is min |r_i^n - r*| / |r*| over the roots r_i of
     _quadratic_roots; complex r_i are an exact conjugate pair (r* is real)
     and take one fixed-point power.  The moduli are _modulus_extremes' on
     the grid of _fixed_grid with root_sq = p/q, the roots of the exact r*;
     Horner runs only on the candidates that its proved double-precision
     pass leaves, usually one or two points, and a cell takes two square
-    roots whatever n is."""
+    roots whatever n is.  The logarithm is _log10_double's, and -inf at
+    min |lambda_m| = 0.
+
+    Two passes.  Above _FIRST_BITS bits, _modulus_extremes runs first at
+    _FIRST_BITS bits.  Its stated bound puts that pass's two moduli within
+    2^(c - _FIRST_BITS) of the exact extremes, and the moduli the full
+    pass would give within 2^(c - bits), for the same c.  So each low
+    modulus lies within spread = 2^(c - _FIRST_BITS) + 2^(c - bits) of the
+    full pass's, and _settle returns the two outputs the full pass would
+    give whenever every pair within spread gives the same two; the full
+    pass then never runs.  Otherwise, and where c is None, the full pass
+    runs as it does below _FIRST_BITS bits.  The closed residual and r*
+    stay at full precision, as _quadratic_roots states no error bound."""
     with mp.workprec(precision_bits + _GUARD):
         r_star = sign * _critical_magnitude(k, n)
         r1, r2 = _quadratic_roots(k, n, r_star)
@@ -1416,11 +1479,42 @@ def _critical_moduli(k: int, n: int, sign: int, precision_bits: int) -> tuple[mp
         pair = (r1,) if r2 == r1.conjugate() else (r1, r2)
         frac = precision_bits + _GUARD + 24
         rx, _ = _to_fixed(r_star, frac)
-        powers = (_pow_sum_fixed(*_to_fixed(z, frac), n, frac)[:2] for z in pair)
-        closed_res = min(_modulus(_from_fixed(x - rx, y, frac)) for x, y in powers) / abs(r_star)
+        powers = (_pow_sum_fixed(*_to_fixed(z, frac), n, frac, False) for z in pair)
+        closed_res = min(_modulus(_from_fixed(x - rx, y, frac)) for x, y, _ in powers) / abs(r_star)
         root_sq = Fraction(term(k, n), term(k, n - 1))
-        min_mag, _, max_mag = _modulus_extremes(k, n, r_star, precision_bits, root_sq)
-    return r_star, closed_res, min_mag, max_mag
+        if precision_bits > _FIRST_BITS:
+            min_mag, _, max_mag, scale = _modulus_extremes(k, n, r_star, _FIRST_BITS, root_sq)
+            if scale is not None:
+                spread = mpf(2) ** (scale - _FIRST_BITS) + mpf(2) ** (scale - precision_bits)
+                settled = _settle(min_mag, max_mag, spread, tol)
+                if settled:
+                    return r_star, closed_res, *settled
+        min_mag, _, max_mag, _ = _modulus_extremes(k, n, r_star, precision_bits, root_sq)
+        log = _log10_double(min_mag) if min_mag > 0 else float("-inf")
+        return r_star, closed_res, log, bool(min_mag <= tol * max(mpf(1), max_mag))
+
+
+def _settle(min_mag: mpf, max_mag: mpf, spread: mpf, tol: mpf) -> tuple[float, bool] | None:
+    """(log10 of the smallest |lambda|, eigen_singular) as _critical_moduli
+    gives them from any smallest and largest moduli within spread of
+    min_mag and max_mag, or None where it cannot show that every such pair
+    gives the same two.  eigen_singular, a <= tol max(1, b) for the pair (a, b), only
+    grows as a falls or b rises, so it is the same for every pair exactly
+    when it is the same at (min_mag + spread, max_mag - spread) and at
+    (min_mag - spread, max_mag + spread); these ends are exact and tol is
+    a power of two.  The logarithm is _log10_double's with spread, which
+    also refuses spread > min_mag / 2, so a smallest modulus of 0 is never
+    settled here."""
+    t, a, b, s = tol._mpf_, min_mag._mpf_, max_mag._mpf_, spread._mpf_
+
+    def singular(low, high):  # on raw mpf values, exactly
+        return mpf_le(low, t) or mpf_le(low, mpf_mul(t, high))
+
+    sure = singular(mpf_add(a, s), mpf_sub(b, s))
+    if sure != singular(mpf_sub(a, s), mpf_add(b, s)):
+        return None
+    log = _log10_double(min_mag, spread)
+    return None if log is None else (log, sure)
 
 
 @cache
@@ -1428,9 +1522,11 @@ def _ln10() -> tuple:
     return mpf_log(from_int(10), 120, round_nearest)
 
 
-def _log10_double(x: mpf) -> float:
+def _log10_double(x: mpf, spread: mpf | int = 0) -> float | None:
     """float(mpmath.log10(x)) for a positive mpf x at the working
     precision, which is at least 96 bits, mostly from a 120-bit logarithm.
+    With spread > 0, float(mpmath.log10(y)) at the working precision for
+    every y within spread of x, or None.
 
     Proof: L~ = mpf_log(x) / ln 10 at 120 bits, each rounded to nearest,
     is within 2^-116 |L| of L = log10(x), and mpmath's log10 at p >= 96
@@ -1438,16 +1534,27 @@ def _log10_double(x: mpf) -> float:
     |L|.  Where L~ lies more than 2^-80 |L~| from every midpoint between
     two doubles, L lies strictly between the same two midpoints, and so do
     both values: both round to the same double.  Otherwise, and outside the
-    normal double range, the full-precision value is returned."""
+    normal double range, the full-precision value is returned.
+
+    With spread, the same margin must also cover log10(y).  The check
+    mag(spread) + 87 - mag(x) <= min(mag(L~), 85) gives spread <= x / 2
+    and spread / x <= 2^-85 |L~|.  Then |ln y - ln x| <= spread / (x - spread)
+    <= 2 spread / x, so |log10(y) - L| <= 0.87 spread / x, and mpmath's
+    log10(y) lies within (2^-116 + 2^-85 + 2^-93) (1 + 2^-84) |L~|
+    < 2^-84 |L~| of L~: strictly between the same two midpoints.  y > 0,
+    and a full-precision _log10_double(y) returns that double.  Where the
+    check or the margin fails, or x = 1 (L~ = 0), the answer is None."""
     log = mpf_log(x._mpf_, 120, round_nearest)
     if not log[1]:
-        return 0.0  # log(1) is exactly zero
+        return None if spread else 0.0  # log(1) is exactly zero
     _, man, exp, bc = value = mpf_div(log, _ln10(), 120, round_nearest)
     # the 67 bits below a double's 53, measured from the midpoint 2^66
     tail = ((man << (120 - bc)) & ((1 << 67) - 1)) - (1 << 66)
+    if spread and mpmath.mag(spread) + 87 - mpmath.mag(x) > min(exp + bc, 85):
+        return None
     if -1021 <= exp + bc < 1024 and abs(tail) >= 1 << 40:
         return to_float(value, rnd=round_nearest)
-    return float(mpmath.log10(x))
+    return None if spread else float(mpmath.log10(x))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from mpmath import mpc, mpf
 
 from pelltrib import circulant as circ
 from pelltrib.errors import DimensionMismatch
-from pelltrib.sequence import t_integers
+from pelltrib.sequence import t_integers, terms_upto
 
 import reference as ref
 from det_oracle import det_dense
@@ -59,6 +59,33 @@ def test_build_pell_complex_is_the_converted_dense_matrix(k):
             want = circ.to_complex_list(circ.build_pell(k, n, r))
             got = circ.build_pell_complex(k, n, r)
             assert got.dtype == np.complex128
+            assert np.array_equal(got.view(np.float64), want.view(np.float64)), (k, n, r)
+
+
+def _converted_row(k, n, r):
+    # the reference conversion: the doubled row of exact products, int or
+    # Fraction, each converted by numpy; or the exception it raises
+    try:
+        return circ._layout(circ.to_complex_list(circ._doubled(r, terms_upto(k, n - 1))))
+    except OverflowError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_build_pell_complex_is_the_fraction_conversion_bit_for_bit(k):
+    # a p / q for Fraction r against float(Fraction(a p, q)); from about
+    # n = 300 (k = 5) the terms leave double range, and the huge and tiny
+    # r put the wrapped entries or the plain ones past it first
+    for n in (2, 3, 8, 21, 64, 200, 300, 330, 400):
+        for r in (2, -1, Fraction(1, 2), Fraction(27, 25), Fraction(3, 7), Fraction(10**300, 3),
+                  Fraction(-1, 10**300), Fraction(5)):
+            want = _converted_row(k, n, r)
+            try:
+                got = circ.build_pell_complex(k, n, r)
+            except OverflowError as exc:
+                assert (type(exc), str(exc)) == want, (k, n, r)
+                continue
+            assert not isinstance(want, tuple), (k, n, r, want)
             assert np.array_equal(got.view(np.float64), want.view(np.float64)), (k, n, r)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -10,11 +11,12 @@ from hypothesis import given, settings, strategies as st
 from pelltrib import circulant as circ
 from pelltrib import invertibility as inv
 from pelltrib import spectral as sp
-from pelltrib.sequence import char_roots, terms_upto
+from pelltrib.sequence import _GUARD, char_roots, term, terms_upto
 from pelltrib.errors import ZeroR
 
 import reference as ref
 from det_oracle import det_dense
+from test_acceptance import SCAN_DIGEST
 
 
 def test_gcd_identity_generator_always_invertible():
@@ -287,6 +289,132 @@ def test_scan_counts_no_principal_root_and_no_log_fallback(monkeypatch):
         inv.counterexample_scan(range(1, 11), range(2, 31), sign=sign, precision_bits=512)
     assert len(roots) == 0, len(roots)
     assert len(logs) == 0, len(logs)
+
+
+def _criterion_09_digest():
+    reprs = []
+    for sign in (1, -1):
+        reprs += map(repr, inv.counterexample_scan(range(1, 11), range(2, 31), sign=sign,
+                                                   precision_bits=512))
+    return hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+
+
+def _counting_extremes(monkeypatch):
+    # the precision of every _modulus_extremes call, first pass and full
+    calls = []
+    extremes = sp._modulus_extremes
+
+    def counting(k, n, r, bits, root_sq=None):
+        calls.append(bits)
+        return extremes(k, n, r, bits, root_sq)
+
+    monkeypatch.setattr(sp, "_modulus_extremes", counting)
+    return calls
+
+
+def test_scan_first_pass_settles_every_cell_of_criterion_09(monkeypatch):
+    # the program's own count of full-pass fallbacks over criterion 09's
+    # grid: none, and one 128-bit pass a cell
+    calls = _counting_extremes(monkeypatch)
+    assert _criterion_09_digest() == SCAN_DIGEST
+    assert calls.count(sp._FIRST_BITS) == 580, calls
+    assert len(calls) == 580, len(calls) - 580
+
+
+def test_scan_full_pass_alone_gives_the_same_digest(monkeypatch):
+    # with every first pass undecided, each cell runs the full pass, as
+    # below _FIRST_BITS bits, and every byte of the scan is the same
+    calls = _counting_extremes(monkeypatch)
+    monkeypatch.setattr(sp, "_settle", lambda *args: None)
+    assert _criterion_09_digest() == SCAN_DIGEST
+    assert calls.count(512) == 580, calls
+
+
+def _critical_cells():
+    # criterion 09's grid at 512 bits, then the cells past double range
+    # of test_scan_cells_past_double_range_keep_their_verdict
+    cells = [(k, n, sign, 512) for sign in (1, -1) for k in range(1, 11) for n in range(2, 31)]
+    return cells + [(10**6, 60, 1, 512), (3, 400, 1, 512), (3, 400, 1, 129)]
+
+
+def test_first_pass_moduli_lie_within_both_stated_bounds(monkeypatch):
+    # |low - full| <= 2^(c - 128) + 2^(c - bits) for the smallest and the
+    # largest modulus, with each pass's own c, and the spread that
+    # _critical_moduli hands to _settle covers both bounds
+    spreads = []
+    settle = sp._settle
+
+    def recording(min_mag, max_mag, spread, tol):
+        spreads.append(spread)
+        return settle(min_mag, max_mag, spread, tol)
+
+    monkeypatch.setattr(sp, "_settle", recording)
+    for k, n, sign, bits in _critical_cells():
+        with mp.workprec(bits + _GUARD):
+            r_star = sign * sp._critical_magnitude(k, n)
+            root_sq = Fraction(term(k, n), term(k, n - 1))
+            low_min, _, low_max, low_c = sp._modulus_extremes(k, n, r_star, sp._FIRST_BITS, root_sq)
+            full_min, _, full_max, full_c = sp._modulus_extremes(k, n, r_star, bits, root_sq)
+            bound = mpf(2) ** (low_c - sp._FIRST_BITS) + mpf(2) ** (full_c - bits)
+            assert abs(low_min - full_min) <= bound, (k, n, sign, bits)
+            assert abs(low_max - full_max) <= bound, (k, n, sign, bits)
+            spreads.clear()
+            sp._critical_moduli(k, n, sign, bits, mpf(2) ** -(bits // 2))
+            assert len(spreads) == 1 and spreads[0] >= bound, (k, n, sign, bits)
+
+
+def test_settle_refuses_a_logarithm_the_spread_can_move():
+    # mu = log10(x) lies 2^-76 |mu| above a midpoint between two doubles,
+    # beyond the 120-bit margin of 2^-80 |mu|: alone, x is settled.  A
+    # spread of 2^-70 |mu| x reaches a y whose log10 lies as far below the
+    # midpoint, and which rounds to the other double, so x is not
+    rng = random.Random(37)
+    tol = mpf(2) ** -256
+    for _ in range(20):
+        d = rng.uniform(-300, 300)
+        with mp.workprec(1000):
+            mid = mpf(d) + mpf(math.ulp(d)) / 2
+            offset = abs(mid) * mpf(2) ** -76
+            x, y = mpf(10) ** (mid + offset), mpf(10) ** (mid - offset)
+        with mp.workprec(512 + _GUARD):
+            x, y = +x, +y
+            want = float(mpmath.log10(x))
+            assert float(mpmath.log10(y)) != want
+            assert sp._settle(x, x, x * mpf(2) ** -200, tol) == (want, bool(x <= tol * max(1, x)))
+            spread = x * abs(mid) * mpf(2) ** -70
+            assert abs(y - x) <= spread
+            assert sp._settle(x, x, spread, tol) is None
+            assert sp._log10_double(x, spread) is None
+
+
+def test_settle_refuses_a_logarithm_near_a_midpoint():
+    # mu halfway between two doubles: undecided at any spread, where the
+    # full pass alone falls back to mpmath's log10
+    rng = random.Random(38)
+    for _ in range(20):
+        d = rng.uniform(-300, 300)
+        with mp.workprec(1000):
+            x = mpf(10) ** (mpf(d) + mpf(math.ulp(d)) / 2)
+        with mp.workprec(512 + _GUARD):
+            x = +x
+            assert sp._settle(x, x, mpf(2) ** -2000, mpf(2) ** -256) is None
+    with mp.workprec(512 + _GUARD):  # log10(1) = 0 has no relative margin
+        assert sp._settle(mpf(1), mpf(1), mpf(2) ** -2000, mpf(2) ** -256) is None
+        assert sp._settle(mpf(0), mpf(1), mpf(2) ** -2000, mpf(2) ** -256) is None
+
+
+def test_settle_refuses_a_smallest_modulus_within_the_spread_of_tol():
+    # eigen_singular is min <= tol max(1, max); within the spread of that
+    # threshold the first pass cannot tell, away from it it can
+    tol = mpf(2) ** -256
+    with mp.workprec(512 + _GUARD):
+        for top in (mpf(3) / 7, mpf(5) ** 40):
+            edge = tol * max(mpf(1), top)
+            spread = edge * mpf(2) ** -150
+            for shift in (-1, 0, 1):
+                assert sp._settle(edge + shift * spread / 2, top, spread, tol) is None, (top, shift)
+            assert sp._settle(edge - 3 * spread, top, spread, tol)[1] is True
+            assert sp._settle(edge + 3 * spread, top, spread, tol)[1] is False
 
 
 def _log10_cases():

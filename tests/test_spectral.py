@@ -11,7 +11,7 @@ import pytest
 import mpmath
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import (from_int, from_man_exp, mpf_cos_sin_pi, mpf_div, mpf_mul, mpf_sqrt,
-                          mpf_sub, normalize, round_nearest)
+                          mpf_sub, normalize, round_nearest, to_float)
 import sympy
 from hypothesis import given, settings, strategies as st
 
@@ -292,6 +292,50 @@ def test_clearly_generic_falls_back_outside_its_proof():
         assert not sp._clearly_generic(2**32, mpc(2, 1))
         assert not sp._clearly_generic(1, mpc(mpf(2) ** 64, 0))
         assert not sp._clearly_generic(1, mpc(0, mpf("1e400")))
+
+
+def _clearly_generic_to_float(k, rho):
+    # _clearly_generic with each part through mpmath's to_float: the
+    # reference for its conversion by ldexp
+    if k >= 1 << 32 or any(man.bit_length() + exp > 63 or (exp and not man)
+                           for _, man, exp, _ in rho._mpc_):
+        return False
+    z = complex(*(to_float(part, rnd=round_nearest) for part in rho._mpc_))
+    return abs(recip_poly(k, z)) > 2.0 ** -20 * (2 * k + 3) * (1 + abs(z)) ** 3
+
+
+def test_degenerate_is_unmoved_on_criteria_05_and_06():
+    # the doubles of _clearly_generic come from ldexp, not to_float; on
+    # every grid point of criteria 05 and 06 at 256 bits it decides the
+    # same points, and _degenerate gives what it gave with to_float
+    bits = 256
+    tol = mpf(2) ** -(bits // 2)
+    grids = [(k, n, r) for k in range(1, 6) for n in range(3, 65)
+             for r in (1, -1, 2, Fraction(-3, 2), 1j)]
+    for k in (1, 2):
+        roots = char_roots(k, bits)
+        with mp.workprec(bits + _GUARD):
+            grids += [(k, n, mu ** -n) for n in (4, 6, 8) for mu in (roots.alpha, roots.beta, roots.gamma)]
+    degenerate = 0
+    for k, n, r in grids:
+        rhos = sp.eigen_grid(n, r, bits).rhos
+        with mp.workprec(bits + _GUARD):
+            for rho in rhos:
+                generic = _clearly_generic_to_float(k, rho)
+                assert sp._clearly_generic(k, rho) == generic, (k, n, r, rho)
+                got = sp._degenerate(k, rho, tol)
+                assert got == (not generic and abs(recip_poly(k, rho)) < tol * (1 + abs(rho)) ** 3)
+                degenerate += got
+    assert degenerate >= 18
+
+
+def test_double_converts_parts_past_1024_mantissa_bits():
+    # at 4096 bits a part's mantissa has more bits than a double's range
+    with mp.workprec(4096 + _GUARD):
+        rho = mpc(mpf(2) / 3, -mpf(5) / 7)
+        assert sp._clearly_generic(1, rho)
+        assert complex(*map(sp._double, rho._mpc_)) == complex(rho)
+        assert sp._double((0, 1, -1074, 1)) == 5e-324 and sp._double((1, 3, -1076, 2)) == -5e-324
 
 
 def test_eigenpair_residuals_sample():
@@ -896,6 +940,21 @@ def test_quadratic_roots_are_mpmaths_bit_for_bit():
                     got = sp._quadratic_roots(k, n, r)
                     want = ref.quadratic_roots_mpmath(k, n, r)
                     assert [z._mpc_ for z in got] == [z._mpc_ for z in want], (bits, k, n, r)
+
+
+def test_pow_fixed_without_the_sum_keeps_every_bit_on_the_scan_grid():
+    # the closed residual's powers of the roots of _quadratic_roots over
+    # criterion 09's grid, at the scan's frac: z^n without the sum w is
+    # the z^n of the sum-carrying call, bit for bit
+    frac = 512 + _GUARD + 24
+    for k, n, sign in itertools.product(range(1, 11), range(2, 31), (1, -1)):
+        with mp.workprec(512 + _GUARD):
+            r_star = sign * _critical_magnitude(k, n)
+            for z in sp._quadratic_roots(k, n, r_star):
+                x, y = sp._to_fixed(z, frac)
+                px, py, w = sp._pow_sum_fixed(x, y, n, frac, False)
+                assert (px, py) == sp._pow_sum_fixed(x, y, n, frac)[:2], (k, n, sign)
+                assert w == 0
 
 
 @pytest.mark.parametrize("frac", [128, 600])
