@@ -12,10 +12,13 @@ and the spectral sandwich
     sqrt(s2 + (|r|^2 - 1) / n * w2)  <=  sigma_max  <=  max(|r|, 1) * s1.
 
 Eigenvalues live on the grid rho_m = r^(1/n) * omega^m (principal root,
-omega = exp(2 pi i / n)); the direct path evaluates the generator polynomial
-by Horner on a fixed-point grid built from one root and one omega, the
-closed path uses a rational expression in rho_m with three degenerate
-branches when rho_m collides with a reciprocal characteristic root.
+omega = exp(2 pi i / n)), and every grid takes e = exp(pi i / n) and
+omega = e^2 from one source, _turn.  The direct path evaluates the
+generator polynomial on a fixed-point grid built from one root and that
+omega, by one route at every n: Horner on its even and odd coefficients at
+rho_m^2.  The closed path uses a rational expression in rho_m with three
+degenerate branches when rho_m collides with a reciprocal characteristic
+root.
 Everything high-precision runs under mpmath workprec; everything
 double-precision runs on numpy.
 """
@@ -327,6 +330,27 @@ def _cos_sin_pi(x: tuple, prec: int) -> tuple:
     return tuple(_signed(from_man_exp(v, -wp, prec, round_nearest)) for v in (c, s))
 
 
+def _turn(n: int, wide: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(e, omega): e = exp(pi i / n) and omega = e^2 = exp(2 pi i / n) as
+    integer pairs scaled by 2^W, W = wide, the one source of both for every
+    eigenvalue grid.  At n = 2, e = i and omega = -1 exactly.  For n > 2
+    (0 < pi / n < pi / 2) libelefun's cos_sin_basecase gives e at W + 20
+    bits, and e and its square are each floored to W bits.
+
+    Errors, which _unit_grid and _fixed_grid cite: each part of e errs by
+    less than 1.01 2^-W, and omega by less than 1.415 2^-W in modulus.  At
+    W + 20 bits the parts of e lie within 2^-(W+13) of the exact ones:
+    pi_fixed and the division by n floor the angle by less than
+    1.5 2^-(W+20), and mpmath's fixed-point cos and sin lie within
+    64 2^-(W+20) of the exact values at that angle (the assumption stated
+    in _unit_grid).  So e^2 lies within 2^-(W+12) per part before its
+    floor, and each floor to W bits adds less than 2^-W per part."""
+    if n == 2:
+        return (0, 1 << wide), (-1 << wide, 0)
+    ex, ey = cos_sin_basecase(pi_fixed(wide + 20) // n, wide + 20)
+    return (ex >> 20, ey >> 20), ((ex * ex - ey * ey) >> wide + 40, (ex * ey) >> wide + 39)
+
+
 def _unit_grid(n: int, prec: int):
     """(cos, sin)(pi x_m) for m = 0 .. n - 1, x_m = mpf_div(2m, n) at prec
     bits, each bit for bit mpf_cos_sin_pi(x_m, prec, round_nearest) as
@@ -334,20 +358,17 @@ def _unit_grid(n: int, prec: int):
     _signed pairs.
 
     One rotation.  With W = prec + 40 + bit_length(n) and u = 2^-W,
-    libelefun's cos_sin_basecase gives e = exp(pi i / n) at W + 20 bits
-    (0 < pi / n < pi / 2 for n > 2), omega = exp(2 pi i / n) is e^2 floored
-    to W bits (-1 at n = 2), and p_m ~ omega^m comes from sequential
-    products on integers scaled by 2^W, each part floored.  x_m differs
-    from 2m/n by delta_m, computed exactly and floored to W bits, and the
-    point is p_m (1 + i theta_m), theta_m = pi delta_m with
-    pi = pi_fixed(W), each product floored.  Points whose x_m has an exponent of -1 or more
-    (m = 0, n/4, n/2, 3n/4) take mpmath's exact special values.
+    omega = exp(2 pi i / n) comes from _turn at W bits, and p_m ~ omega^m
+    from sequential products on integers scaled by 2^W, each part floored.
+    x_m differs from 2m/n by delta_m, computed exactly and floored to W
+    bits, and the point is p_m (1 + i theta_m), theta_m = pi delta_m with
+    pi = pi_fixed(W), each product floored.  Points whose x_m has an
+    exponent of -1 or more (m = 0, n/4, n/2, 3n/4) take mpmath's exact
+    special values.
 
     Its error, per part, is below E_m = (3m + 8) u + (pi delta_m)^2 / 2.
-    omega errs by less than 1.415 u in modulus: the parts of e lie within
-    2^-(W+13) of the exact ones (the assumption below and the floor of
-    pi / n), so e^2 within 2^-(W+12), and the floor to W bits adds less
-    than u per part.  A product adds sqrt(2) u and the error of omega, so
+    omega errs by less than 1.415 u in modulus (_turn, under the assumption
+    below).  A product adds sqrt(2) u and the error of omega, so
     |p_m - omega^m| < 2.84 m u.  |delta_m| <= 2^-prec, as x_m < 2 is
     rounded to nearest.  delta_m's floor errs by less than u, which pi
     carries to 3.15 u; pi_fixed's floor, times delta_m, and the product's
@@ -371,16 +392,12 @@ def _unit_grid(n: int, prec: int):
     cos_sin_basecase's and mpf_cos_sin's after its reduction of x_m, lie
     within 64 2^-wp of the exact values.  The largest errors seen were
     13.1 2^-wp over the 24 384 points x_m of n = 3..129 at 96, 288 and 544
-    bits, and 11.1 2^-(W+20) for e on the same n and precisions.
+    bits, and 11.1 2^-(W+20) for _turn's e on the same n and precisions.
     Under it the kept parts do not depend on mpmath's backend; the fallback
     points follow libelefun's cos_sin_basecase, whose table precision and
     integer square root differ between the pure-Python and gmpy backends."""
     wide = prec + 40 + n.bit_length()
-    if n == 2:
-        ox, oy = -1 << wide, 0
-    else:  # omega = e^2, e = exp(pi i / n) from cos_sin_basecase at W + 20 bits
-        ex, ey = cos_sin_basecase(pi_fixed(wide + 20) // n, wide + 20)
-        ox, oy = (ex * ex - ey * ey) >> wide + 40, (ex * ey) >> wide + 39
+    _, (ox, oy) = _turn(n, wide)
     pi, den = pi_fixed(wide), from_int(n)
     floor = 9 + (1 << max(0, wide + 3 - 2 * prec))  # the constant part of E_m, in units of u, plus 1
     cx, cy = 1 << wide, 0
@@ -414,35 +431,6 @@ def _conjugate_half(n: int, r) -> tuple[int, int]:
     return s // 2 + 1, s
 
 
-def _closed_root(n: int, negative: bool, precision_bits: int,
-                 root_sq: Fraction) -> tuple[int, int, tuple, tuple]:
-    """(W, size, root, e): the principal n-th root of +-root_sq^(n/2),
-    minus when negative, and e = exp(pi i / n) as integer pairs scaled by
-    2^W, and size = mag(root).  The root is R = sqrt(root_sq), or R e when
-    negative; R comes from math.isqrt, rounded down, and e from one mpmath
-    expjpi.  When negative, size is 1 + the larger part's mag, mpmath's mag
-    of a complex number with two nonzero parts, as the root of
-    _principal_root has even at n = 2.
-
-    W = bits + _GUARD + 24 + bit_length(n) + 2 |mag(R)|.  size lies in
-    [mag(R), mag(R) + 2], so W >= G + max(0, mag(R)) + 4 for the G of
-    _fixed_grid.  R errs by less than 2^-W; each part of e by less than
-    1.07 2^-W (the floor, and mpmath's rounding at W + 4 bits); so the root
-    errs by less than (2.5 + 1.52 R) 2^-W <= 0.26 2^-G."""
-    p, q = root_sq.numerator, root_sq.denominator
-    e = p.bit_length() - q.bit_length()
-    e -= (p << max(0, -e)) < (q << max(0, e))  # floor(log2 root_sq)
-    mag_mod = e // 2 + 1  # mag(R)
-    wide = precision_bits + _GUARD + 24 + n.bit_length() + 2 * abs(mag_mod)
-    modulus = math.isqrt((p << 2 * wide) // q)
-    with mp.workprec(wide + 4):
-        ex, ey = _to_fixed(mpmath.expjpi(mpf(1) / n), wide)
-    if not negative:
-        return wide, modulus.bit_length() - wide, (modulus, 0), (ex, ey)
-    x, y = (modulus * ex) >> wide, (modulus * ey) >> wide
-    return wide, 1 + max(x.bit_length(), y.bit_length()) - wide, (x, y), (ex, ey)
-
-
 def _fixed_grid(n: int, r, precision_bits: int,
                 root_sq: Fraction | None = None) -> tuple[int, list, int]:
     """(F, head, s): the n-th roots rho_m of r for m < h as Gaussian
@@ -451,31 +439,37 @@ def _fixed_grid(n: int, r, precision_bits: int,
     rho_m = conj rho_(s-m) for h <= m < n, so the head is every point for
     complex r and about n/2 of them for real r.
 
-    Without root_sq, mpmath computes root and omega = exp(2 pi i / n) once
-    each, exact to 2^-G in absolute terms,
-    G = F + bit_length(n) + 4 + max(0, mag(root)); the root's working
-    precision also covers the factor |log(r) / n| by which exp(log(r) / n)
-    magnifies rounding.
+    The points are rho_{m+1} = rho_m * omega, products on integers scaled
+    by 2^G, G = F + bit_length(n) + 4 + max(0, mag(root)), each shifted
+    down to F bits, with omega from _turn at G bits, within 1.415 2^-G.
+    The callers take the other points, where they need them, as the exact
+    conjugates of their mirror points' integer pairs.
+
+    Without root_sq, mpmath computes root once, exact to 2^-G in absolute
+    terms; its working precision also covers the factor |log(r) / n| by
+    which exp(log(r) / n) magnifies rounding.
 
     root_sq, an exact Fraction, is for real r near +-root_sq^(n/2), such as
     the scan's r* = +-(P(n)/P(n-1))^(n/2): the grid then holds the n-th
     roots of the exact +-root_sq^(n/2), with the sign of r, not of r itself.
     The scan passes r* rounded to bits + _GUARD bits, about 2^-540 away
     (relative) at 512 bits, which moves the roots by more than the bound
-    below.  The root comes from _closed_root, within 0.26 2^-G before its
-    pair is shifted down to G bits, so within 1.7 2^-G after; omega is the
-    square of e = exp(pi i / n), within 4.5 2^-G, so one expjpi serves both.
+    below.  The root is R = sqrt(root_sq) from math.isqrt, rounded down, or
+    R e for r < 0 with e = exp(pi i / n) from _turn, on integers scaled by
+    2^W, W = bits + _GUARD + 24 + bit_length(n) + 2 |mag(R)|.  mag(root) is
+    then its pair's _size minus W, plus 1 for r < 0, mpmath's mag of a
+    complex number with two nonzero parts, as the root of _principal_root
+    has even at n = 2.  It lies in [mag(R), mag(R) + 2], so
+    W >= G + max(0, mag(R)) + 4.  R errs by less than 2^-W and each part of
+    e by less than 1.01 2^-W, so the root errs by less than
+    (2.5 + 1.43 R) 2^-W <= 0.25 2^-G, and by less than 1.7 2^-G once its
+    pair is shifted down to G bits.
 
-    The points are rho_{m+1} = rho_m * omega, products on integers scaled
-    by 2^G, each shifted down to F bits.  The callers take the other
-    points, where they need them, as the exact conjugates of their mirror
-    points' integer pairs.
-
-    Error: each point lies within 2^(1-F) of the exact rho_m.  The G-bit
-    products drift by less than 5 n max(1, |root|) 2^-G <= 2^-(F+1) over
-    the grid; on the closed route each of the at most n/2 steps adds less
-    than (4.5 |root| + 1.42) 2^-G to the root's 1.7 2^-G.  The shift to F
-    bits adds less than sqrt(2) 2^-F.  A mirrored point would err by
+    Error: each point lies within 2^(1-F) of the exact rho_m.  Each of the
+    at most n - 1 products adds less than (1.415 |root| + 1.42) 2^-G to the
+    root's error, below 1.7 2^-G on either route, so the G-bit products
+    drift by less than 5 n max(1, |root|) 2^-G <= 2^-(F+1) over the grid.
+    The shift to F bits adds less than sqrt(2) 2^-F.  A mirrored point would err by
     exactly as much as its mirror, because the exact rho_m are conjugates
     of each other too.
     """
@@ -489,17 +483,19 @@ def _fixed_grid(n: int, r, precision_bits: int,
             root = _principal_root(n, mpmath.mpmathify(r))
         size = mpmath.mag(root)
     else:
-        wide, size, (x, y), (ex, ey) = _closed_root(n, r < 0, precision_bits, root_sq)
+        p, q = root_sq.numerator, root_sq.denominator
+        lg = p.bit_length() - q.bit_length()
+        lg -= (p << max(0, -lg)) < (q << max(0, lg))  # floor(log2 root_sq)
+        wide = precision_bits + _GUARD + 24 + n.bit_length() + 2 * abs(lg // 2 + 1)
+        x, y = math.isqrt((p << 2 * wide) // q), 0
+        if r < 0:
+            (ex, ey), _ = _turn(n, wide)
+            x, y = (x * ex) >> wide, (x * ey) >> wide
+        size = _size(x, y) - wide + (r < 0)
     frac = precision_bits + _GUARD + 8 + max(0, 3 - size)
     guard = frac + n.bit_length() + 4 + max(0, size)
-    if root_sq is None:
-        with mp.workprec(guard + 4):
-            wx, wy = _to_fixed(mpmath.expjpi(mpf(2) / n), guard)
-        x, y = _to_fixed(root, guard)
-    else:
-        drop = wide - guard
-        x, y, ex, ey = x >> drop, y >> drop, ex >> drop, ey >> drop
-        wx, wy = ((ex + ey) * (ex - ey)) >> guard, (ex * ey) >> (guard - 1)
+    x, y = _to_fixed(root, guard) if root_sq is None else (x >> wide - guard, y >> wide - guard)
+    _, (wx, wy) = _turn(n, guard)
     head, s = _conjugate_half(n, r)
     points = [(x, y)]
     for _ in range(head - 1):
@@ -651,23 +647,21 @@ def _direct_fixed(k: int, n: int, r, precision_bits: int) -> tuple[int, dict, di
     _check_grid(n, r, precision_bits)
     frac, head, s = _fixed_grid(n, r, precision_bits)
     terms = terms_upto(k, n - 1)
-    if n % 2:
-        coeffs = [a << frac for a in reversed(terms)]
-        points = dict(enumerate(head))
-        return frac, points, {m: _horner_fixed(coeffs, x, y, frac) for m, (x, y) in points.items()}, s
-    half, guard = n // 2, 6 + max(0, frac + 1 - _size(*head[0]))
+    pairs = n % 2 == 0  # rho_(m+n/2) = -rho_m
+    guard = 6 + max(0, frac + 1 - _size(*head[0]))
     wide = frac + guard
     even, odd = ([a << wide for a in reversed(terms[i::2])] for i in (0, 1))
     points, values = {}, {}
-    for m in range((len(head) + 1) // 2):
+    for m in range((len(head) + 1) // 2 if pairs else len(head)):
         x, y = points[m] = head[m]
-        points[m + half] = -x, -y
         w = (x * x - y * y) >> frac - guard, (x * y) >> frac - guard - 1  # rho^2
         ex, ey = _horner_fixed(even, *w, wide)
         ox, oy = _horner_fixed(odd, *w, wide)
         ox, oy = (ox * x - oy * y) >> frac, (ox * y + oy * x) >> frac  # rho O(rho^2)
         values[m] = (ex + ox) >> guard, (ey + oy) >> guard
-        values[m + half] = (ex - ox) >> guard, (ey - oy) >> guard
+        if pairs:
+            points[m + n // 2] = -x, -y
+            values[m + n // 2] = (ex - ox) >> guard, (ey - oy) >> guard
     return frac, points, values, s
 
 
@@ -850,24 +844,22 @@ def eigenvalues_direct(k: int, n: int, r, precision_bits: int = 256) -> EigenSpe
 
         |lambda~_m - Psi(rho_m)| <= 2^(1-F) * (sum_{j<n-1} |rho|^j + sum_l l a_l |rho|^(l-1)).
 
-    At odd n, Horner runs at each point p_m; the first sum carries the
-    floor of each product, below sqrt(2) 2^-F, and the second the error of
-    each point, below 1.92 2^-F (see _fixed_grid).
-
-    At even n, rho_(m+n/2) = -rho_m, and the kernel takes the point
-    -p_m there.  With E and O the polynomials of the even and odd
-    coefficients, Psi(+-p) = E(p^2) +- p O(p^2): p^2, both Horners and
+    One route at every n.  With E and O the polynomials of the even and
+    odd coefficients, Psi(p) = E(p^2) + p O(p^2) at each point p_m; at
+    even n, rho_(m+n/2) = -rho_m, and the same two Horners give
+    Psi(-p) = E(p^2) - p O(p^2) at the point -p_m.  p^2, both Horners and
     p O run at F + g fractional bits, g = 6 + max(0, F + 1 - b) with
     2^(b-1) <= the larger part of p_0 scaled by 2^F, so 2^-g <= 2^-6 R,
-    R = |rho|; the two values are floored to F bits.  Floors of
+    R = |rho|; the values are floored to F bits.  Floors of
     sqrt(2) 2^-(F+g) in the Horners and in p O, carried by the powers of
     p^2 and by p, cost at most
     sqrt(2) 2^-(F+g) (2 sum_{j<n-1} R^j + sum_l l a_l R^(l-1) / (2R)), the
     floor of p^2 entering through E' and O' (of degree below n/2, taken at
     R^2); 2^-g <= 2^-6 R keeps this below 2^(1-F) (0.03 sum_j R^j +
     0.006 sum_l l a_l R^(l-1)).  The final floors add
-    sqrt(2) 2^-F <= 2^(1-F) 0.71, and the point 1.92 2^-F times the second
-    sum, so the bound holds with room.
+    sqrt(2) 2^-F <= 2^(1-F) 0.71, and the error of each point, below
+    1.92 2^-F (see _fixed_grid), times the second sum, so the bound holds
+    with room.
 
     For real r the kernel evaluates only part of the grid and mirrors the
     rest: rho_m = conj rho_((s - m) mod n) (_conjugate_half).  At odd n it

@@ -120,7 +120,9 @@ def test_criterion_04_sandwich_bounds(capsys):
             f"{checked} grid cells, worst violation {worst:.1e}, {elapsed:.1f} s")
 
 
-def test_criterion_05_eigenvalue_closed_forms(capsys):
+def test_criterion_05_eigenvalue_closed_forms(capsys, criterion_05_closed):
+    # the closed spectra, eigenvalues_closed(k, n, r, 256) for k 1..5,
+    # n 3..64 and r in {1, -1, 2, -3/2, i}, come from the session fixture
     start = time.perf_counter()
     bits = 256
     tol = mpf("1e-20")
@@ -129,20 +131,17 @@ def test_criterion_05_eigenvalue_closed_forms(capsys):
     worst_res = mpf(0)
     checked = 0
     with mp.workprec(bits + 32):
-        for k in range(1, 6):
-            for n in range(3, 65):
-                for r in (1, -1, 2, Fraction(-3, 2), 1j):
-                    closed = sp.eigenvalues_closed(k, n, r, bits)
-                    direct = sp.eigenvalues_direct(k, n, r, bits)
-                    for lam_c, lam_d in zip(closed.lambdas, direct.lambdas):
-                        rel = abs(lam_c - lam_d) / max(abs(lam_d), mpf(1))
-                        worst_diff = max(worst_diff, rel)
-                        assert rel <= tol, (k, n, r, rel)
-                    res = sp.eigenpair_residuals(k, n, r, closed, precision_bits=bits)
-                    peak = max(res)
-                    worst_res = max(worst_res, peak)
-                    assert peak <= residual_tol, (k, n, r, peak)
-                    checked += n
+        for k, n, r, closed in criterion_05_closed:
+            direct = sp.eigenvalues_direct(k, n, r, bits)
+            for lam_c, lam_d in zip(closed.lambdas, direct.lambdas):
+                rel = abs(lam_c - lam_d) / max(abs(lam_d), mpf(1))
+                worst_diff = max(worst_diff, rel)
+                assert rel <= tol, (k, n, r, rel)
+            res = sp.eigenpair_residuals(k, n, r, closed, precision_bits=bits)
+            peak = max(res)
+            worst_res = max(worst_res, peak)
+            assert peak <= residual_tol, (k, n, r, peak)
+            checked += n
     elapsed = time.perf_counter() - start
     _report(capsys, 5, "eigenvalue closed forms", True,
             f"{checked} eigenvalues, worst rel diff {float(worst_diff):.1e}, "
