@@ -23,10 +23,11 @@ Three layers, strongest first:
   (-1/2)^3 = r, so det = r (1 + 8r) = 0.  For int and Fraction r the exact
   decision overrides the guarantee; for float and mpf r the gap stays.
 * counterexample_scan: probes the uncertified critical values r* cell by
-  cell, deciding singularity twice over (quadratic-root phase alignment vs.
-  smallest eigenvalue magnitude, both from spectral._critical_moduli, the
-  second settled at 128 bits where its bound allows) and reporting
-  "undetermined" when the two routes disagree.
+  cell.  spectral._critical_moduli decides every number of a cell: the
+  logarithms and both singularity signals (quadratic-root phase alignment
+  and smallest eigenvalue magnitude, the second settled at 128 bits where
+  its bound allows).  The scan keeps only the verdict, "undetermined" when
+  the two signals disagree, and the error row of a cell that raises.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .circulant import _resultants, is_exact, is_real
 from .errors import ZeroR
 from .sequence import (_GUARD, char_roots, check_bits, check_int, check_k, check_order, check_r,
                        tolerance_bits)
-from .spectral import _critical_magnitude, _critical_moduli, _log10_double
+from .spectral import _critical_magnitude, _critical_moduli
 
 GUARANTEED_INVERTIBLE = "guaranteed_invertible"
 EXCLUDED_PARAMETER = "excluded_parameter"
@@ -179,24 +180,9 @@ class ScanCell:
     verdict: str
 
 
-def _scan_cell(k: int, n: int, sign: int, precision_bits: int) -> ScanCell:
-    with mp.workprec(precision_bits + _GUARD):
-        tol = mpf(2) ** -tolerance_bits(precision_bits)
-        r_star, closed_res, min_log10, eigen_singular = _critical_moduli(k, n, sign, precision_bits, tol)
-        closed_singular = bool(closed_res <= tol)
-        if closed_singular == eigen_singular:
-            verdict = "singular" if closed_singular else "invertible"
-        else:
-            verdict = "undetermined"
-        return ScanCell(
-            k=k, n=n, sign=sign,
-            r_star_log10=_log10_double(abs(r_star)),
-            min_abs_lambda_log10=min_log10,
-            closed_residual_log10=_log10_double(closed_res) if closed_res > 0 else float("-inf"),
-            closed_singular=closed_singular,
-            eigen_singular=eigen_singular,
-            verdict=verdict,
-        )
+# a cell's verdict from (closed_singular, eigen_singular); the two signals
+# disagree, or a cell raised, for every other pair
+_VERDICTS = {(True, True): "singular", (False, False): "invertible"}
 
 
 def counterexample_scan(k_values, n_values, sign: int = 1,
@@ -213,14 +199,8 @@ def counterexample_scan(k_values, n_values, sign: int = 1,
         for n in n_values:
             check_int(n, 2, "matrix order n")
             try:
-                cells.append(_scan_cell(k, n, sign, precision_bits))
+                numbers = _critical_moduli(k, n, sign, precision_bits)
             except ArithmeticError:
-                cells.append(ScanCell(
-                    k=k, n=n, sign=sign,
-                    r_star_log10=float("nan"),
-                    min_abs_lambda_log10=float("nan"),
-                    closed_residual_log10=float("nan"),
-                    closed_singular=None, eigen_singular=None,
-                    verdict="undetermined",
-                ))
+                numbers = (float("nan"),) * 3 + (None, None)
+            cells.append(ScanCell(k, n, sign, *numbers, _VERDICTS.get(numbers[3:], "undetermined")))
     return cells

@@ -115,11 +115,14 @@ class CubicRoots:
     """Roots of the characteristic cubic at a given binary precision.
 
     alpha is the dominant real root; beta and gamma are the remaining two,
-    stored as mpc even when real so downstream code is branch-free.
+    stored as mpc even when real so downstream code is branch-free.  They
+    come in a fixed order, on which determinant_closed's denominator and
+    the closed branch names depend: beta.imag >= 0, and beta.real >=
+    gamma.real when both are real.  char_roots takes them as
+    (-b +- disc) / 2 with disc the mpc square root of a real number, which
+    is (sqrt x, 0) or (0, sqrt -x), and rounding is monotone.
     """
 
-    k: int
-    precision_bits: int
     alpha: mpf
     beta: mpc
     gamma: mpc
@@ -216,12 +219,10 @@ def char_roots(k: int, precision_bits: int = 256) -> CubicRoots:
         disc = mpmath.sqrt(mpc(b * b - 4 * c))
         beta = (-b + disc) / 2
         gamma = (-b - disc) / 2
-        if beta.imag < 0 or (beta.imag == 0 and beta.real < gamma.real):
-            beta, gamma = gamma, beta
         for root in (alpha, beta, gamma):
             if _rel_residual(k, root) > tol:
                 raise PrecisionExhausted(
                     f"root residual above 2^-{tolerance_bits(precision_bits)} for k={k}"
                 )
     _certify_roots(k, precision_bits, (alpha, beta, gamma))
-    return CubicRoots(k=k, precision_bits=precision_bits, alpha=alpha, beta=beta, gamma=gamma)
+    return CubicRoots(alpha=alpha, beta=beta, gamma=gamma)

@@ -19,8 +19,10 @@ omega, by one route at every n: Horner on its even and odd coefficients at
 rho_m^2.  The closed path uses a rational expression in rho_m with three
 degenerate branches when rho_m collides with a reciprocal characteristic
 root.
-Everything high-precision runs under mpmath workprec; everything
-double-precision runs on numpy.
+Everything high-precision runs under mpmath workprec.  Double precision
+runs on numpy for the norms and bounds, and on Python floats in the
+scan's candidate screen (_extreme_candidates) and the closed path's
+generic test (_clearly_generic).
 """
 
 from __future__ import annotations
@@ -223,7 +225,26 @@ def _horner_fixed(coeffs, x: int, y: int, frac: int) -> tuple[int, int]:
     """The polynomial with coefficients coeffs (highest degree first, each
     an integer scaled by 2^frac) at (x + i y) 2^-frac, by Horner with three
     products per step; the value as an integer pair scaled by 2^frac.  Each
-    of the len(coeffs) - 1 products rounds down once (see above)."""
+    of the len(coeffs) - 1 products rounds down once (see above).
+
+    Error bound, with F = frac, coefficients a_l >= 0 of z^l (a generator
+    row), Psi their polynomial, n = len(coeffs), p the point, rho an exact
+    point within d of it and R = |rho|: if d < 1.92 2^-F (a point of
+    _fixed_grid, within 2^-(F+1) + sqrt(2) 2^-F), d <= 2^-100 R and
+    n < 2^40, the value lies within
+
+        2^(1-F) * (sum_{j<n-1} R^j + sum_l l a_l R^(l-1))
+
+    of Psi(rho), the bound eigenvalues_direct states for its split route.
+    Proof: the floor of product i errs by f_i, |f_i| < sqrt(2) 2^-F, and
+    the adds are exact, so the running errors obey e_(i+1) = e_i p + f_i
+    exactly; the value lies within sqrt(2) 2^-F sum_{j<n-1} |p|^j of
+    Psi(p), each floor carried by |p|^j for the j products after it.
+    |Psi'(z)| <= sum_l l a_l |z|^(l-1), so Psi(p) lies within
+    d sum_l l a_l max(|p|, R)^(l-1) of Psi(rho).  For j < n,
+    |p|^j <= (1 + 2^-100)^j R^j < (1 + 2^-59) R^j, and sqrt(2) and 1.92
+    times 1 + 2^-59 are below 2.  _modulus_extremes runs this plain
+    route."""
     s, d = x + y, y - x
     top, *rest = coeffs
     ax, ay = top, 0
@@ -242,7 +263,6 @@ class EigenGrid:
     """The n-th roots of r: rho_m = rho_0 * omega^m with rho_0 the principal
     n-th root of r."""
 
-    n: int
     r: object
     precision_bits: int
     rhos: tuple
@@ -283,7 +303,7 @@ def eigen_grid(n: int, r, precision_bits: int = 256) -> EigenGrid:
         root = _principal_root(n, mpmath.mpmathify(r))
         z = tuple(map(_signed, root._mpc_))
         rhos = tuple(_to_mpc(_cmul(z, unit, prec)) for unit in _unit_grid(n, prec))
-    return EigenGrid(n=n, r=r, precision_bits=precision_bits, rhos=rhos)
+    return EigenGrid(r=r, precision_bits=precision_bits, rhos=rhos)
 
 
 def _round_clear(v: int, margin: int, frac: int, prec: int) -> tuple[int, int] | None:
@@ -746,7 +766,7 @@ def _modulus_extremes(k: int, n: int, r, precision_bits: int,
     Proof, with P = Pbar(R') <= 2^t and R as in the proof below, and
     prec = bits + _GUARD:
     - The kernel.  F >= bits + 40, and the two sums of the bound stated in
-      eigenvalues_direct are at most n P / R (see the kernel's value
+      _horner_fixed are at most n P / R (see the kernel's value
       below), so each lambda~_m lies within 2^(1-F) n P / R
       <= 2^(-39-bits) n P / R of Psi(rho_m).  A mirrored index carries the
       conjugates of both, so the smallest |lambda~_m| lies within as much
@@ -783,7 +803,8 @@ def _modulus_extremes(k: int, n: int, r, precision_bits: int,
       _fixed_grid puts p_m within 2^(1-F) of rho_m.
     - The kernel's value.  P(l) >= 1 for l >= 1, so sum_{j<n-1} R^j and
       sum_l l a_l R^(l-1) are at most n Pbar(R) / R, and the bound stated
-      in eigenvalues_direct gives |lambda~_m - Psi(rho_m)| <= 2^-103 n P.
+      in _horner_fixed, which the kernel's point meets, gives
+      |lambda~_m - Psi(rho_m)| <= 2^-103 n P.
     - Rounding to doubles.  int / int rounds each part to nearest, so the
       double z_m is within u |p_m| + 2^-1074 of p_m; the check R' >= 2^-900
       makes 2^-1074 < 2^-173 R, so |z_m - rho_m| <= 1.01 u R.  abs() errs
@@ -877,7 +898,7 @@ def eigenvalues_direct(k: int, n: int, r, precision_bits: int = 256) -> EigenSpe
     with mp.workprec(precision_bits + _GUARD):
         lams = _conjugate_fill({m: _from_fixed(x, y, frac) for m, (x, y) in values.items()}, n, s)
         rhos = _conjugate_fill({m: _from_fixed(x, y, frac) for m, (x, y) in points.items()}, n, s)
-    grid = EigenGrid(n=n, r=r, precision_bits=precision_bits, rhos=rhos)
+    grid = EigenGrid(r=r, precision_bits=precision_bits, rhos=rhos)
     return EigenSpectrum(k=k, grid=grid, lambdas=lams, branches=("direct",) * n)
 
 
@@ -1248,8 +1269,8 @@ def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum,
     if precision_bits not in (None, spectrum.grid.precision_bits):
         raise ValueError(f"precision_bits {precision_bits!r} differs from the spectrum's"
                          f" {spectrum.grid.precision_bits}")
-    if n != spectrum.grid.n:
-        raise ValueError(f"matrix order n {n!r} differs from the spectrum's {spectrum.grid.n}")
+    if n != len(spectrum.grid.rhos):
+        raise ValueError(f"matrix order n {n!r} differs from the spectrum's {len(spectrum.grid.rhos)}")
     check_r(r)
     for name, value, own in (("k", k, spectrum.k), ("r", r, spectrum.grid.r)):
         if value != own:
@@ -1438,32 +1459,37 @@ def _critical_magnitude(k: int, n: int) -> mpf:
 _FIRST_BITS = 128
 
 
-def _critical_moduli(k: int, n: int, sign: int, precision_bits: int,
-                     tol: mpf) -> tuple[mpf, mpf, float, bool]:
-    """(r*, closed residual, log10 of the smallest |lambda_m|, eigen_singular)
-    at bits + _GUARD bits for r* = sign (p/q)^(n/2), p = P(n), q = P(n-1),
-    which the sufficient theorem leaves uncertified: the scan's two signals.
-    eigen_singular is min |lambda_m| <= tol max(1, max |lambda_m|).  The
+def _critical_moduli(k: int, n: int, sign: int,
+                     precision_bits: int) -> tuple[float, float, float, bool, bool]:
+    """(r_star_log10, min_abs_lambda_log10, closed_residual_log10,
+    closed_singular, eigen_singular), the numbers of a scan cell, at
+    bits + _GUARD bits for r* = sign (p/q)^(n/2), p = P(n), q = P(n-1),
+    which the sufficient theorem leaves uncertified: the scan's two signals
+    and the logarithms it reports, each _log10_double's (-inf at zero).
+    With tol = 2^-tolerance_bits(bits), closed_singular is
+    closed residual <= tol and eigen_singular is _settle's predicate.  The
     closed residual is min |r_i^n - r*| / |r*| over the roots r_i of
     _quadratic_roots; complex r_i are an exact conjugate pair (r* is real)
     and take one fixed-point power.  The moduli are _modulus_extremes' on
     the grid of _fixed_grid with root_sq = p/q, the roots of the exact r*;
     Horner runs only on the candidates that its proved double-precision
     pass leaves, usually one or two points, and a cell takes two square
-    roots whatever n is.  The logarithm is _log10_double's, and -inf at
-    min |lambda_m| = 0.
+    roots whatever n is.
 
-    Two passes.  Above _FIRST_BITS bits, _modulus_extremes runs first at
-    _FIRST_BITS bits.  Its stated bound puts that pass's two moduli within
+    Two passes, each of which maps its moduli through _settle.  Above
+    _FIRST_BITS bits, _modulus_extremes runs first at _FIRST_BITS bits.
+    Its stated bound puts that pass's two moduli within
     2^(c - _FIRST_BITS) of the exact extremes, and the moduli the full
     pass would give within 2^(c - bits), for the same c.  So each low
     modulus lies within spread = 2^(c - _FIRST_BITS) + 2^(c - bits) of the
     full pass's, and _settle returns the two outputs the full pass would
     give whenever every pair within spread gives the same two; the full
     pass then never runs.  Otherwise, and where c is None, the full pass
-    runs as it does below _FIRST_BITS bits.  The closed residual and r*
-    stay at full precision, as _quadratic_roots states no error bound."""
+    runs as it does below _FIRST_BITS bits, and _settle at zero spread
+    gives its two outputs.  The closed residual and r* stay at full
+    precision, as _quadratic_roots states no error bound."""
     with mp.workprec(precision_bits + _GUARD):
+        tol = mpf(2) ** -tolerance_bits(precision_bits)
         r_star = sign * _critical_magnitude(k, n)
         r1, r2 = _quadratic_roots(k, n, r_star)
         # z^n in fixed point errs by less than 3 n max(1, |z|)^n 2^-frac
@@ -1474,16 +1500,18 @@ def _critical_moduli(k: int, n: int, sign: int, precision_bits: int,
         powers = (_pow_sum_fixed(*_to_fixed(z, frac), n, frac, False) for z in pair)
         closed_res = min(_modulus(_from_fixed(x - rx, y, frac)) for x, y, _ in powers) / abs(r_star)
         root_sq = Fraction(term(k, n), term(k, n - 1))
+        settled = None
         if precision_bits > _FIRST_BITS:
             min_mag, _, max_mag, scale = _modulus_extremes(k, n, r_star, _FIRST_BITS, root_sq)
             if scale is not None:
                 spread = mpf(2) ** (scale - _FIRST_BITS) + mpf(2) ** (scale - precision_bits)
                 settled = _settle(min_mag, max_mag, spread, tol)
-                if settled:
-                    return r_star, closed_res, *settled
-        min_mag, _, max_mag, _ = _modulus_extremes(k, n, r_star, precision_bits, root_sq)
-        log = _log10_double(min_mag) if min_mag > 0 else float("-inf")
-        return r_star, closed_res, log, bool(min_mag <= tol * max(mpf(1), max_mag))
+        if not settled:
+            min_mag, _, max_mag, _ = _modulus_extremes(k, n, r_star, precision_bits, root_sq)
+            settled = _settle(min_mag, max_mag, mpf(0), tol)
+        min_log10, eigen_singular = settled
+        return (_log10_double(abs(r_star)), min_log10, _log10_double(closed_res),
+                bool(closed_res <= tol), eigen_singular)
 
 
 def _settle(min_mag: mpf, max_mag: mpf, spread: mpf, tol: mpf) -> tuple[float, bool] | None:
@@ -1496,7 +1524,9 @@ def _settle(min_mag: mpf, max_mag: mpf, spread: mpf, tol: mpf) -> tuple[float, b
     (min_mag - spread, max_mag + spread); these ends are exact and tol is
     a power of two.  The logarithm is _log10_double's with spread, which
     also refuses spread > min_mag / 2, so a smallest modulus of 0 is never
-    settled here."""
+    settled at a nonzero spread.  At spread 0 the answer is never None:
+    it is the full pass's pair, min_mag <= tol max(1, max_mag) decided
+    exactly and the full-precision logarithm."""
     t, a, b, s = tol._mpf_, min_mag._mpf_, max_mag._mpf_, spread._mpf_
 
     def singular(low, high):  # on raw mpf values, exactly
@@ -1516,9 +1546,9 @@ def _ln10() -> tuple:
 
 def _log10_double(x: mpf, spread: mpf | int = 0) -> float | None:
     """float(mpmath.log10(x)) for a positive mpf x at the working
-    precision, which is at least 96 bits, mostly from a 120-bit logarithm.
-    With spread > 0, float(mpmath.log10(y)) at the working precision for
-    every y within spread of x, or None.
+    precision, which is at least 96 bits, mostly from a 120-bit logarithm,
+    and -inf for x = 0.  With spread > 0, float(mpmath.log10(y)) at the
+    working precision for every y within spread of x, or None.
 
     Proof: L~ = mpf_log(x) / ln 10 at 120 bits, each rounded to nearest,
     is within 2^-116 |L| of L = log10(x), and mpmath's log10 at p >= 96
@@ -1535,10 +1565,11 @@ def _log10_double(x: mpf, spread: mpf | int = 0) -> float | None:
     log10(y) lies within (2^-116 + 2^-85 + 2^-93) (1 + 2^-84) |L~|
     < 2^-84 |L~| of L~: strictly between the same two midpoints.  y > 0,
     and a full-precision _log10_double(y) returns that double.  Where the
-    check or the margin fails, or x = 1 (L~ = 0), the answer is None."""
+    check or the margin fails, or x is 1 or 0 (L~ = 0 or -inf), the
+    answer is None."""
     log = mpf_log(x._mpf_, 120, round_nearest)
-    if not log[1]:
-        return None if spread else 0.0  # log(1) is exactly zero
+    if not log[1]:  # log(1) is exactly zero and log(0) is -inf
+        return None if spread else to_float(log)
     _, man, exp, bc = value = mpf_div(log, _ln10(), 120, round_nearest)
     # the 67 bits below a double's 53, measured from the midpoint 2^66
     tail = ((man << (120 - bc)) & ((1 << 67) - 1)) - (1 << 66)

@@ -377,8 +377,9 @@ def test_bench_r_outside_fast_range_exits_2(capsys):
     assert err["kind"] == "ValueError" and "outside [1/4, 4]" in err["message"]
 
 
-@pytest.mark.parametrize("sizes", [["--sizes=-3"], ["--sizes", "0"], ["--sizes", "4,0,8"]],
-                         ids=["negative", "zero", "zero_in_list"])
+@pytest.mark.parametrize("sizes", [["--sizes=-3"], ["--sizes", "0"], ["--sizes", "4,0,8"],
+                                   ["--sizes", ","]],
+                         ids=["negative", "zero", "zero_in_list", "no_n"])
 def test_bench_nonpositive_size_exits_2(sizes, capsys):
     # rejected while parsing, before any matrix is built
     argv = ["bench", *sizes, "--k", "1", "--r", "2"]

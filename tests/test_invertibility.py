@@ -291,12 +291,19 @@ def test_scan_counts_no_principal_root_and_no_log_fallback(monkeypatch):
     assert len(logs) == 0, len(logs)
 
 
-def _criterion_09_digest():
+def _criterion_09_digest(bits=512):
     reprs = []
     for sign in (1, -1):
         reprs += map(repr, inv.counterexample_scan(range(1, 11), range(2, 31), sign=sign,
-                                                   precision_bits=512))
+                                                   precision_bits=bits))
     return hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("bits", [64, 1024])
+def test_scan_digest_holds_at_64_and_1024_bits(bits):
+    # 64 bits runs the full pass alone, 1024 bits the first pass with the
+    # widest gap to the full precision; both print criterion 09's bytes
+    assert _criterion_09_digest(bits) == SCAN_DIGEST
 
 
 def _counting_extremes(monkeypatch):
@@ -323,9 +330,12 @@ def test_scan_first_pass_settles_every_cell_of_criterion_09(monkeypatch):
 
 def test_scan_full_pass_alone_gives_the_same_digest(monkeypatch):
     # with every first pass undecided, each cell runs the full pass, as
-    # below _FIRST_BITS bits, and every byte of the scan is the same
+    # below _FIRST_BITS bits, and every byte of the scan is the same; the
+    # full pass settles its own moduli at zero spread
     calls = _counting_extremes(monkeypatch)
-    monkeypatch.setattr(sp, "_settle", lambda *args: None)
+    settle = sp._settle
+    monkeypatch.setattr(sp, "_settle",
+                        lambda a, b, spread, tol: None if spread else settle(a, b, spread, tol))
     assert _criterion_09_digest() == SCAN_DIGEST
     assert calls.count(512) == 580, calls
 
@@ -339,8 +349,8 @@ def _critical_cells():
 
 def test_first_pass_moduli_lie_within_both_stated_bounds(monkeypatch):
     # |low - full| <= 2^(c - 128) + 2^(c - bits) for the smallest and the
-    # largest modulus, with each pass's own c, and the spread that
-    # _critical_moduli hands to _settle covers both bounds
+    # largest modulus, with each pass's own c, and the one nonzero spread
+    # that _critical_moduli hands to _settle covers both bounds
     spreads = []
     settle = sp._settle
 
@@ -359,8 +369,9 @@ def test_first_pass_moduli_lie_within_both_stated_bounds(monkeypatch):
             assert abs(low_min - full_min) <= bound, (k, n, sign, bits)
             assert abs(low_max - full_max) <= bound, (k, n, sign, bits)
             spreads.clear()
-            sp._critical_moduli(k, n, sign, bits, mpf(2) ** -(bits // 2))
-            assert len(spreads) == 1 and spreads[0] >= bound, (k, n, sign, bits)
+            sp._critical_moduli(k, n, sign, bits)
+            nonzero = [spread for spread in spreads if spread]
+            assert len(nonzero) == 1 and nonzero[0] >= bound, (k, n, sign, bits)
 
 
 def test_settle_refuses_a_logarithm_the_spread_can_move():
@@ -415,6 +426,32 @@ def test_settle_refuses_a_smallest_modulus_within_the_spread_of_tol():
                 assert sp._settle(edge + shift * spread / 2, top, spread, tol) is None, (top, shift)
             assert sp._settle(edge - 3 * spread, top, spread, tol)[1] is True
             assert sp._settle(edge + 3 * spread, top, spread, tol)[1] is False
+
+
+def test_settle_at_zero_spread_is_the_full_pass():
+    # the full pass's own expressions before _settle took its moduli too:
+    # the logarithm guarded at zero and min <= tol max(1, max) in mpf
+    rng = random.Random(39)
+    with mp.workprec(512 + _GUARD):
+        tol = mpf(2) ** -256
+        pairs = [(mpf(0), mpf(0)), (mpf(0), mpf(3)), (tol, mpf(1) / 3), (tol, mpf(5) ** 40),
+                 (tol * mpf(5) ** 40, mpf(5) ** 40), (tol * 3 / 7, mpf(3) / 7), (mpf(1), mpf(1))]
+        for top in (mpf(3) / 7, mpf(1), mpf(5) ** 40):
+            edge = tol * max(mpf(1), top)
+            pairs += [(edge, top), (edge * (1 + mpf(2) ** -500), top), (edge * (1 - mpf(2) ** -500), top)]
+        for _ in range(300):
+            a = mpf((rng.getrandbits(544) | 1, rng.randrange(-1000, 200)))
+            pairs.append((a, a * (1 + mpf(rng.random()) * 2 ** rng.randrange(0, 300))))
+        for a, b in pairs:
+            want = (sp._log10_double(a) if a > 0 else float("-inf"),
+                    bool(a <= tol * max(mpf(1), b)))
+            assert sp._settle(a, b, mpf(0), tol) == want, (a, b)
+
+
+def test_log10_double_of_zero():
+    with mp.workprec(512 + _GUARD):
+        assert sp._log10_double(mpf(0)) == float("-inf")
+        assert sp._log10_double(mpf(0), mpf(2) ** -600) is None
 
 
 def _log10_cases():

@@ -103,6 +103,17 @@ def test_residuals_across_precisions():
                 assert res <= tol
 
 
+def test_beta_and_gamma_keep_their_order():
+    # beta.imag >= 0, and beta.real >= gamma.real when both are real:
+    # determinant_closed's denominator and eig's branch names use this order
+    for bits in (64, 256, 1024):
+        for k in range(1, 201):
+            roots = seq.char_roots(k, bits)
+            beta, gamma = roots.beta, roots.gamma
+            assert beta.imag >= 0, (k, bits)
+            assert beta.imag > 0 or (gamma.imag == 0 and beta.real >= gamma.real), (k, bits)
+
+
 def test_vieta_sum():
     for k in (1, 4, 9):
         roots = seq.char_roots(k, 256)
