@@ -26,7 +26,7 @@ from pelltrib import cli
 GOLDEN_DIR = pathlib.Path(__file__).with_name("golden")
 FORMATS = ("plain", "csv", "json")
 
-DET_R = ("2", "-3/2", "3/7", "169/25", "-1/8")
+DET_R = ("2", "-3/2", "3/7", "169/25", "-1/8", "1.08", "1e-12", "2-3i")
 NORM_R = ("2", "-3/2", "3/7", "1.08", "1e-3", "0+1i", "2-3i")
 
 # the same argv in every format; the key appends --format=<fmt>
