@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import dataclasses
 import functools
 import hashlib
 import json
@@ -29,7 +28,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from . import circulant, fastops, invertibility, sequence, spectral, sums
+from . import fastops, invertibility, sequence, spectral, sums
 from .errors import ScalarParseError, ZeroR
 
 _DEFAULT_BITS = 256
@@ -145,13 +144,14 @@ class Report:
 
     Values are printed in run's precision context.  JSON writes the values
     json cannot write itself through _fmt.  Plain and csv default to the
-    result's entries in its order.  For a dict result, such as a library
-    record passed through dataclasses.asdict, that is one `name = value`
-    line per entry and a one-row table of the params followed by the
-    result, whose names no param shares.  For a list of dicts it is one
-    line of space-separated `name=value` fields per row and a table of the
-    rows under a header of their names.  A command whose lines the defaults
-    cannot give passes its own.
+    result's entries in its order.  For a dict result, such as vars() of a
+    library record, that is one `name = value` line per entry and a
+    one-row table of the params followed by the result, whose names no
+    param shares.  For a list of dicts it is one line of space-separated
+    `name=value` fields per row and a table of the rows under a header of
+    their names.  A command whose lines the defaults cannot give passes its
+    own.  Rendering never changes the result, so a record's own vars() can
+    be passed.
     """
 
     def __init__(self, params: dict, result, plain: list[str] | None = None,
@@ -195,7 +195,7 @@ def _cmd_seq(args: argparse.Namespace) -> Report:
 
 def _cmd_sums(args: argparse.Namespace) -> Report:
     rep = sums.sums_report(args.k, args.n)
-    return Report({"k": args.k, "n": args.n}, dataclasses.asdict(rep))
+    return Report({"k": args.k, "n": args.n}, vars(rep))
 
 
 def _knr(args: argparse.Namespace) -> dict:
@@ -209,7 +209,7 @@ def _cmd_norms(args: argparse.Namespace) -> Report:
 
 def _cmd_bounds(args: argparse.Namespace) -> Report:
     rep = spectral.norm_report(args.k, args.n, _parse_r(args))
-    return Report(_knr(args), dataclasses.asdict(rep))
+    return Report(_knr(args), vars(rep))
 
 
 def _cmd_eig(args: argparse.Namespace) -> Report:
@@ -222,38 +222,17 @@ def _cmd_eig(args: argparse.Namespace) -> Report:
 
 
 def _cmd_det(args: argparse.Namespace) -> Report:
-    k, n, bits = args.k, args.n, args.bits
-    r = _parse_r(args)
-    rep = spectral.determinant_closed(k, n, r, bits)
-    det_exact = circulant.det_exact(k, n, r) if circulant.is_exact(r) else None
-    return Report(_knr(args), {
-        "det_closed": rep.det_closed,
-        "det_product_of_eigenvalues": rep.det_oracle,
-        "det_exact": det_exact,
-        "quadratic_r1": rep.r1,
-        "quadratic_r2": rep.r2,
-        "used_generic_formula": True,
-    })
+    rep = spectral.determinant_closed(args.k, args.n, _parse_r(args), args.bits)
+    return Report(_knr(args), vars(rep) | {"used_generic_formula": True})
 
 
 def _cmd_invert(args: argparse.Namespace) -> Report:
-    r = _parse_r(args)
-    if not circulant.is_real(r):
-        verdict = invertibility.InvertibilityVerdict(
-            status="not_covered", reason="sufficient condition applies to real r only")
-    else:
-        verdict = invertibility.sufficient_condition(args.k, args.n, r, args.bits)
-    result = {
-        "status": verdict.status,
-        "reason": verdict.reason,
-        "witness": verdict.witness,
-        "gcd_invertible": verdict.exact_invertible,
-    }
+    verdict = invertibility.sufficient_condition(args.k, args.n, _parse_r(args), args.bits)
     # the CSV row leaves out the witness and quotes the reason
     csv = ["k,n,r,status,reason,gcd_invertible",
            f"{args.k},{args.n},{args.r},{verdict.status},\"{verdict.reason}\","
-           f"{_csv_cell(verdict.exact_invertible)}"]
-    return Report(_knr(args), result, csv=csv)
+           f"{_csv_cell(verdict.gcd_invertible)}"]
+    return Report(_knr(args), vars(verdict), csv=csv)
 
 
 def _cmd_scan(args: argparse.Namespace) -> Report:
@@ -263,7 +242,7 @@ def _cmd_scan(args: argparse.Namespace) -> Report:
         sign=args.sign,
         precision_bits=args.bits,
     )
-    rows = [dataclasses.asdict(cell) for cell in cells]
+    rows = [vars(cell) for cell in cells]
     plain = [
         f"k={row['k']} n={row['n']} verdict={row['verdict']} "
         f"min|lambda| 1e{row['min_abs_lambda_log10']:.1f}"
@@ -274,8 +253,8 @@ def _cmd_scan(args: argparse.Namespace) -> Report:
 
 
 def _cmd_bench(args: argparse.Namespace) -> Report:
-    rows = fastops.bench_matvec(args.sizes, args.k, complex(_parse_r(args)))
-    dicts = [dataclasses.asdict(row) for row in rows]
+    rows = fastops.bench_matvec(args.sizes, args.k, _parse_r(args))
+    dicts = [vars(row) for row in rows]
     csv = ["n,path,mean_ns,rel_err"] + [
         f"{row.n},{row.path},{row.mean_ns:.1f},{row.rel_err:.3e}" for row in rows]
     plain = [f"n={row.n} {row.path}: {row.mean_ns / 1e3:.1f} us (rel_err {row.rel_err:.2e})"
@@ -283,16 +262,12 @@ def _cmd_bench(args: argparse.Namespace) -> Report:
     return Report({"k": args.k, "r": args.r, "sizes": args.sizes}, dicts, plain, csv)
 
 
-_TABLE_FIELDS = tuple(f.name for f in dataclasses.fields(spectral.Table1Row))
-
-
 def _cmd_table1(args: argparse.Namespace) -> Report:
-    rows = [dataclasses.asdict(row) for row in spectral.table1_report()]
-    csv = [",".join(_TABLE_FIELDS)]
+    rows = [vars(row) for row in spectral.table1_report()]
+    csv = [",".join(rows[0])]
     for entry in rows:
         cells = []
-        for name in _TABLE_FIELDS:
-            value = entry[name]
+        for name, value in entry.items():
             if isinstance(value, float):
                 cells.append(f"{value:.2f}")
             elif name == "flags":

@@ -11,7 +11,9 @@ Three layers, strongest first:
   (the eigenvalues are the generator polynomial's values on the n-th roots
   of r).  Its Euclid runs on plain lists of Fraction coefficients, costs
   O(n^2) and no report uses it; the benchmark's span tracer still names it.
-* sufficient_condition: the real-r sufficient theorem.  For r > 0 the
+* sufficient_condition: the whole invert verdict for any r, built on the
+  real-r sufficient theorem; an r that is not real is checked like any
+  other and then gets the not_covered verdict.  For r > 0 the
   guarantee excludes the reciprocal dominant root and the critical magnitude
   (P(n)/P(n-1))^(n/2); for r < 0 it excludes minus the critical magnitude.
   Values inside a 2^-ceil(bits/2) relative band around an excluded point
@@ -21,7 +23,9 @@ Three layers, strongest first:
   certify there is the conservative reading.  The theorem misses singular
   matrices: at k=1, n=3, r=-1/8 the quadratic root -1/2 of T has
   (-1/2)^3 = r, so det = r (1 + 8r) = 0.  For int and Fraction r the exact
-  decision overrides the guarantee; for float and mpf r the gap stays.
+  decision (gcd_invertible: Res(x^n - r, f) != 0 exactly when
+  gcd(f, x^n - r) = 1) overrides the guarantee; for float and mpf r the
+  gap stays.
 * counterexample_scan: probes the uncertified critical values r* cell by
   cell.  spectral._critical_moduli decides every number of a cell: the
   logarithms and both singularity signals (quadratic-root phase alignment
@@ -32,7 +36,6 @@ Three layers, strongest first:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,6 +50,7 @@ from .spectral import _critical_magnitude, _critical_moduli
 
 GUARANTEED_INVERTIBLE = "guaranteed_invertible"
 EXCLUDED_PARAMETER = "excluded_parameter"
+NOT_COVERED = "not_covered"
 
 
 @dataclass(frozen=True)
@@ -54,7 +58,7 @@ class InvertibilityVerdict:
     status: str
     reason: str
     witness: object = None
-    exact_invertible: bool | None = None  # invertible_exact; None unless r is int or Fraction
+    gcd_invertible: bool | None = None  # invertible_exact; None unless r is int or Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -103,45 +107,32 @@ def gcd_criterion(entries, r) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# sufficient condition for real r
-
-def _within_band(r_abs: mpf, value: mpf, tol: mpf) -> bool:
-    return abs(r_abs - value) <= tol * max(abs(value), abs(r_abs))
-
+# sufficient condition: the invert verdict
 
 def sufficient_condition(k: int, n: int, r, precision_bits: int = 256) -> InvertibilityVerdict:
-    """Real-r sufficient invertibility theorem with conservative exclusion
-    bands of relative width 2^-tolerance_bits(precision_bits).
+    """The invert report for any r: the real-r sufficient invertibility
+    theorem with conservative exclusion bands of relative width
+    2^-tolerance_bits(precision_bits), and the exact decision.
 
+    k, n, precision_bits and r are checked first, for every r: r = 0 raises
+    ZeroR and an infinite or NaN r ValueError.  An r that is not
+    circulant.is_real, even mpc(2, 0), then gets the not_covered verdict.
     The theorem alone would certify some singular matrices (k=1, n=3,
     r=-1/8 is one).  For int and Fraction r the verdict carries the exact
-    decision of invertible_exact, and a guarantee the exact decision
-    contradicts becomes excluded_parameter with a reason naming exact
-    singularity.  Float and mpf r get the theorem's verdict unchecked.  An r
-    that is not circulant.is_real raises ValueError, even mpc(2, 0), and so
-    does an infinite or NaN r; r = 0 raises ZeroR.
+    decision of invertible_exact as gcd_invertible, and a guarantee the
+    exact decision contradicts becomes excluded_parameter with a reason
+    naming exact singularity.  Float and mpf r get the theorem's verdict
+    unchecked, with gcd_invertible None.
     """
     check_order(k, n)
     check_bits(precision_bits)
-    if not is_real(r):
-        raise ValueError("sufficient_condition covers real r only")
     check_r(r)
-    verdict = _theorem_verdict(k, n, r, precision_bits)
-    if not is_exact(r):
-        return verdict
-    invertible = invertible_exact(k, n, r)
-    if verdict.status == GUARANTEED_INVERTIBLE and not invertible:
-        verdict = InvertibilityVerdict(
-            status=EXCLUDED_PARAMETER,
-            reason="exactly singular: Res(x^n - r, T) = 0 although the theorem certifies r",
-        )
-    return dataclasses.replace(verdict, exact_invertible=invertible)
-
-
-def _theorem_verdict(k: int, n: int, r, precision_bits: int) -> InvertibilityVerdict:
+    if not is_real(r):
+        return InvertibilityVerdict(NOT_COVERED, "sufficient condition applies to real r only")
+    bits = tolerance_bits(precision_bits)
     with mp.workprec(precision_bits + _GUARD):
         r_mp = mpmath.mpmathify(r)
-        tol = mpf(2) ** -tolerance_bits(precision_bits)
+        tol = mpf(2) ** -bits
         r_star = _critical_magnitude(k, n)
         alpha = char_roots(k, precision_bits).alpha
         if r_mp > 0:
@@ -154,14 +145,17 @@ def _theorem_verdict(k: int, n: int, r, precision_bits: int) -> InvertibilityVer
         else:
             excluded = ((-r_star, "minus the critical magnitude"),)
             away = "negative r away from the excluded value"
+        status, reason, witness = GUARANTEED_INVERTIBLE, away, None
         for value, label in excluded:
-            if _within_band(r_mp, value, tol):
-                return InvertibilityVerdict(
-                    status=EXCLUDED_PARAMETER,
-                    reason=f"r within 2^-{tolerance_bits(precision_bits)} band of {label}",
-                    witness=value,
-                )
-        return InvertibilityVerdict(status=GUARANTEED_INVERTIBLE, reason=away)
+            if abs(r_mp - value) <= tol * max(abs(value), abs(r_mp)):
+                status, witness = EXCLUDED_PARAMETER, value
+                reason = f"r within 2^-{bits} band of {label}"
+                break
+    gcd_invertible = invertible_exact(k, n, r) if is_exact(r) else None
+    if status == GUARANTEED_INVERTIBLE and gcd_invertible is False:
+        status, reason = EXCLUDED_PARAMETER, \
+            "exactly singular: Res(x^n - r, T) = 0 although the theorem certifies r"
+    return InvertibilityVerdict(status, reason, witness, gcd_invertible)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from mpmath.libmp import (MPZ, from_int, from_man_exp, fzero, mpf_add, mpf_cos_s
                           round_nearest, to_fixed, to_float)
 from mpmath.libmp.libelefun import cos_sin_basecase
 
-from .circulant import abs_sq, build_pell_complex, is_exact, is_real
+from .circulant import abs_sq, build_pell_complex, det_exact, is_exact, is_real
 from .errors import DegenerateCase
 from .sequence import (_GUARD, char_roots, check_bits, check_int, check_k, check_order, check_r,
                        recip_poly, t_integers, term, terms_upto, tolerance_bits)
@@ -1367,10 +1367,13 @@ def eigenpair_residuals(k: int, n: int, r, spectrum: EigenSpectrum,
 
 @dataclass(frozen=True)
 class DetReport:
+    """The det report's entries in its order."""
+
     det_closed: mpc
-    det_oracle: mpc
-    r1: mpc
-    r2: mpc
+    det_product_of_eigenvalues: mpc
+    det_exact: Fraction | None  # circulant.det_exact; None unless r is int or Fraction
+    quadratic_r1: mpc
+    quadratic_r2: mpc
 
 
 def _quadratic_roots(k: int, n: int, r_mp) -> tuple[mpc, mpc]:
@@ -1402,10 +1405,11 @@ def _quadratic_roots(k: int, n: int, r_mp) -> tuple[mpc, mpc]:
 
 def determinant_closed(k: int, n: int, r, precision_bits: int = 256) -> DetReport:
     """Determinant via the quadratic-root product formula, with the product
-    of the mpc Horner eigenvalues (_horner_mpc) as the attached oracle.
-    _horner_mpc runs on integers but gives the same bits as mpmath's mpc
-    Horner, mpf_add's shortcut included, so the printed oracle, rounding
-    noise and all, is mpmath's.
+    of the mpc Horner eigenvalues (_horner_mpc) as the attached oracle and,
+    for int and Fraction r, circulant.det_exact, computed after the closed
+    value (None for any other r).  _horner_mpc runs on integers but gives
+    the same bits as mpmath's mpc Horner, mpf_add's shortcut included, so
+    the printed oracle, rounding noise and all, is mpmath's.
 
     Raises DegenerateCase when some rho_m collides with a reciprocal
     characteristic root (the rational closed form degenerates there).
@@ -1436,7 +1440,7 @@ def determinant_closed(k: int, n: int, r, precision_bits: int = 256) -> DetRepor
         for lam in _horner_mpc(k, n, grid.rhos):
             oracle *= lam
         det_closed, r1, r2 = mpc(det), mpc(r1), mpc(r2)
-    return DetReport(det_closed=det_closed, det_oracle=oracle, r1=r1, r2=r2)
+    return DetReport(det_closed, oracle, det_exact(k, n, r) if is_exact(r) else None, r1, r2)
 
 
 # ---------------------------------------------------------------------------

@@ -187,8 +187,8 @@ def test_criterion_07_determinant(capsys):
                     exact_mp = mp.mpmathify(exact)
                     scale = max(abs(exact_mp), mpf(1))
                     assert abs(rep.det_closed - exact_mp) / scale <= tol, (k, n, r)
-                    assert abs(rep.det_oracle - exact_mp) / scale <= tol, (k, n, r)
-                    assert abs(rep.det_closed - rep.det_oracle) / scale <= tol, (k, n, r)
+                    assert abs(rep.det_product_of_eigenvalues - exact_mp) / scale <= tol, (k, n, r)
+                    assert abs(rep.det_closed - rep.det_product_of_eigenvalues) / scale <= tol, (k, n, r)
                     checked += 1
     _report(capsys, 7, "determinant triangulation", True,
             f"{checked} cells agree to 1e-20; anchor det = 9 exact")

@@ -434,6 +434,19 @@ def test_invert_complex_r_not_covered(capsys):
     assert envelope["result"]["gcd_invertible"] is None
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["invert", "--k=0", "--n=3"], "k must be an integer >= 1, got 0"),
+    (["invert", "--k=1", "--n=1"], "matrix order n must be an integer >= 2, got 1"),
+])
+@pytest.mark.parametrize("r", ["--r=2-3i", "--r=0+1i", "--r=2"])
+def test_invert_checks_k_and_n_for_every_r(argv, message, r, capsys):
+    assert cli.main(argv + [r]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"]["message"] == message
+
+
 _MPC_RE = re.compile(r"^\((\S+) ([+-]) (\S+)j\)$")
 
 

@@ -114,13 +114,13 @@ def test_exactly_singular_cell_is_excluded_for_rational_r_only():
     assert verdict.status == inv.EXCLUDED_PARAMETER
     assert "exactly singular" in verdict.reason
     assert verdict.witness is None
-    assert verdict.exact_invertible is False
-    assert inv.sufficient_condition(1, 3, Fraction(1, 8)).exact_invertible is True
+    assert verdict.gcd_invertible is False
+    assert inv.sufficient_condition(1, 3, Fraction(1, 8)).gcd_invertible is True
     # float and mpf r keep the theorem's verdict: the gap the docstring names
     for r in (-0.125, mpf(-1) / 8):
         verdict = inv.sufficient_condition(1, 3, r)
         assert verdict.status == inv.GUARANTEED_INVERTIBLE
-        assert verdict.exact_invertible is None
+        assert verdict.gcd_invertible is None
 
 
 def test_sufficient_condition_unit_r():
@@ -191,12 +191,15 @@ def test_sufficient_condition_validation():
     with pytest.raises(ZeroR):
         inv.sufficient_condition(1, 4, 0)
     with pytest.raises(ValueError):
-        inv.sufficient_condition(1, 4, 1j)
-    with pytest.raises(ValueError):
         inv.sufficient_condition(1, 1, 1)
-    for r in (mpmath.mpc(2, 0), mpmath.mpc(-2, 0), complex(2, 0)):
-        with pytest.raises(ValueError, match="^sufficient_condition covers real r only$"):
-            inv.sufficient_condition(1, 5, r)
+    # k, n and r are checked for every r before a non-real r is not covered
+    for r in (1j, mpmath.mpc(2, 0), mpmath.mpc(-2, 0), complex(2, 0)):
+        assert inv.sufficient_condition(1, 5, r) == inv.InvertibilityVerdict(
+            inv.NOT_COVERED, "sufficient condition applies to real r only")
+    with pytest.raises(ValueError, match="^k must be an integer >= 1, got 0$"):
+        inv.sufficient_condition(0, 5, 2 - 3j)
+    with pytest.raises(ZeroR):
+        inv.sufficient_condition(1, 4, 0j)
     for r in (float("nan"), float("inf"), float("-inf"), mpmath.mpf("inf"), mpmath.mpf("nan")):
         with pytest.raises(ValueError, match="^r must be finite, got "):
             inv.sufficient_condition(1, 4, r)

@@ -1057,7 +1057,7 @@ def test_det_oracle_is_the_mpc_horner_product(k, n, r):
         prod = mpc(1)
         for lam in ref.horner_mpc(k, n, grid.rhos):
             prod *= lam
-    assert prod._mpc_ == rep.det_oracle._mpc_
+    assert prod._mpc_ == rep.det_product_of_eigenvalues._mpc_
 
 
 # (k, n, r, bits, m): grid points at which mpf_add's shortcut for far-apart
@@ -1141,8 +1141,8 @@ def test_det_closed_matches_exact(k, n, r, expect):
         target = mpmath.mpmathify(expect)
         scale = 1 + abs(target)
         assert abs(rep.det_closed - target) <= mpf("1e-20") * scale
-        assert abs(rep.det_oracle - target) <= mpf("1e-20") * scale
-        assert abs(rep.det_closed - rep.det_oracle) <= mpf("1e-20") * scale
+        assert abs(rep.det_product_of_eigenvalues - target) <= mpf("1e-20") * scale
+        assert abs(rep.det_closed - rep.det_product_of_eigenvalues) <= mpf("1e-20") * scale
 
 
 def test_det_two_by_two_closed():
@@ -1155,8 +1155,8 @@ def test_det_two_by_two_closed():
 def test_det_quadratic_root_vieta():
     rep = sp.determinant_closed(1, 6, 2, 256)
     with mp.workprec(288):
-        s = rep.r1 + rep.r2
-        q = rep.r1 * rep.r2
+        s = rep.quadratic_r1 + rep.quadratic_r2
+        q = rep.quadratic_r1 * rep.quadratic_r2
         expect_s = -(2 * 1 * term(1, 5) + 2 * term(1, 4) - 1) / mpmath.mpf(2 * term(1, 5))
         expect_q = mpmath.mpf(term(1, 6)) / term(1, 5)
         assert abs(s - expect_s) < mpf("1e-60")
