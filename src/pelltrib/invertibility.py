@@ -153,8 +153,8 @@ def sufficient_condition(k: int, n: int, r, precision_bits: int = 256) -> Invert
                 break
     gcd_invertible = invertible_exact(k, n, r) if is_exact(r) else None
     if status == GUARANTEED_INVERTIBLE and gcd_invertible is False:
-        status, reason = EXCLUDED_PARAMETER, \
-            "exactly singular: Res(x^n - r, T) = 0 although the theorem certifies r"
+        status = EXCLUDED_PARAMETER
+        reason = "exactly singular: Res(x^n - r, T) = 0 although the theorem certifies r"
     return InvertibilityVerdict(status, reason, witness, gcd_invertible)
 
 

@@ -1440,7 +1440,8 @@ def determinant_closed(k: int, n: int, r, precision_bits: int = 256) -> DetRepor
         for lam in _horner_mpc(k, n, grid.rhos):
             oracle *= lam
         det_closed, r1, r2 = mpc(det), mpc(r1), mpc(r2)
-    return DetReport(det_closed, oracle, det_exact(k, n, r) if is_exact(r) else None, r1, r2)
+    exact = det_exact(k, n, r) if is_exact(r) else None
+    return DetReport(det_closed, oracle, exact, r1, r2)
 
 
 # ---------------------------------------------------------------------------
